@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import DiffsentryError
+from .errors import DiffsentryError, IoFailure
 from .evaluation import time_report
 from .features import Task, extract
 from .pipeline import (
@@ -32,7 +32,13 @@ from .pipeline import (
     train_pipeline,
 )
 from .resampling import ResamplePlan, Strategy
-from .sampling import EventKind, SamplingSpec, Waveform, read_waveform_csv
+from .sampling import (
+    EventKind,
+    EventLabel,
+    SamplingSpec,
+    Waveform,
+    read_waveform_csv,
+)
 from .wavegen.corpus import generate_corpus, load_manifest, reference_plan
 from .ensembles import GBC_GRID_FULL, GBC_GRID_SMALL
 from .ensembles.model import predict
@@ -117,9 +123,8 @@ def cmd_generate(args) -> int:
         raise
     counts = {}
     for row in manifest:
-        counts[label_class_name_from_row(row)] = (
-            counts.get(label_class_name_from_row(row), 0) + 1
-        )
+        name = label_class_name_from_row(row)
+        counts[name] = counts.get(name, 0) + 1
     print(f"corpus written to {args.out} ({len(manifest)} waveforms)")
     print(f"{'class':<28}{'cases':>8}")
     for name in sorted(counts):
@@ -187,12 +192,6 @@ def _holdout_records(corpus_dir, manifest, model):
             "evaluate with the corpus the model was trained on"
         )
     return load_corpus_waveforms(corpus_dir, rows)
-
-
-def _row_event_label(row):
-    from .sampling import EventLabel
-
-    return EventLabel.from_dict(row)
 
 
 def cmd_evaluate(args) -> int:
@@ -305,7 +304,7 @@ def _measure_timing(records, model, sampling) -> dict:
     row, samples = records[0]
     wave = Waveform(
         spec=sampling, samples=samples,
-        label=_row_event_label(row), inception_index=row["inception_index"],
+        label=EventLabel.from_dict(row), inception_index=row["inception_index"],
     )
     from .detector import detect as _detect
 
@@ -333,12 +332,17 @@ def cmd_classify(args) -> int:
     try:
         if args.stdin:
             classifier = StreamingClassifier(model, sampling)
-            for line in sys.stdin:
+            for line_no, line in enumerate(sys.stdin, 1):
                 line = line.strip()
                 if not line or line.startswith("t"):
                     continue
-                parts = line.split(",")
-                sample = [float(parts[1]), float(parts[2]), float(parts[3])]
+                try:
+                    parts = line.split(",")
+                    sample = [float(parts[1]), float(parts[2]), float(parts[3])]
+                except (IndexError, ValueError) as exc:
+                    raise IoFailure(
+                        f"malformed stream row at line {line_no}: {exc}"
+                    ) from exc
                 for rec in classifier.push(sample):
                     sink.write(json.dumps(rec, sort_keys=True) + "\n")
         else:

@@ -10,7 +10,7 @@ from .cart import (
 )
 from .forest import ForestConfig, forest_fit, rank_features
 from .gbc import GBC_GRID_FULL, GBC_GRID_SMALL, GbcConfig, gbc_fit, multinomial_deviance, softmax
-from .model import TreeEnsembleModel, load_model, predict, predict_proba, save_model
+from .model import TreeEnsembleModel, predict
 
 __all__ = [
     "CartConfig",
@@ -30,7 +30,4 @@ __all__ = [
     "GBC_GRID_FULL",
     "TreeEnsembleModel",
     "predict",
-    "predict_proba",
-    "save_model",
-    "load_model",
 ]

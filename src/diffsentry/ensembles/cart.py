@@ -1,10 +1,13 @@
-"""Binary classification trees grown by recursive best-split search.
+"""Trees grown by one recursive best-split search and read by one walker.
 
-Split candidates are midpoints between consecutive sorted unique feature
-values; the split maximizing information gain wins, with ties broken by
-(lower feature index, lower threshold). Nodes keep splitting while any
-valid split exists, so zero-gain splits are taken when descendants can
-still purify the partition (required for XOR-like data).
+``grow_tree`` grows the CART and random-forest classification trees here
+and the gradient-boosting regression trees of ``gbc.py``; ``tree_values``
+reads all of them. Split candidates are midpoints between consecutive
+sorted unique feature values; for classification the split maximizing
+information gain wins, with ties broken by (lower feature index, lower
+threshold). Nodes keep splitting while any valid split exists, so
+zero-gain splits are taken when descendants can still purify the
+partition (required for XOR-like data).
 """
 
 from __future__ import annotations
@@ -159,9 +162,50 @@ def _scan_feature(x: np.ndarray, y_codes: np.ndarray, k: int, kind: str):
     return float(gains[best]), float(thr)
 
 
-def _leaf(y_codes: np.ndarray, k: int) -> Node:
+def _class_probabilities(y_codes: np.ndarray, k: int) -> list:
+    if y_codes.size == 0:
+        # a midpoint between adjacent floats can round onto the upper value
+        raise EmptyChild("a split threshold left one child without rows")
     counts = np.bincount(y_codes, minlength=k).astype(np.float64)
-    return Node(value=list(counts / counts.sum()), n_samples=int(y_codes.size))
+    return list(counts / counts.sum())
+
+
+def grow_tree(X, target, scan, leaf, max_depth, min_samples_split, pick=None,
+              depth=0) -> Node:
+    """The one recursive best-split grower behind CART, RF and GBC trees.
+
+    ``scan(x, target)`` returns the best (gain, threshold) on one feature
+    column or None; ``leaf(target)`` returns a leaf payload list;
+    ``pick(n_features)`` draws the candidate features at each node (None:
+    all of them). ``max_depth``, fewer than ``min_samples_split`` rows or a
+    constant target make a leaf, checked in that order: a child can be
+    empty when a midpoint threshold rounds onto the upper of two adjacent
+    floats. Ties keep the lower feature.
+    """
+    n = target.shape[0]
+    if (
+        (max_depth is not None and depth >= max_depth)
+        or n < min_samples_split
+        or np.all(target == target[0])
+    ):
+        return Node(value=leaf(target), n_samples=n)
+
+    best = None  # (gain, feature, threshold)
+    for f in range(X.shape[1]) if pick is None else pick(X.shape[1]):
+        found = scan(X[:, f], target)
+        if found is not None and (best is None or found[0] > best[0]):
+            best = (found[0], int(f), found[1])
+    if best is None:
+        return Node(value=leaf(target), n_samples=n)
+
+    gain, f, thr = best
+    mask = X[:, f] <= thr
+    node = Node(feature=f, threshold=thr, gain=gain, n_samples=n)
+    node.left = grow_tree(X[mask], target[mask], scan, leaf, max_depth,
+                          min_samples_split, pick, depth + 1)
+    node.right = grow_tree(X[~mask], target[~mask], scan, leaf, max_depth,
+                           min_samples_split, pick, depth + 1)
+    return node
 
 
 def grow_classification_tree(
@@ -169,60 +213,39 @@ def grow_classification_tree(
     y_codes: np.ndarray,
     k: int,
     cfg: CartConfig,
-    depth: int = 0,
     rng: Optional[np.random.Generator] = None,
     max_features: Optional[int] = None,
 ) -> Node:
-    n = y_codes.shape[0]
-    pure = np.all(y_codes == y_codes[0])
-    depth_reached = cfg.max_depth is not None and depth >= cfg.max_depth
-    if pure or depth_reached or n < cfg.min_samples_split:
-        return _leaf(y_codes, k)
-
-    n_feat = X.shape[1]
-    if max_features is not None and max_features < n_feat:
-        candidates = np.sort(rng.choice(n_feat, size=max_features, replace=False))
-    else:
-        candidates = np.arange(n_feat)
-
-    best = None  # (gain, feature, threshold)
-    for f in candidates:
-        scan = _scan_feature(X[:, f], y_codes, k, cfg.impurity)
-        if scan is None:
-            continue
-        gain, thr = scan
-        if best is None or gain > best[0]:
-            best = (gain, int(f), thr)
-    if best is None:
-        return _leaf(y_codes, k)
-
-    gain, f, thr = best
-    mask = X[:, f] <= thr
-    node = Node(feature=f, threshold=thr, gain=gain, n_samples=n)
-    node.left = grow_classification_tree(
-        X[mask], y_codes[mask], k, cfg, depth + 1, rng, max_features
+    """CART/RF tree: impurity-gain splits, class-probability leaves and,
+    when ``max_features`` is below the feature count, a fresh sorted
+    feature draw from ``rng`` at every split node (in pre-order)."""
+    pick = None
+    if max_features is not None and max_features < X.shape[1]:
+        def pick(n_feat):
+            return np.sort(rng.choice(n_feat, size=max_features, replace=False))
+    return grow_tree(
+        X, y_codes,
+        scan=lambda x, t: _scan_feature(x, t, k, cfg.impurity),
+        leaf=lambda t: _class_probabilities(t, k),
+        max_depth=cfg.max_depth,
+        min_samples_split=cfg.min_samples_split,
+        pick=pick,
     )
-    node.right = grow_classification_tree(
-        X[~mask], y_codes[~mask], k, cfg, depth + 1, rng, max_features
-    )
-    return node
-
-
-def tree_apply(node: Node, X: np.ndarray) -> np.ndarray:
-    """Leaf payloads for every row of X, stacked into an (n, payload) array."""
-    if X.shape[0] == 0:
-        return np.empty((0, 0))
-    width = len(_find_leaf(node, X[0]).value)
-    out = np.empty((X.shape[0], width))
-    for i in range(X.shape[0]):
-        out[i] = _find_leaf(node, X[i]).value
-    return out
 
 
 def _find_leaf(node: Node, x: np.ndarray) -> Node:
     while not node.is_leaf:
         node = node.left if x[node.feature] <= node.threshold else node.right
     return node
+
+
+def tree_values(root: Node, X: np.ndarray) -> np.ndarray:
+    """Leaf payloads for every row of X, stacked into an (n, payload) array."""
+    values = [_find_leaf(root, row).value for row in X]
+    if not values:  # no rows: take the width from the leftmost leaf
+        leftmost = _find_leaf(root, np.full(X.shape[1], -np.inf))
+        return np.empty((0, len(leftmost.value)))
+    return np.array(values, dtype=np.float64)
 
 
 def cart_fit(X, y, cfg: CartConfig = CartConfig()):

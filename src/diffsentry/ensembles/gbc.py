@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EmptyDataset, NonFiniteLoss, SingleClass
-from .cart import Node, _find_leaf
+from .cart import Node, grow_tree, tree_values
 
 #: hyperparameter grids: the full-scale search and a desk-scale one
 GBC_GRID_FULL = {
@@ -92,39 +92,6 @@ def _newton_leaf(r: np.ndarray, k: int) -> float:
     return (k - 1.0) / k * num / den
 
 
-def _grow_regression_tree(X, r, k_classes, max_depth, min_samples_split, depth=0) -> Node:
-    n = r.shape[0]
-    if depth >= max_depth or n < min_samples_split or np.all(r == r[0]):
-        return Node(value=[_newton_leaf(r, k_classes)], n_samples=n)
-    best = None
-    for f in range(X.shape[1]):
-        scan = _scan_feature_sse(X[:, f], r)
-        if scan is None:
-            continue
-        red, thr = scan
-        if best is None or red > best[0]:
-            best = (red, f, thr)
-    if best is None:
-        return Node(value=[_newton_leaf(r, k_classes)], n_samples=n)
-    red, f, thr = best
-    mask = X[:, f] <= thr
-    node = Node(feature=f, threshold=thr, gain=red, n_samples=n)
-    node.left = _grow_regression_tree(
-        X[mask], r[mask], k_classes, max_depth, min_samples_split, depth + 1
-    )
-    node.right = _grow_regression_tree(
-        X[~mask], r[~mask], k_classes, max_depth, min_samples_split, depth + 1
-    )
-    return node
-
-
-def _tree_values(node: Node, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0])
-    for i in range(X.shape[0]):
-        out[i] = _find_leaf(node, X[i]).value[0]
-    return out
-
-
 def gbc_fit(X, y, cfg: GbcConfig = GbcConfig()):
     """Functional gradient descent on the multinomial deviance."""
     from .model import TreeEnsembleModel
@@ -146,6 +113,10 @@ def gbc_fit(X, y, cfg: GbcConfig = GbcConfig()):
     onehot[np.arange(n), y_codes] = 1.0
 
     rng = np.random.default_rng(cfg.seed)
+
+    def newton_leaf(r):
+        return [_newton_leaf(r, k)]
+
     stages: list[list[Node]] = []
     deviance: list[float] = []
     n_sub = max(1, int(round(cfg.subsample * n)))
@@ -160,11 +131,12 @@ def gbc_fit(X, y, cfg: GbcConfig = GbcConfig()):
         )
         stage = []
         for cls in range(k):
-            tree = _grow_regression_tree(
-                X[rows], residual[rows, cls], k, cfg.max_depth, cfg.min_samples_split
+            tree = grow_tree(
+                X[rows], residual[rows, cls], _scan_feature_sse, newton_leaf,
+                cfg.max_depth, cfg.min_samples_split,
             )
             stage.append(tree)
-            scores[:, cls] += cfg.learning_rate * _tree_values(tree, X)
+            scores[:, cls] += cfg.learning_rate * tree_values(tree, X)[:, 0]
         stages.append(stage)
         dev = multinomial_deviance(y_codes, scores)
         if not np.isfinite(dev):

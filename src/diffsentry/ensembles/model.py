@@ -1,15 +1,14 @@
-"""Shared trained-model container, prediction, and versioned JSON files."""
+"""Shared trained-model container, prediction, and the versioned dict form."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from ..errors import SchemaMismatch
-from .cart import Node, _find_leaf
+from .cart import Node, tree_values
 
 FILE_VERSION = 1
 
@@ -46,11 +45,11 @@ class TreeEnsembleModel:
                 f"model expects {self.n_features} features, got {X.shape[1]}"
             )
         if self.kind == "CART":
-            return _leaf_matrix(self.trees[0], X)
+            return tree_values(self.trees[0], X)
         if self.kind == "RF":
             acc = np.zeros((X.shape[0], len(self.codebook)))
             for tree in self.trees:
-                acc += _leaf_matrix(tree, X)
+                acc += tree_values(tree, X)
             return acc / len(self.trees)
         # GBC: raw scores -> softmax
         from .gbc import softmax
@@ -59,32 +58,8 @@ class TreeEnsembleModel:
         lr = self.config["learning_rate"]
         for stage in self.trees:
             for cls, tree in enumerate(stage):
-                scores[:, cls] += lr * _leaf_values(tree, X)
+                scores[:, cls] += lr * tree_values(tree, X)[:, 0]
         return softmax(scores)
-
-
-def _leaf_matrix(root: Node, X: np.ndarray) -> np.ndarray:
-    out = np.empty((X.shape[0], len(_any_leaf(root).value)))
-    for i in range(X.shape[0]):
-        out[i] = _find_leaf(root, X[i]).value
-    return out
-
-
-def _leaf_values(root: Node, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0])
-    for i in range(X.shape[0]):
-        out[i] = _find_leaf(root, X[i]).value[0]
-    return out
-
-
-def _any_leaf(node: Node) -> Node:
-    while not node.is_leaf:
-        node = node.left
-    return node
-
-
-def predict_proba(model: TreeEnsembleModel, features) -> np.ndarray:
-    return model.predict_proba(_coerce(model, features))
 
 
 def predict(model: TreeEnsembleModel, features):
@@ -124,14 +99,9 @@ def model_to_dict(model: TreeEnsembleModel) -> dict:
     }
 
 
-def model_from_dict(d: dict, expected_schema: Optional[str] = None) -> TreeEnsembleModel:
+def model_from_dict(d: dict) -> TreeEnsembleModel:
     if d.get("version") != FILE_VERSION:
-        raise ValueError(f"unsupported model file version {d.get('version')!r}")
-    if expected_schema is not None and d.get("schema_hash") != expected_schema:
-        raise SchemaMismatch(
-            f"model file schema {d.get('schema_hash')} does not match expected "
-            f"{expected_schema}"
-        )
+        raise SchemaMismatch(f"unsupported model file version {d.get('version')!r}")
     if d["kind"] == "GBC":
         trees = [[Node.from_dict(t) for t in stage] for stage in d["trees"]]
     else:
@@ -145,14 +115,3 @@ def model_from_dict(d: dict, expected_schema: Optional[str] = None) -> TreeEnsem
         metadata=d["metadata"],
         schema_hash=d.get("schema_hash"),
     )
-
-
-def save_model(model: TreeEnsembleModel, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(path, expected_schema: Optional[str] = None) -> TreeEnsembleModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh), expected_schema)

@@ -1,11 +1,11 @@
-"""Metrics, stratified cross-validation, grid search, noise and timing harnesses."""
+"""Metrics, stratified cross-validation, grid search, and a timing harness."""
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -65,14 +65,6 @@ def accuracy(counts: ConfusionCounts) -> float:
     if total == 0:
         raise EmptyCounts("no samples in the confusion counts")
     return total_tp / total
-
-
-def class_recall(counts: ConfusionCounts, label) -> float:
-    c = counts.per_class[label]
-    support = c["tp"] + c["fn"]
-    if support == 0:
-        raise ZeroSupportClass(f"class {label!r} has no true members")
-    return c["tp"] / support
 
 
 def stratified_kfold(labels, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -148,7 +140,6 @@ def grid_search(
     grid: dict,
     cv_k: int = 3,
     seed: int = 0,
-    predict_fn: Optional[Callable] = None,
 ) -> GridSearchResult:
     """Mean-CV balanced accuracy over the grid cross-product.
 
@@ -168,7 +159,8 @@ def grid_search(
         scores = []
         for train_idx, test_idx in folds:
             model = fit_fn(X[train_idx], y[train_idx], seed=seed, **config)
-            preds = _model_predictions(model, X[test_idx], predict_fn)
+            codes = np.argmax(model.predict_proba(X[test_idx]), axis=1)
+            preds = np.asarray([model.codebook[c] for c in codes])
             counts = ConfusionCounts.from_predictions(y[test_idx], preds)
             scores.append(balanced_accuracy(counts))
         mean_score = float(np.mean(scores))
@@ -179,41 +171,6 @@ def grid_search(
     return GridSearchResult(
         best_config=best[0], best_score=best[1], table=table, model=final
     )
-
-
-def _model_predictions(model, X, predict_fn):
-    if predict_fn is not None:
-        return predict_fn(model, X)
-    probs = model.predict_proba(X)
-    codes = np.argmax(probs, axis=1)
-    return np.asarray([model.codebook[c] for c in codes])
-
-
-@dataclass
-class ExperimentReport:
-    task: str
-    config: dict = field(default_factory=dict)
-    seed: Optional[int] = None
-    metrics: dict = field(default_factory=dict)
-    timing: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "config": self.config,
-            "seed": self.seed,
-            "metrics": self.metrics,
-            "timing": self.timing,
-        }
-
-
-def noise_sweep(evaluate_at_snr: Callable[[float], float], snr_list) -> list[dict]:
-    """Per-SNR accuracy table from a caller-supplied evaluation closure."""
-    return [
-        {"snr_db": ("inf" if np.isinf(s) else float(s)),
-         "accuracy": float(evaluate_at_snr(s))}
-        for s in snr_list
-    ]
 
 
 def time_report(stages: dict, repeats: int = 10) -> dict:

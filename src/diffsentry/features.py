@@ -316,29 +316,3 @@ def extract(window: np.ndarray, task: Task,
         spec_list=spec_list,
         ar_fallback=fallback,
     )
-
-
-def feature_matrix(windows, task: Task,
-                   sampling: SamplingSpec = SamplingSpec()):
-    """Stack extract() over an iterable of windows into an (n, d) matrix."""
-    vecs = [extract(w, task, sampling) for w in windows]
-    x = np.vstack([v.values for v in vecs]) if vecs else np.empty((0, 0))
-    return x, vecs
-
-
-def write_feature_csv(path, matrix: np.ndarray, task: Task) -> None:
-    """Feature matrix CSV named phase_family_paramhash, plus a sidecar
-    JSON schema recording the task."""
-    names = [f"{ph}_{spec.key()}" for ph in PHASES for spec in task_specs(task)]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in matrix:
-            fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
-    sidecar = {
-        "task": task.value,
-        "schema_hash": schema_hash(task),
-        "columns": names,
-    }
-    with open(str(path) + ".schema.json", "w", newline="\n") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")

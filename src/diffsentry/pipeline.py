@@ -26,7 +26,13 @@ from .ensembles.model import (
     model_to_dict,
     predict,
 )
-from .errors import ClassMissing, IncompleteModel, SchemaMismatch
+from .errors import (
+    ClassMissing,
+    IncompleteModel,
+    IoFailure,
+    SchemaMismatch,
+    ZeroSupportClass,
+)
 from .evaluation import (
     ConfusionCounts,
     balanced_accuracy,
@@ -39,6 +45,7 @@ from .resampling import ResamplePlan, apply_plan
 from .sampling import (
     DisturbanceType,
     EventKind,
+    EventLabel,
     FaultType,
     SamplingSpec,
     Unit,
@@ -251,8 +258,7 @@ def _full_label(row: dict) -> str:
     return f"{row['kind']}/{row['disturbance_type']}"
 
 
-def load_corpus_waveforms(corpus_dir, manifest,
-                          spec: SamplingSpec = SamplingSpec()):
+def load_corpus_waveforms(corpus_dir, manifest):
     """(manifest row, (N,3) samples) pairs for every corpus record."""
     out = []
     for row in manifest:
@@ -269,7 +275,7 @@ def _windows_by_task(records, detector_cfg: CdfConfig,
     for row, samples in records:
         wave = Waveform(
             spec=sampling, samples=samples,
-            label=_row_label(row), inception_index=row["inception_index"],
+            label=EventLabel.from_dict(row), inception_index=row["inception_index"],
             provenance=row.get("provenance", {}),
         )
         event = detect(wave, detector_cfg)
@@ -301,12 +307,6 @@ def _windows_by_task(records, detector_cfg: CdfConfig,
     return data, undetected
 
 
-def _row_label(row: dict):
-    from .sampling import EventLabel
-
-    return EventLabel.from_dict(row)
-
-
 def train_pipeline(corpus_dir, manifest, config: TrainConfig,
                    sampling: SamplingSpec = SamplingSpec()) -> PipelineModel:
     """Grid-search one classifier per task and assemble the pipeline.
@@ -314,7 +314,7 @@ def train_pipeline(corpus_dir, manifest, config: TrainConfig,
     The corpus is split 4:1 stratified by the full hierarchical label before
     any window is cut; per-stage holdout metrics are stored in metadata.
     """
-    records = load_corpus_waveforms(corpus_dir, manifest, sampling)
+    records = load_corpus_waveforms(corpus_dir, manifest)
     labels = np.asarray([_full_label(row) for row, _ in records])
     train_idx, hold_idx = train_test_split(
         labels, config.holdout_fraction, config.seed
@@ -413,7 +413,7 @@ def _holdout_metrics(slots: dict, hold_data: dict) -> dict:
         entry = {"n": int(y.shape[0]), "accuracy": accuracy(counts)}
         try:
             entry["balanced_accuracy"] = balanced_accuracy(counts)
-        except Exception:
+        except ZeroSupportClass:
             entry["balanced_accuracy"] = None
         out[task.value] = entry
     return out
@@ -440,7 +440,7 @@ def detect_noise_study(records, train_files, snr_list, seed,
 
     def window_at(row, samples, snr, noise_seed):
         wave = Waveform(
-            spec=sampling, samples=samples, label=_row_label(row),
+            spec=sampling, samples=samples, label=EventLabel.from_dict(row),
             inception_index=row["inception_index"],
         )
         if not _math.isinf(snr):
@@ -518,9 +518,14 @@ def save_pipeline(model: PipelineModel, path) -> None:
 
 def load_pipeline(path) -> PipelineModel:
     with open(path) as fh:
-        bundle = json.load(fh)
+        try:
+            bundle = json.load(fh)
+        except ValueError as exc:
+            raise IoFailure(f"model file {path} is not valid JSON: {exc}") from exc
     if bundle.get("version") != PIPELINE_FILE_VERSION:
-        raise ValueError(f"unsupported pipeline version {bundle.get('version')!r}")
+        raise SchemaMismatch(
+            f"unsupported pipeline version {bundle.get('version')!r}"
+        )
     slots = {}
     for name, md in bundle["slots"].items():
         task = Task(name)

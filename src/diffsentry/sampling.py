@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import io
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,14 +39,6 @@ class FaultType(enum.Enum):
     WA_WB_WC_G = "wa-wb-wc-g"
     TURN_TO_TURN = "TurnToTurn"
     WINDING_TO_WINDING = "WindingToWinding"
-
-
-#: The eleven phase & ground fault types of the basic-fault sweep tables
-#: (everything except turn-to-turn and winding-to-winding).
-PHASE_GROUND_FAULTS = tuple(
-    ft for ft in FaultType
-    if ft not in (FaultType.TURN_TO_TURN, FaultType.WINDING_TO_WINDING)
-)
 
 
 class DisturbanceType(enum.Enum):
@@ -198,26 +188,14 @@ def read_waveform_csv(path) -> np.ndarray:
         raise IoFailure(f"cannot read waveform from {path}: {exc}") from exc
 
 
-def parse_waveform_text(text: str) -> np.ndarray:
-    return _parse_waveform_rows(io.StringIO(text))
-
-
 def _parse_waveform_rows(fh) -> np.ndarray:
     reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is None:
-        raise IoFailure("empty waveform CSV")
-    rows = [(float(r[1]), float(r[2]), float(r[3])) for r in reader if r]
+    try:
+        if next(reader, None) is None:
+            raise IoFailure("empty waveform CSV")
+        rows = [(float(r[1]), float(r[2]), float(r[3])) for r in reader if r]
+    except (IndexError, ValueError, csv.Error) as exc:
+        raise IoFailure(
+            f"malformed waveform row at line {reader.line_num}: {exc}"
+        ) from exc
     return np.array(rows, dtype=np.float64)
-
-
-def label_class_name(label: EventLabel) -> str:
-    """Top-level corpus class: 'InternalFault' or the disturbance type."""
-    if label.kind is EventKind.INTERNAL_FAULT:
-        return EventKind.INTERNAL_FAULT.value
-    return label.disturbance_type.value
-
-
-def provenance_json(prov: dict) -> str:
-    """Canonical JSON for provenance records (stable key order)."""
-    return json.dumps(prov, sort_keys=True, separators=(",", ":"))

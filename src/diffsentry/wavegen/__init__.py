@@ -3,7 +3,6 @@
 from .transformer import (
     InductanceMatrix,
     TwoWindingParams,
-    build_three_winding_L,
     build_two_winding_L,
 )
 from .faults import FaultSpec, UNIT_PRESETS, simulate_internal_fault
@@ -15,14 +14,12 @@ from .corpus import (
     generate_corpus,
     load_manifest,
     reference_plan,
-    table_one_plan,
 )
 
 __all__ = [
     "InductanceMatrix",
     "TwoWindingParams",
     "build_two_winding_L",
-    "build_three_winding_L",
     "FaultSpec",
     "UNIT_PRESETS",
     "simulate_internal_fault",
@@ -35,5 +32,4 @@ __all__ = [
     "generate_corpus",
     "load_manifest",
     "reference_plan",
-    "table_one_plan",
 ]

@@ -21,7 +21,6 @@ from ..sampling import (
     DisturbanceType,
     EventKind,
     FaultType,
-    PHASE_GROUND_FAULTS,
     SamplingSpec,
     Unit,
     Waveform,
@@ -177,31 +176,7 @@ def load_manifest(corpus_dir) -> list[dict]:
 # -- stock plans ---------------------------------------------------------------
 
 _TAPS_FULL = (0.2, 0.4, 0.6, 0.8, 1.0)
-_TAPS_EXCITING = (1.0, 0.5)
 _RF = (0.01, 0.5, 10.0)
-
-
-def table_one_plan(unit: Unit = Unit.PT) -> ClassPlan:
-    """The phase & ground fault sweep for one unit, uncapped.
-
-    Cross-product: 3 resistances x 3 percentages x 11 fault types x
-    12 inception steps x 2 sides x 2 shifts x taps (5, or 2 for the
-    exciting unit).
-    """
-    taps = _TAPS_EXCITING if unit is Unit.EXCITING else _TAPS_FULL
-    return ClassPlan(
-        name=EventKind.INTERNAL_FAULT.value,
-        grid={
-            "unit": (unit.value,),
-            "resistance_ohm": _RF,
-            "pct_winding": (20.0, 50.0, 80.0),
-            "fault_type": tuple(ft.value for ft in PHASE_GROUND_FAULTS),
-            "inception_step": tuple(range(12)),
-            "side": ("primary", "secondary"),
-            "shift": ("forward", "backward"),
-            "tap": taps,
-        },
-    )
 
 
 def reference_plan(cases_per_class: int = 120, fault_cases: int = 468) -> CorpusPlan:

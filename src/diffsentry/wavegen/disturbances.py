@@ -23,8 +23,7 @@ from ..sampling import (
     SamplingSpec,
     Waveform,
 )
-
-_PHASE_IDX = {"a": 0, "b": 1, "c": 2}
+from .faults import _PHASE_IDX, _phase_offsets, _tap_drive
 
 # saturation curve: knee at 1.2 pu flux, unsaturated magnetizing slope set
 # for a few-percent magnetizing current, saturated slope 100x steeper
@@ -71,15 +70,6 @@ def ct_saturating_clipper(current: np.ndarray, spc: int,
             out[n] = i_in * residual_gain
             lam = math.copysign(flux_limit, trial)
     return out
-
-
-def _tap_drive(tap: float) -> float:
-    return 0.4 + 0.6 * tap
-
-
-def _phase_offsets(shift: str) -> np.ndarray:
-    seq = -2.0 * math.pi / 3.0 if shift == "forward" else 2.0 * math.pi / 3.0
-    return np.array([0.0, seq, -seq])
 
 
 def _require(cond: bool, message: str):

@@ -42,7 +42,7 @@ class TwoWindingParams:
 
 @dataclass(frozen=True)
 class InductanceMatrix:
-    """Symmetric sub-winding inductance matrix (order 4 or 6), in henries."""
+    """Symmetric sub-winding inductance matrix, in henries."""
 
     order: int
     entries: np.ndarray
@@ -103,29 +103,3 @@ def build_two_winding_L(p: TwoWindingParams) -> InductanceMatrix:
         [(p.v1, p.fault1), (p.v2, p.fault2)], p.mva, p.f, p.xl, p.im
     )
     return InductanceMatrix(order=4, entries=entries)
-
-
-def build_three_winding_L(
-    p: TwoWindingParams, v3: float, fault3: float = 50.0
-) -> InductanceMatrix:
-    """6x6 matrix for a three-winding unit, built by the same split pattern."""
-    if v3 <= 0:
-        raise NonPositiveParameter(f"v3 must be > 0, got {v3}")
-    if not 0.0 <= fault3 <= 100.0:
-        raise FaultFractionOutOfRange(f"fault3 must be in [0, 100], got {fault3}")
-    entries = build_coupled_L(
-        [(p.v1, p.fault1), (p.v2, p.fault2), (v3, fault3)], p.mva, p.f, p.xl, p.im
-    )
-    return InductanceMatrix(order=6, entries=entries)
-
-
-def winding_diagnostics(p: TwoWindingParams) -> dict:
-    """Derived quantities the sizing recipe computes but does not consume."""
-    w = 2.0 * math.pi * p.f
-    i1 = p.mva / p.v1
-    i2 = p.mva / p.v2
-    return {
-        "l1": p.v1 / (w * p.im * i1),
-        "l2": p.v2 / (w * p.im * i2),
-        "turns_ratio": p.v1 / p.v2,
-    }

@@ -148,6 +148,48 @@ def test_evaluate_timing_flag(tmp_path, saved_model, reference_corpus, capsys):
     assert "timing (median seconds per stage)" in capsys.readouterr().out
 
 
+def _assert_classify_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error [classify]: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("row", ["0,1,2", "0,1,x,2"])
+def test_classify_malformed_csv_row_is_a_data_error(tmp_path, saved_model,
+                                                    capsys, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t_s,ia_pu,ib_pu,ic_pu\n0,0,0,0\n{row}\n")
+    code = main(["classify", "--model", str(saved_model), str(path)])
+    _assert_classify_error(code, capsys)
+
+
+def test_classify_malformed_stream_row_is_a_data_error(saved_model, monkeypatch,
+                                                       capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("t_s,ia,ib,ic\n0,0,0,0\n0,1,2\n"))
+    code = main(["classify", "--model", str(saved_model), "--stdin"])
+    _assert_classify_error(code, capsys)
+
+
+@pytest.mark.parametrize("where", ["pipeline", "slot"])
+def test_classify_unsupported_model_version_is_a_data_error(tmp_path, saved_model,
+                                                            capsys, where):
+    bundle = json.loads(saved_model.read_text())
+    target = bundle if where == "pipeline" else bundle["slots"]["DetectFault"]
+    target["version"] = 99
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(bundle))
+    code = main(["classify", "--model", str(path), str(path)])
+    _assert_classify_error(code, capsys)
+
+
+def test_classify_non_json_model_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text("not a model\n")
+    code = main(["classify", "--model", str(path), str(path)])
+    _assert_classify_error(code, capsys)
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["generate"])  # missing --out

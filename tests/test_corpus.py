@@ -5,7 +5,7 @@ import os
 import pytest
 
 from diffsentry.errors import PlanEmpty
-from diffsentry.sampling import Unit, read_waveform_csv
+from diffsentry.sampling import read_waveform_csv
 from diffsentry.wavegen.corpus import (
     ClassPlan,
     CorpusPlan,
@@ -13,19 +13,7 @@ from diffsentry.wavegen.corpus import (
     generate_corpus,
     load_manifest,
     reference_plan,
-    table_one_plan,
 )
-
-
-def test_table_grid_counts_for_pt_and_series():
-    # 3 x 3 x 11 x 12 x 2 x 2 x 5 basic-fault cases per unit
-    for unit in (Unit.PT, Unit.SERIES):
-        assert len(table_one_plan(unit).enumerate_cases()) == 23_760
-
-
-def test_table_grid_count_for_exciting_unit():
-    # the exciting unit only has two tap positions: 3 x 3 x 11 x 12 x 2 x 2 x 2
-    assert len(table_one_plan(Unit.EXCITING).enumerate_cases()) == 9_504
 
 
 def test_cap_arithmetic_hundred_per_class():

@@ -9,9 +9,7 @@ from diffsentry.evaluation import (
     ConfusionCounts,
     accuracy,
     balanced_accuracy,
-    class_recall,
     grid_search,
-    noise_sweep,
     stratified_kfold,
     time_report,
     train_test_split,
@@ -55,7 +53,9 @@ def test_reference_localization_recall():
     # 7287 true positives and no misses for one unit: recall exactly 1
     counts = ConfusionCounts.binary(tp=7287, fn=0, tn=10339, fp=32,
                                     positive="PT", negative="rest")
-    assert class_recall(counts, "PT") == 1.0
+    assert counts.per_class["PT"] == {"tp": 7287, "fn": 0, "fp": 32, "tn": 10339}
+    # mean of the unit's recall (exactly 1) and the rest's (10339 / 10371)
+    assert balanced_accuracy(counts) == pytest.approx((1.0 + 10339 / 10371) / 2)
 
 
 def test_balanced_equals_plain_accuracy_on_equal_supports():
@@ -169,19 +169,6 @@ def test_grid_search_empty_grid_rejected():
     X, y = _toy_task(4)
     with pytest.raises(ValueError):
         grid_search(X, y, _fit, {}, cv_k=2, seed=0)
-
-
-def test_noise_sweep_empty_list():
-    assert noise_sweep(lambda snr: 1.0, []) == []
-
-
-def test_noise_sweep_rows():
-    rows = noise_sweep(lambda snr: 0.9 if np.isinf(snr) else snr / 100.0,
-                       [np.inf, 30.0])
-    assert rows == [
-        {"snr_db": "inf", "accuracy": 0.9},
-        {"snr_db": 30.0, "accuracy": 0.3},
-    ]
 
 
 def test_time_report_noop_stage():

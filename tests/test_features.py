@@ -16,12 +16,10 @@ from diffsentry.features import (
     change_quantile,
     dft_coefficient,
     extract,
-    feature_matrix,
     schema_hash,
     task_specs,
     task_window_len,
     welch_density,
-    write_feature_csv,
 )
 from diffsentry.sampling import SamplingSpec
 
@@ -364,19 +362,3 @@ def test_feature_names_carry_phase_and_family():
     assert names[0].startswith("a_change_quantile_")
     assert names[-1].startswith("c_ar_coefficients_")
     assert len(set(names)) == len(names)
-
-
-def test_feature_csv_and_sidecar(tmp_path):
-    n = task_window_len(Task.DETECT_FAULT, SPEC)
-    rng = np.random.default_rng(9)
-    windows = [rng.normal(size=(n, 3)) for _ in range(4)]
-    matrix, _ = feature_matrix(windows, Task.DETECT_FAULT, SPEC)
-    path = tmp_path / "features.csv"
-    write_feature_csv(path, matrix, Task.DETECT_FAULT)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 5
-    assert lines[0].count(",") == 17
-    import json
-    sidecar = json.loads((tmp_path / "features.csv.schema.json").read_text())
-    assert sidecar["task"] == "DetectFault"
-    assert sidecar["schema_hash"] == schema_hash(Task.DETECT_FAULT)

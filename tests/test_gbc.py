@@ -1,18 +1,22 @@
 """Gradient boosting: loss gradient numerics, monotone deviance, round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
+from diffsentry.detector import CdfConfig
 from diffsentry.ensembles import (
     GbcConfig,
     gbc_fit,
-    load_model,
     multinomial_deviance,
     predict,
-    save_model,
     softmax,
 )
+from diffsentry.ensembles.model import model_from_dict, model_to_dict
 from diffsentry.errors import SchemaMismatch, SingleClass
+from diffsentry.features import Task, schema_hash
+from diffsentry.pipeline import PipelineModel, load_pipeline, save_pipeline
 
 
 def _loss(scores, onehot):
@@ -94,12 +98,10 @@ def test_probabilities_sum_to_one():
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
-def test_serialization_round_trip_bit_identical(tmp_path):
+def test_serialization_round_trip_bit_identical():
     X, y = _blobs(120, 3, seed=9)
     model = gbc_fit(X, y, GbcConfig(n_estimators=25, max_depth=3, seed=2))
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    loaded = load_model(path)
+    loaded = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
     rng = np.random.default_rng(10)
     probe = rng.normal(size=(1000, 4))
     assert np.array_equal(model.predict_proba(probe), loaded.predict_proba(probe))
@@ -108,12 +110,15 @@ def test_serialization_round_trip_bit_identical(tmp_path):
 def test_schema_hash_checked_on_load(tmp_path):
     X, y = _blobs(60, 2, seed=11)
     model = gbc_fit(X, y, GbcConfig(n_estimators=5, seed=0))
-    model.schema_hash = "abc123"
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    assert load_model(path, expected_schema="abc123").schema_hash == "abc123"
+    expected = schema_hash(Task.DETECT_FAULT)
+    model.schema_hash = expected
+    path = tmp_path / "pipeline.json"
+    save_pipeline(PipelineModel(CdfConfig(), {Task.DETECT_FAULT: model}), path)
+    assert load_pipeline(path).slots[Task.DETECT_FAULT].schema_hash == expected
+    model.schema_hash = "something-else"
+    save_pipeline(PipelineModel(CdfConfig(), {Task.DETECT_FAULT: model}), path)
     with pytest.raises(SchemaMismatch):
-        load_model(path, expected_schema="something-else")
+        load_pipeline(path)
 
 
 def test_predict_returns_label_and_probabilities():

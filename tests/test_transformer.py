@@ -6,9 +6,8 @@ import pytest
 from diffsentry.errors import FaultFractionOutOfRange, NonPositiveParameter
 from diffsentry.wavegen.transformer import (
     TwoWindingParams,
-    build_three_winding_L,
+    build_coupled_L,
     build_two_winding_L,
-    winding_diagnostics,
 )
 
 # Frozen line-by-line evaluation of the sizing recipe for
@@ -116,26 +115,11 @@ def test_fault_fraction_bounds(field, value):
 
 def test_three_winding_matrix_same_pattern():
     p = TwoWindingParams(mva=500, v1=230, v2=230, fault1=20, fault2=20)
-    m6 = build_three_winding_L(p, v3=138.0, fault3=40.0)
-    assert m6.order == 6
-    mat = m6.entries
+    mat = build_coupled_L(
+        [(p.v1, p.fault1), (p.v2, p.fault2), (138.0, 40.0)], p.mva, p.f, p.xl, p.im
+    )
+    assert mat.shape == (6, 6)
     assert np.array_equal(mat, mat.T)
     # the 2-winding block must be identical to the 4x4 build
     m4 = build_two_winding_L(p).entries
     assert np.allclose(mat[:4, :4], m4, rtol=0, atol=0)
-
-
-def test_three_winding_validation():
-    p = TwoWindingParams(mva=500, v1=230, v2=230)
-    with pytest.raises(NonPositiveParameter):
-        build_three_winding_L(p, v3=0.0)
-    with pytest.raises(FaultFractionOutOfRange):
-        build_three_winding_L(p, v3=138.0, fault3=120.0)
-
-
-def test_diagnostics_report_unused_sizing_terms():
-    p = TwoWindingParams(mva=500, v1=230, v2=115, f=60, xl=0.1, im=0.01)
-    d = winding_diagnostics(p)
-    w = 2 * np.pi * 60
-    assert d["l1"] == pytest.approx(230 / (w * 0.01 * (500 / 230)), rel=1e-12)
-    assert d["turns_ratio"] == pytest.approx(2.0)
