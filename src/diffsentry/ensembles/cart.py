@@ -2,22 +2,26 @@
 
 ``grow_tree`` grows the CART and random-forest classification trees here
 and the gradient-boosting regression trees of ``gbc.py``; ``tree_values``
-reads all of them. Split candidates are midpoints between consecutive
-sorted unique feature values; for classification the split maximizing
-information gain wins, with ties broken by (lower feature index, lower
-threshold). Nodes keep splitting while any valid split exists, so
-zero-gain splits are taken when descendants can still purify the
+reads all of them. At each node the grower makes one ``scan`` call, which
+scores every column of the node's matrix in one array pass (a stable
+column-wise argsort, column-wise cumulative sums, then ``_best_split``) and
+returns the best (gain, column, threshold). Split candidates are midpoints
+between consecutive sorted unique feature values; for classification the
+split maximizing information gain wins, with ties broken by (lower feature
+index, lower threshold). Nodes keep splitting while any valid split exists,
+so zero-gain splits are taken when descendants can still purify the
 partition (required for XOR-like data).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..errors import EmptyChild, EmptyDataset
+from ..errors import EmptyChild, EmptyDataset, SchemaMismatch
 
 
 def gini_impurity(counts) -> float:
@@ -99,16 +103,27 @@ class Node:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Node":
+    def from_dict(cls, d: dict, n_features: int, width: int) -> "Node":
+        """Rebuild a tree from ``to_dict`` form, raising ``SchemaMismatch``
+        for a split feature outside [0, n_features), a non-finite threshold
+        or a leaf payload that does not hold ``width`` values."""
         if "feature" not in d:
+            if len(d["value"]) != width:
+                raise SchemaMismatch(
+                    f"leaf holds {len(d['value'])} values, expected {width}")
             return cls(value=d["value"], n_samples=d["n"])
+        f, thr = d["feature"], d["threshold"]
+        if type(f) is not int or not 0 <= f < n_features:
+            raise SchemaMismatch(f"split feature {f!r} outside [0, {n_features})")
+        if not math.isfinite(thr):
+            raise SchemaMismatch(f"split threshold {thr!r} is not finite")
         return cls(
-            feature=d["feature"],
-            threshold=d["threshold"],
+            feature=f,
+            threshold=thr,
             gain=d["gain"],
             n_samples=d["n"],
-            left=cls.from_dict(d["left"]),
-            right=cls.from_dict(d["right"]),
+            left=cls.from_dict(d["left"], n_features, width),
+            right=cls.from_dict(d["right"], n_features, width),
         )
 
 
@@ -127,39 +142,53 @@ class CartConfig:
             raise ValueError("max_depth must be >= 0")
 
 
-def _node_impurity(y_codes: np.ndarray, k: int, kind: str) -> float:
-    return _IMPURITY[kind](np.bincount(y_codes, minlength=k))
+def _sorted_columns(X: np.ndarray):
+    """Stable sort order of every column of X and the sorted values."""
+    order = np.argsort(X, axis=0, kind="stable")
+    return order, X[order, np.arange(X.shape[1])]
 
 
-def _scan_feature(x: np.ndarray, y_codes: np.ndarray, k: int, kind: str):
-    """Best (gain, threshold) over this feature's midpoint candidates."""
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    ys = y_codes[order]
-    n = xs.shape[0]
-    bounds = np.nonzero(xs[:-1] < xs[1:])[0]
-    if bounds.size == 0:
+def _best_split(xs: np.ndarray, gains: np.ndarray):
+    """Best (gain, column, threshold) of one node, or None.
+
+    ``xs`` holds each column sorted; ``gains[b, j]`` scores the split of
+    column ``j`` between its sorted rows ``b`` and ``b + 1``. Only gaps
+    between distinct values are candidates. Ties keep the lowest threshold
+    within a column and then the lowest column.
+    """
+    if xs.shape[0] < 2:
         return None
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), ys] = 1.0
-    cum = np.cumsum(onehot, axis=0)
-    left = cum[bounds]
-    total = cum[-1]
-    right = total[None, :] - left
-    nl = (bounds + 1).astype(np.float64)
+    gains = np.where(xs[:-1] < xs[1:], gains, -np.inf)
+    rows = np.argmax(gains, axis=0)
+    col_gains = gains[rows, np.arange(xs.shape[1])]
+    col = int(np.argmax(col_gains))
+    if col_gains[col] == -np.inf:  # every column is constant
+        return None
+    b = rows[col]
+    return float(col_gains[col]), col, float(0.5 * (xs[b, col] + xs[b + 1, col]))
+
+
+def _scan_impurity(X: np.ndarray, y_codes: np.ndarray, k: int, kind: str):
+    """Best impurity-gain split over all columns of X (see ``_best_split``)."""
+    order, xs = _sorted_columns(X)
+    n = X.shape[0]
+    cum = np.cumsum(y_codes[order][..., None] == np.arange(k), axis=0,
+                    dtype=np.float64)
+    left = cum[:-1]
+    total = cum[-1, 0]
+    right = total - left
+    nl = np.arange(1.0, n)[:, None]
     nr = n - nl
 
     def imp(counts, sizes):
-        p = counts / sizes[:, None]
+        p = counts / sizes[..., None]
         if kind == "gini":
-            return 1.0 - np.sum(p * p, axis=1)
-        return -np.sum(np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0), axis=1)
+            return 1.0 - np.sum(p * p, axis=-1)
+        return -np.sum(np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0), axis=-1)
 
     parent = _IMPURITY[kind](total)
     gains = parent - (nl / n) * imp(left, nl) - (nr / n) * imp(right, nr)
-    best = int(np.argmax(gains))  # first max: lowest threshold on ties
-    thr = 0.5 * (xs[bounds[best]] + xs[bounds[best] + 1])
-    return float(gains[best]), float(thr)
+    return _best_split(xs, gains)
 
 
 def _class_probabilities(y_codes: np.ndarray, k: int) -> list:
@@ -174,13 +203,15 @@ def grow_tree(X, target, scan, leaf, max_depth, min_samples_split, pick=None,
               depth=0) -> Node:
     """The one recursive best-split grower behind CART, RF and GBC trees.
 
-    ``scan(x, target)`` returns the best (gain, threshold) on one feature
-    column or None; ``leaf(target)`` returns a leaf payload list;
-    ``pick(n_features)`` draws the candidate features at each node (None:
-    all of them). ``max_depth``, fewer than ``min_samples_split`` rows or a
+    ``scan(X, target)`` returns the best (gain, column, threshold) over all
+    columns of the node's matrix, or None when no column has two distinct
+    values; it is called once per node that is not made a leaf first.
+    ``leaf(target)`` returns a leaf payload list; ``pick(n_features)`` draws
+    the sorted candidate features at each node, in pre-order (None: all of
+    them). ``max_depth``, fewer than ``min_samples_split`` rows or a
     constant target make a leaf, checked in that order: a child can be
     empty when a midpoint threshold rounds onto the upper of two adjacent
-    floats. Ties keep the lower feature.
+    floats.
     """
     n = target.shape[0]
     if (
@@ -190,15 +221,14 @@ def grow_tree(X, target, scan, leaf, max_depth, min_samples_split, pick=None,
     ):
         return Node(value=leaf(target), n_samples=n)
 
-    best = None  # (gain, feature, threshold)
-    for f in range(X.shape[1]) if pick is None else pick(X.shape[1]):
-        found = scan(X[:, f], target)
-        if found is not None and (best is None or found[0] > best[0]):
-            best = (found[0], int(f), found[1])
+    feats = None if pick is None else pick(X.shape[1])
+    best = scan(X if feats is None else X[:, feats], target)
     if best is None:
         return Node(value=leaf(target), n_samples=n)
 
     gain, f, thr = best
+    if feats is not None:
+        f = int(feats[f])
     mask = X[:, f] <= thr
     node = Node(feature=f, threshold=thr, gain=gain, n_samples=n)
     node.left = grow_tree(X[mask], target[mask], scan, leaf, max_depth,
@@ -225,7 +255,7 @@ def grow_classification_tree(
             return np.sort(rng.choice(n_feat, size=max_features, replace=False))
     return grow_tree(
         X, y_codes,
-        scan=lambda x, t: _scan_feature(x, t, k, cfg.impurity),
+        scan=lambda X_, t: _scan_impurity(X_, t, k, cfg.impurity),
         leaf=lambda t: _class_probabilities(t, k),
         max_depth=cfg.max_depth,
         min_samples_split=cfg.min_samples_split,

@@ -5,6 +5,12 @@ one least-squares regression tree per class to the residual (one-hot minus
 softmax probability) on the chosen subsample; leaf values take the one-step
 Newton update for the multinomial loss, and scores move by the learning
 rate. Training deviance is recorded per iteration on the full data.
+
+The trees come from ``cart.grow_tree`` with ``_scan_sse`` as the scan: per
+node, one array pass over all columns computes the residual's running sum
+and sum of squares in each column's sorted order and returns the split
+(sse reduction, column, threshold) of largest reduction, ties going to the
+lower threshold and then the lower column.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EmptyDataset, NonFiniteLoss, SingleClass
-from .cart import Node, grow_tree, tree_values
+from .cart import Node, _best_split, _sorted_columns, grow_tree, tree_values
 
 #: hyperparameter grids: the full-scale search and a desk-scale one
 GBC_GRID_FULL = {
@@ -59,28 +65,22 @@ def multinomial_deviance(y_codes: np.ndarray, scores: np.ndarray) -> float:
     return float(-np.mean(np.log(np.clip(picked, 1e-300, None))))
 
 
-def _scan_feature_sse(x: np.ndarray, r: np.ndarray):
-    """Best (sse_reduction, threshold) for a least-squares split on r."""
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
+def _scan_sse(X: np.ndarray, r: np.ndarray):
+    """Best (sse_reduction, column, threshold) of a least-squares split on r
+    over all columns of X (see ``cart._best_split``)."""
+    order, xs = _sorted_columns(X)
     rs = r[order]
-    n = xs.shape[0]
-    bounds = np.nonzero(xs[:-1] < xs[1:])[0]
-    if bounds.size == 0:
-        return None
-    csum = np.cumsum(rs)
-    csum2 = np.cumsum(rs * rs)
-    nl = (bounds + 1).astype(np.float64)
+    n = X.shape[0]
+    csum = np.cumsum(rs, axis=0)
+    csum2 = np.cumsum(rs * rs, axis=0)
+    nl = np.arange(1.0, n)[:, None]
     nr = n - nl
-    sum_l = csum[bounds]
+    sum_l = csum[:-1]
     sum_r = csum[-1] - sum_l
-    sse_l = csum2[bounds] - sum_l * sum_l / nl
-    sse_r = (csum2[-1] - csum2[bounds]) - sum_r * sum_r / nr
+    sse_l = csum2[:-1] - sum_l * sum_l / nl
+    sse_r = (csum2[-1] - csum2[:-1]) - sum_r * sum_r / nr
     sse_parent = csum2[-1] - csum[-1] * csum[-1] / n
-    red = sse_parent - sse_l - sse_r
-    best = int(np.argmax(red))
-    thr = 0.5 * (xs[bounds[best]] + xs[bounds[best] + 1])
-    return float(red[best]), float(thr)
+    return _best_split(xs, sse_parent - sse_l - sse_r)
 
 
 def _newton_leaf(r: np.ndarray, k: int) -> float:
@@ -129,10 +129,11 @@ def gbc_fit(X, y, cfg: GbcConfig = GbcConfig()):
             if n_sub < n
             else np.arange(n)
         )
+        X_rows = X[rows]
         stage = []
         for cls in range(k):
             tree = grow_tree(
-                X[rows], residual[rows, cls], _scan_feature_sse, newton_leaf,
+                X_rows, residual[rows, cls], _scan_sse, newton_leaf,
                 cfg.max_depth, cfg.min_samples_split,
             )
             stage.append(tree)

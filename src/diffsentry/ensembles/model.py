@@ -100,18 +100,28 @@ def model_to_dict(model: TreeEnsembleModel) -> dict:
 
 
 def model_from_dict(d: dict) -> TreeEnsembleModel:
+    """Rebuild a model, raising ``SchemaMismatch`` for an unknown version or
+    kind, a split feature outside [0, n_features), a non-finite threshold,
+    a leaf width other than the class count (CART/RF) or 1 (GBC), or a GBC
+    stage or ``init_raw`` whose width is not the class count."""
     if d.get("version") != FILE_VERSION:
         raise SchemaMismatch(f"unsupported model file version {d.get('version')!r}")
-    if d["kind"] == "GBC":
-        trees = [[Node.from_dict(t) for t in stage] for stage in d["trees"]]
+    kind, n_features, k = d["kind"], d["n_features"], len(d["codebook"])
+    if kind == "GBC":
+        stages = d["trees"]
+        if len(d["metadata"]["init_raw"]) != k or any(len(s) != k for s in stages):
+            raise SchemaMismatch(f"a boosting stage or init_raw is not {k} wide")
+        trees = [[Node.from_dict(t, n_features, 1) for t in s] for s in stages]
+    elif kind in ("CART", "RF"):
+        trees = [Node.from_dict(t, n_features, k) for t in d["trees"]]
     else:
-        trees = [Node.from_dict(t) for t in d["trees"]]
+        raise SchemaMismatch(f"unknown model kind {kind!r}")
     return TreeEnsembleModel(
-        kind=d["kind"],
+        kind=kind,
         trees=trees,
         codebook=d["codebook"],
         config=d["config"],
-        n_features=d["n_features"],
+        n_features=n_features,
         metadata=d["metadata"],
         schema_hash=d.get("schema_hash"),
     )

@@ -28,6 +28,7 @@ from .ensembles.model import (
 )
 from .errors import (
     ClassMissing,
+    DiffsentryError,
     IncompleteModel,
     IoFailure,
     SchemaMismatch,
@@ -526,20 +527,25 @@ def load_pipeline(path) -> PipelineModel:
         raise SchemaMismatch(
             f"unsupported pipeline version {bundle.get('version')!r}"
         )
-    slots = {}
-    for name, md in bundle["slots"].items():
-        task = Task(name)
-        model = model_from_dict(md)
-        expected = schema_hash(task)
-        if model.schema_hash != expected:
-            raise SchemaMismatch(
-                f"slot {name}: model schema {model.schema_hash} does not match "
-                f"feature schema {expected}"
-            )
-        slots[task] = model
-    return PipelineModel(
-        detector_cfg=CdfConfig(**bundle["detector_cfg"]),
-        slots=slots,
-        version=bundle["version"],
-        metadata=bundle.get("metadata", {}),
-    )
+    try:
+        slots = {}
+        for name, md in bundle["slots"].items():
+            task = Task(name)
+            model = model_from_dict(md)
+            expected = schema_hash(task)
+            if model.schema_hash != expected:
+                raise SchemaMismatch(
+                    f"slot {name}: model schema {model.schema_hash} does not "
+                    f"match feature schema {expected}"
+                )
+            slots[task] = model
+        return PipelineModel(
+            detector_cfg=CdfConfig(**bundle["detector_cfg"]),
+            slots=slots,
+            version=bundle["version"],
+            metadata=bundle.get("metadata", {}),
+        )
+    except DiffsentryError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"model file {path} is malformed: {exc!r}") from exc

@@ -7,7 +7,8 @@ import pytest
 
 from diffsentry.ensembles import CartConfig, cart_fit, information_gain
 from diffsentry.ensembles.cart import entropy_impurity, gini_impurity
-from diffsentry.errors import EmptyChild, EmptyDataset
+from diffsentry.ensembles.model import model_from_dict, model_to_dict
+from diffsentry.errors import EmptyChild, EmptyDataset, SchemaMismatch
 
 
 def test_gini_pure_split():
@@ -207,3 +208,15 @@ def test_greedy_matches_exhaustive_on_random_larger_sets():
         greedy = _greedy_training_impurity(model, X, y.astype(int))
         exhaustive = _exhaustive_best_depth2(cells)
         assert greedy == pytest.approx(exhaustive, abs=1e-12)
+
+
+def test_leaf_width_other_than_class_count_is_a_schema_mismatch():
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    d = model_to_dict(cart_fit(X, np.array([0, 1, 2, 2])))
+    model_from_dict(d)
+    leaf = d["trees"][0]
+    while "feature" in leaf:
+        leaf = leaf["left"]
+    leaf["value"].pop()
+    with pytest.raises(SchemaMismatch):
+        model_from_dict(d)

@@ -183,6 +183,36 @@ def test_classify_unsupported_model_version_is_a_data_error(tmp_path, saved_mode
     _assert_classify_error(code, capsys)
 
 
+def _detect_root(bundle):
+    return bundle["slots"]["DetectFault"]["trees"][0][0]
+
+
+def _first_leaf(tree):
+    while "feature" in tree:
+        tree = tree["left"]
+    return tree
+
+
+MODEL_TAMPERS = {
+    "feature_index": lambda b: _detect_root(b).update(
+        feature=b["slots"]["DetectFault"]["n_features"]),
+    "leaf_width": lambda b: _first_leaf(_detect_root(b))["value"].append(0.0),
+    "missing_threshold": lambda b: _detect_root(b).pop("threshold"),
+    "missing_slots": lambda b: b.pop("slots"),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(MODEL_TAMPERS))
+def test_classify_tampered_model_is_a_data_error(tmp_path, saved_model, capsys,
+                                                 tamper):
+    bundle = json.loads(saved_model.read_text())
+    MODEL_TAMPERS[tamper](bundle)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(bundle))
+    code = main(["classify", "--model", str(path), str(path)])
+    _assert_classify_error(code, capsys)
+
+
 def test_classify_non_json_model_is_a_data_error(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text("not a model\n")

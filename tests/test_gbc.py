@@ -121,6 +121,41 @@ def test_schema_hash_checked_on_load(tmp_path):
         load_pipeline(path)
 
 
+def _root(d):
+    root = d["trees"][0][0]
+    assert "feature" in root
+    return root
+
+
+def _first_leaf(tree):
+    while "feature" in tree:
+        tree = tree["left"]
+    return tree
+
+
+TAMPERS = {
+    "feature_past_the_end": lambda d: _root(d).update(feature=d["n_features"]),
+    "negative_feature": lambda d: _root(d).update(feature=-1),
+    "float_feature": lambda d: _root(d).update(feature=1.0),
+    "nan_threshold": lambda d: _root(d).update(threshold=float("nan")),
+    "infinite_threshold": lambda d: _root(d).update(threshold=float("inf")),
+    "wide_leaf": lambda d: _first_leaf(_root(d))["value"].append(0.0),
+    "narrow_stage": lambda d: d["trees"][1].pop(),
+    "short_init_raw": lambda d: d["metadata"]["init_raw"].pop(),
+    "unknown_kind": lambda d: d.update(kind="XGB"),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(TAMPERS))
+def test_tampered_model_file_is_a_schema_mismatch(tamper):
+    X, y = _blobs(60, 3, seed=11)
+    d = model_to_dict(gbc_fit(X, y, GbcConfig(n_estimators=3, seed=0)))
+    model_from_dict(json.loads(json.dumps(d)))
+    TAMPERS[tamper](d)
+    with pytest.raises(SchemaMismatch):
+        model_from_dict(d)
+
+
 def test_predict_returns_label_and_probabilities():
     X, y = _blobs(90, 3, seed=13)
     model = gbc_fit(X, y, GbcConfig(n_estimators=20, max_depth=2, seed=1))
