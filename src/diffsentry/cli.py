@@ -183,29 +183,29 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _holdout_records(corpus_dir, manifest, model):
-    holdout_files = set(model.metadata.get("holdout_files", []))
-    rows = [r for r in manifest if r["file"] in holdout_files]
-    if not rows:
-        raise DiffsentryError(
-            "model metadata lists no holdout files present in this corpus; "
-            "evaluate with the corpus the model was trained on"
-        )
-    return load_corpus_waveforms(corpus_dir, rows)
-
-
 def cmd_evaluate(args) -> int:
     sampling = SamplingSpec()
     manifest = load_manifest(args.corpus)
     model = load_pipeline(args.model)
-    records = _holdout_records(args.corpus, manifest, model)
-    thresholds = dict(_DEFAULT_THRESHOLDS)
-    thresholds.update(_load_json_config(args.config).get("thresholds", {}))
-
     snr_list = []
     for token in (args.snr.split(",") if args.snr else []):
         token = token.strip()
         snr_list.append(math.inf if token in ("inf", "Inf", "INF") else float(token))
+
+    holdout_files = set(model.metadata.get("holdout_files", []))
+    holdout_rows = [r for r in manifest if r["file"] in holdout_files]
+    if not holdout_rows:
+        raise DiffsentryError(
+            "model metadata lists no holdout files present in this corpus; "
+            "evaluate with the corpus the model was trained on"
+        )
+    # the noise study reads every record; the holdout is a subset of those
+    all_records = load_corpus_waveforms(
+        args.corpus, manifest if snr_list else holdout_rows
+    )
+    records = [rec for rec in all_records if rec[0]["file"] in holdout_files]
+    thresholds = dict(_DEFAULT_THRESHOLDS)
+    thresholds.update(_load_json_config(args.config).get("thresholds", {}))
 
     report = {
         "tool_version": __version__,
@@ -217,8 +217,6 @@ def cmd_evaluate(args) -> int:
 
     noise_rows = []
     if snr_list:
-        holdout_files = set(model.metadata.get("holdout_files", []))
-        all_records = load_corpus_waveforms(args.corpus, manifest)
         train_files = [
             r["file"] for r, _ in all_records if r["file"] not in holdout_files
         ]

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import TooShort
+from .errors import NonFiniteSample, TooShort, WrongShape
 from .sampling import PHASES, SamplingSpec, Waveform
 
 
@@ -74,12 +74,22 @@ def detect(wave, cfg: CdfConfig = CdfConfig()) -> DetectionEvent:
     """Run the change filter over all phases and slice the event windows.
 
     ``wave`` may be a Waveform or a bare (N, 3) sample array. Non-detection
-    is a value, not an error. The trigger index is the sample whose arrival
-    completed the first above-threshold window; if the half-cycle pre-window
-    does not fit, detection is deferred until it does.
+    is a value, not an error; an array of another shape raises
+    ``WrongShape`` and a NaN or infinite sample ``NonFiniteSample``, since
+    either would otherwise hide an event. The trigger index is the sample
+    whose arrival completed the first above-threshold window; if the
+    half-cycle pre-window does not fit, detection is deferred until it does.
     """
     n_c = cfg.cycle_samples
     samples = wave.samples if isinstance(wave, Waveform) else np.asarray(wave, dtype=np.float64)
+    if samples.ndim != 2 or samples.shape[1] != 3:
+        raise WrongShape(f"samples must have shape (N, 3), got {samples.shape}")
+    bad = ~np.isfinite(samples)
+    if bad.any():
+        i, p = np.argwhere(bad)[0]
+        raise NonFiniteSample(
+            f"sample {i} phase {PHASES[p]} is {samples[i, p]}"
+        )
     n = samples.shape[0]
     series = np.stack([cdf_series(samples[:, p], n_c) for p in range(3)], axis=1)
     over = series > cfg.threshold

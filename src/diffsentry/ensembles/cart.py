@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import EmptyChild, EmptyDataset, SchemaMismatch
+from ..errors import EmptyChild, EmptyDataset, NonFiniteFeature, SchemaMismatch
 
 
 def gini_impurity(counts) -> float:
@@ -278,14 +278,26 @@ def tree_values(root: Node, X: np.ndarray) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
+def training_matrix(X) -> np.ndarray:
+    """``X`` as a float matrix, checked before any tree is grown: a split
+    next to a NaN or infinite value would get a non-finite threshold, and
+    such a model could not be loaded back."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise EmptyDataset("training data must be a non-empty 2-D matrix")
+    bad = ~np.isfinite(X)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise NonFiniteFeature(f"feature {j} of training row {i} is {X[i, j]}")
+    return X
+
+
 def cart_fit(X, y, cfg: CartConfig = CartConfig()):
     """Greedy best-split tree; returns a TreeEnsembleModel of kind CART."""
     from .model import TreeEnsembleModel
 
-    X = np.asarray(X, dtype=np.float64)
+    X = training_matrix(X)
     y = np.asarray(y)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyDataset("training data must be a non-empty 2-D matrix")
     if X.shape[0] != y.shape[0]:
         raise ValueError("X and y row counts differ")
     codebook, y_codes = np.unique(y, return_inverse=True)

@@ -7,8 +7,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..errors import EmptyDataset
-from .cart import CartConfig, Node, grow_classification_tree
+from .cart import CartConfig, Node, grow_classification_tree, training_matrix
 
 
 @dataclass(frozen=True)
@@ -41,10 +40,8 @@ def forest_fit(X, y, cfg: ForestConfig = ForestConfig()):
     every tree draws from its own (seed, tree_index) stream."""
     from .model import TreeEnsembleModel
 
-    X = np.asarray(X, dtype=np.float64)
+    X = training_matrix(X)
     y = np.asarray(y)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyDataset("training data must be a non-empty 2-D matrix")
     codebook, y_codes = np.unique(y, return_inverse=True)
     k = len(codebook)
     cart_cfg = CartConfig(

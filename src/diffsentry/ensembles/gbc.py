@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from ..errors import EmptyDataset, NonFiniteLoss, SingleClass
-from .cart import Node, _best_split, _sorted_columns, grow_tree, tree_values
+from ..errors import NonFiniteLoss, SingleClass
+from .cart import (Node, _best_split, _sorted_columns, grow_tree, training_matrix,
+                   tree_values)
 
 #: hyperparameter grids: the full-scale search and a desk-scale one
 GBC_GRID_FULL = {
@@ -96,10 +97,8 @@ def gbc_fit(X, y, cfg: GbcConfig = GbcConfig()):
     """Functional gradient descent on the multinomial deviance."""
     from .model import TreeEnsembleModel
 
-    X = np.asarray(X, dtype=np.float64)
+    X = training_matrix(X)
     y = np.asarray(y)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyDataset("training data must be a non-empty 2-D matrix")
     codebook, y_codes = np.unique(y, return_inverse=True)
     k = len(codebook)
     if k < 2:

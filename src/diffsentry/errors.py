@@ -41,6 +41,14 @@ class TooShort(DiffsentryError, ValueError):
     """Input sequence is shorter than the operation requires."""
 
 
+class WrongShape(DiffsentryError, ValueError):
+    """A sample array does not have the (N, 3) shape of a 3-phase record."""
+
+
+class NonFiniteSample(DiffsentryError, ValueError):
+    """A waveform sample is NaN or infinite."""
+
+
 class WrongWindowLength(DiffsentryError, ValueError):
     """A feature window does not have the length its task requires."""
 
@@ -65,6 +73,10 @@ class EmptyChild(DiffsentryError, ValueError):
 
 class EmptyDataset(DiffsentryError, ValueError):
     """Training data has no rows."""
+
+
+class NonFiniteFeature(DiffsentryError, ValueError):
+    """A training feature value is NaN or infinite."""
 
 
 class SchemaMismatch(DiffsentryError, ValueError):

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import csv
 import enum
+import io
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -164,17 +165,24 @@ class Waveform:
         return self.samples[:, idx]
 
 
+_ROW = "%.10g,%.10g,%.10g,%.10g\n"
+# numpy's loadtxt counts data rows from 0 in a conversion error and from 1
+# in a short-row error; blank lines are not counted
+_ROW_IN_ERROR = re.compile(r"^(could not convert|invalid column index).* at row (\d+)")
+
+
 def write_waveform_csv(wave: Waveform, path) -> None:
-    """Write `t_s,ia_pu,ib_pu,ic_pu` rows, LF endings, 10 significant digits."""
-    dt = wave.spec.dt
+    """Write `t_s,ia_pu,ib_pu,ic_pu` rows, LF endings, 10 significant digits.
+
+    The whole table is formatted by one ``%`` call, so each value gets the
+    same bytes as ``f"{value:.10g}"``.
+    """
+    n = wave.n_samples
+    table = np.column_stack((np.arange(n) * wave.spec.dt, wave.samples))
+    body = (_ROW * n) % tuple(table.ravel().tolist())
     try:
         with open(path, "w", newline="\n") as fh:
-            fh.write("t_s,ia_pu,ib_pu,ic_pu\n")
-            for n in range(wave.n_samples):
-                ia, ib, ic = wave.samples[n]
-                fh.write(
-                    f"{n * dt:.10g},{ia:.10g},{ib:.10g},{ic:.10g}\n"
-                )
+            fh.write("t_s,ia_pu,ib_pu,ic_pu\n" + body)
     except OSError as exc:
         raise IoFailure(f"cannot write waveform to {path}: {exc}") from exc
 
@@ -189,13 +197,37 @@ def read_waveform_csv(path) -> np.ndarray:
 
 
 def _parse_waveform_rows(fh) -> np.ndarray:
-    reader = csv.reader(fh)
+    """Skip the header line, then parse columns 1..3 of every non-blank row.
+
+    Extra columns are ignored. A file without a header or without sample
+    rows, a short row or a non-numeric value raises ``IoFailure``; a bad
+    row is named by its 1-based line in the file.
+    """
     try:
-        if next(reader, None) is None:
-            raise IoFailure("empty waveform CSV")
-        rows = [(float(r[1]), float(r[2]), float(r[3])) for r in reader if r]
-    except (IndexError, ValueError, csv.Error) as exc:
+        header = fh.readline()
+        body = fh.read()
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"waveform CSV is not text: {exc}") from exc
+    if not header:
+        raise IoFailure("empty waveform CSV")
+    if not body.strip("\r\n"):
+        raise IoFailure("waveform CSV has a header but no sample rows")
+    try:
+        return np.loadtxt(io.StringIO(body, newline=""), delimiter=",",
+                          usecols=(1, 2, 3), ndmin=2, comments=None)
+    except ValueError as exc:
         raise IoFailure(
-            f"malformed waveform row at line {reader.line_num}: {exc}"
+            f"malformed waveform row{_error_line(body, exc)}: {exc}"
         ) from exc
-    return np.array(rows, dtype=np.float64)
+
+
+def _error_line(body: str, exc: ValueError) -> str:
+    """' at line L' for the data row a loadtxt error names (the header is
+    line 1), or '' when the error names no row."""
+    m = _ROW_IN_ERROR.match(str(exc))
+    if m is None:
+        return ""
+    row = int(m.group(2)) - (m.group(1) == "invalid column index")
+    lines = io.StringIO(body, newline="")
+    data = [i for i, line in enumerate(lines) if line.strip("\r\n")]
+    return f" at line {data[row] + 2}" if 0 <= row < len(data) else ""

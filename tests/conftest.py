@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from diffsentry.pipeline import TrainConfig, train_pipeline
+from diffsentry.pipeline import TrainConfig, save_pipeline, train_pipeline
 from diffsentry.wavegen.corpus import generate_corpus, reference_plan
 
 CORPUS_SEED = 7
@@ -39,6 +39,15 @@ def trained_pipeline(reference_corpus):
     model = train_pipeline(corpus_dir, manifest, config)
     elapsed = time.perf_counter() - start
     return model, elapsed
+
+
+@pytest.fixture(scope="session")
+def saved_model(tmp_path_factory, trained_pipeline):
+    """The trained reference pipeline saved as a model file; yields its path."""
+    model, _ = trained_pipeline
+    path = tmp_path_factory.mktemp("model") / "pipeline.json"
+    save_pipeline(model, path)
+    return path
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,6 @@ import pytest
 
 from diffsentry import __version__
 from diffsentry.cli import main
-from diffsentry.pipeline import save_pipeline
 from diffsentry.sampling import SamplingSpec
 
 SPEC = SamplingSpec()
@@ -24,14 +23,6 @@ def _tree_bytes(root):
             with open(p, "rb") as fh:
                 out[os.path.relpath(p, root)] = fh.read()
     return out
-
-
-@pytest.fixture(scope="module")
-def saved_model(tmp_path_factory, trained_pipeline):
-    model, _ = trained_pipeline
-    path = tmp_path_factory.mktemp("model") / "pipeline.json"
-    save_pipeline(model, path)
-    return path
 
 
 def _steady_csv(path):

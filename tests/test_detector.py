@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diffsentry.detector import CdfConfig, StreamingDetector, cdf_series, detect
-from diffsentry.errors import TooShort
+from diffsentry.errors import NonFiniteSample, TooShort, WrongShape
 from diffsentry.sampling import FaultType, SamplingSpec, Unit
 from diffsentry.wavegen.faults import FaultSpec, UNIT_PRESETS, simulate_internal_fault
 
@@ -57,6 +57,32 @@ def test_steady_sinusoid_never_triggers():
     event = detect(_steady_waveform(), CdfConfig())
     assert not event.triggered
     assert event.trigger_index is None
+
+
+def _step_waveform():
+    x = _steady_waveform()
+    x[4 * SPC:] *= 3.0
+    return x
+
+
+def test_step_triggers():
+    assert detect(_step_waveform(), CdfConfig()).triggered
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample_before_an_event_is_an_error(value):
+    # a NaN row would poison the cumulative sums and hide the step
+    x = _step_waveform()
+    x[2 * SPC] = value
+    x[2 * SPC + 5, 2] = value
+    with pytest.raises(NonFiniteSample, match=f"sample {2 * SPC} phase a is"):
+        detect(x, CdfConfig())
+
+
+@pytest.mark.parametrize("shape", [(8 * SPC, 2), (8 * SPC,), (8 * SPC, 4)])
+def test_samples_not_n_by_3_are_an_error(shape):
+    with pytest.raises(WrongShape, match=r"\(N, 3\)"):
+        detect(np.zeros(shape), CdfConfig())
 
 
 def _fault_wave(rf=0.01, pct=80.0, inception=2 * SPC, ft=FaultType.WA_G):
