@@ -78,7 +78,28 @@ def _load_json_config(path):
     if not path:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            config = json.load(fh)
+        except ValueError as exc:
+            raise IoFailure(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise IoFailure(f"config file {path} must hold a JSON object")
+    return config
+
+
+def _parse_snr_list(text: str) -> list:
+    out = []
+    for token in (text.split(",") if text else []):
+        token = token.strip()
+        if token in ("inf", "Inf", "INF"):
+            out.append(math.inf)
+            continue
+        try:
+            out.append(float(token))
+        except ValueError:
+            raise DiffsentryError(
+                f"--snr token {token!r} is not a number or inf") from None
+    return out
 
 
 class _Cleanup:
@@ -187,10 +208,7 @@ def cmd_evaluate(args) -> int:
     sampling = SamplingSpec()
     manifest = load_manifest(args.corpus)
     model = load_pipeline(args.model)
-    snr_list = []
-    for token in (args.snr.split(",") if args.snr else []):
-        token = token.strip()
-        snr_list.append(math.inf if token in ("inf", "Inf", "INF") else float(token))
+    snr_list = _parse_snr_list(args.snr)
 
     holdout_files = set(model.metadata.get("holdout_files", []))
     holdout_rows = [r for r in manifest if r["file"] in holdout_files]

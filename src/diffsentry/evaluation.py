@@ -144,7 +144,10 @@ def grid_search(
     """Mean-CV balanced accuracy over the grid cross-product.
 
     ``fit_fn(X, y, **config, seed=...)`` must return a model exposing
-    predict_proba; the winning config is refit on all rows.
+    predict_proba; the winning config is refit on all rows. Grid points
+    that differ only in ``n_estimators`` share one fit per fold at their
+    largest ``n_estimators``, and each smaller value is scored on that
+    model's ``first_stages(n)``, which equals the fit at ``n``.
     """
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ValueError("grid must be non-empty")
@@ -152,18 +155,32 @@ def grid_search(
     y = np.asarray(y)
     folds = stratified_kfold(y, cv_k, seed)
     keys = list(grid.keys())
+    configs = [dict(zip(keys, combo))
+               for combo in itertools.product(*(grid[k] for k in keys))]
+    staged = "n_estimators" in grid
+    groups = {}  # the config without n_estimators -> indices into configs
+    for i, config in enumerate(configs):
+        rest = tuple((k, v) for k, v in config.items() if k != "n_estimators")
+        groups.setdefault(rest, []).append(i)
+    scores = [[] for _ in configs]
+    for members in groups.values():
+        fit_config = dict(configs[members[0]])
+        if staged:
+            fit_config["n_estimators"] = max(
+                configs[i]["n_estimators"] for i in members)
+        for train_idx, test_idx in folds:
+            model = fit_fn(X[train_idx], y[train_idx], seed=seed, **fit_config)
+            for i in members:
+                scored = (model.first_stages(configs[i]["n_estimators"])
+                          if staged else model)
+                codes = np.argmax(scored.predict_proba(X[test_idx]), axis=1)
+                preds = np.asarray([scored.codebook[c] for c in codes])
+                counts = ConfusionCounts.from_predictions(y[test_idx], preds)
+                scores[i].append(balanced_accuracy(counts))
     table = []
     best = None
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        config = dict(zip(keys, combo))
-        scores = []
-        for train_idx, test_idx in folds:
-            model = fit_fn(X[train_idx], y[train_idx], seed=seed, **config)
-            codes = np.argmax(model.predict_proba(X[test_idx]), axis=1)
-            preds = np.asarray([model.codebook[c] for c in codes])
-            counts = ConfusionCounts.from_predictions(y[test_idx], preds)
-            scores.append(balanced_accuracy(counts))
-        mean_score = float(np.mean(scores))
+    for config, fold_scores in zip(configs, scores):
+        mean_score = float(np.mean(fold_scores))
         table.append({"config": config, "mean_balanced_accuracy": mean_score})
         if best is None or _tie_key(config, mean_score) < _tie_key(best[0], best[1]):
             best = (config, mean_score)

@@ -288,31 +288,51 @@ def _eval_spec(spec: FeatureSpec, x: np.ndarray):
     raise ValueError(f"unknown feature family {spec.family!r}")
 
 
+def extract_tasks(window: np.ndarray, tasks,
+                  sampling: SamplingSpec = SamplingSpec()) -> dict:
+    """{task: FeatureVector} for several tasks over one shared 3-phase window.
+
+    The union of the tasks' specs (first-seen order, by ``FeatureSpec``
+    equality) is evaluated once per phase; each task's vector is then cut
+    out in its own frozen order, so it is bit-identical to evaluating that
+    task alone. Every task must take the window's length.
+    """
+    window = np.asarray(window, dtype=np.float64)
+    if window.ndim != 2 or window.shape[1] != 3:
+        raise WrongWindowLength("window must have shape (n, 3)")
+    for task in tasks:
+        expected = task_window_len(task, sampling)
+        if window.shape[0] != expected:
+            raise WrongWindowLength(
+                f"{task.value} needs a {expected}-sample window, got {window.shape[0]}"
+            )
+    per_task = [task_specs(task) for task in tasks]
+    if len(per_task) == 1:
+        union, columns = per_task[0], [range(len(per_task[0]))]
+    else:
+        union, columns = [], []
+        for specs in per_task:
+            for spec in specs:
+                if spec not in union:
+                    union.append(spec)
+            columns.append([union.index(spec) for spec in specs])
+    evaluated = []  # (value, fallback) per phase and union spec
+    for ph_idx in range(len(PHASES)):
+        x = window[:, ph_idx]
+        evaluated.append([_eval_spec(spec, x) for spec in union])
+    out = {}
+    for task, specs, cols in zip(tasks, per_task, columns):
+        picked = [row[j] for row in evaluated for j in cols]
+        out[task] = FeatureVector(
+            task=task,
+            values=np.asarray([val for val, _ in picked], dtype=np.float64),
+            spec_list=[(ph, spec) for ph in PHASES for spec in specs],
+            ar_fallback=any(fb for _, fb in picked),
+        )
+    return out
+
+
 def extract(window: np.ndarray, task: Task,
             sampling: SamplingSpec = SamplingSpec()) -> FeatureVector:
     """Fixed per-task feature vector over a 3-phase window (shape (n, 3))."""
-    window = np.asarray(window, dtype=np.float64)
-    expected = task_window_len(task, sampling)
-    if window.ndim != 2 or window.shape[1] != 3:
-        raise WrongWindowLength("window must have shape (n, 3)")
-    if window.shape[0] != expected:
-        raise WrongWindowLength(
-            f"{task.value} needs a {expected}-sample window, got {window.shape[0]}"
-        )
-    specs = task_specs(task)
-    values = []
-    spec_list = []
-    fallback = False
-    for ph_idx, ph in enumerate(PHASES):
-        x = window[:, ph_idx]
-        for spec in specs:
-            val, fb = _eval_spec(spec, x)
-            values.append(val)
-            spec_list.append((ph, spec))
-            fallback = fallback or fb
-    return FeatureVector(
-        task=task,
-        values=np.asarray(values, dtype=np.float64),
-        spec_list=spec_list,
-        ar_fallback=fallback,
-    )
+    return extract_tasks(window, (task,), sampling)[task]

@@ -41,7 +41,7 @@ from .evaluation import (
     grid_search,
     train_test_split,
 )
-from .features import Task, extract, schema_hash
+from .features import Task, extract, extract_tasks, schema_hash
 from .resampling import ResamplePlan, apply_plan
 from .sampling import (
     DisturbanceType,
@@ -291,13 +291,14 @@ def _windows_by_task(records, detector_cfg: CdfConfig,
         )
         data[Task.DETECT_FAULT]["files"].append(row["file"])
         if is_fault:
-            unit = Unit(row["unit"])
+            type_task = TASK_FOR_UNIT[Unit(row["unit"])]
+            vecs = extract_tasks(event.classify_window,
+                                 (Task.LOCATE_UNIT, type_task), sampling)
             for task, label in (
                 (Task.LOCATE_UNIT, row["unit"]),
-                (TASK_FOR_UNIT[unit], row["fault_type"]),
+                (type_task, row["fault_type"]),
             ):
-                vec = extract(event.classify_window, task, sampling)
-                data[task]["X"].append(vec.values)
+                data[task]["X"].append(vecs[task].values)
                 data[task]["y"].append(label)
                 data[task]["files"].append(row["file"])
         else:
@@ -429,8 +430,10 @@ def detect_noise_study(records, train_files, snr_list, seed,
 
     One detect-stage model is trained on noise-augmented training windows
     (clean plus every requested SNR), then each held-out waveform is
-    evaluated ``repeats`` times per SNR with fresh seeded noise draws.
-    Rows are keyed by SNR and report overall accuracy and per-kind recall.
+    evaluated ``repeats`` times per SNR with fresh seeded noise draws (at
+    infinite SNR the one clean window counts ``repeats`` times). Each SNR's
+    windows are predicted in one batch. Rows are keyed by SNR and report
+    overall accuracy and per-kind recall.
     """
     import math as _math
 
@@ -470,18 +473,27 @@ def detect_noise_study(records, train_files, snr_list, seed,
 
     model = gbc_fit(np.vstack(x_train), np.asarray(y_train), gbc)
 
+    clean = {}  # hold index -> its clean detect-window vector (or None)
     rows_out = []
     for snr in snr_list:
-        y_true, y_pred = [], []
+        x_hold, y_true = [], []
         for i, row, samples, truth in hold:
-            for r in range(repeats):
-                vec = window_at(row, samples, snr,
-                                noise_seed=seed + 50_000 + 100 * i + r)
-                if vec is None:
-                    continue
-                probs = model.predict_proba(vec[None, :])[0]
-                y_true.append(truth)
-                y_pred.append(model.codebook[int(np.argmax(probs))])
+            if _math.isinf(snr):
+                if i not in clean:
+                    clean[i] = window_at(row, samples, snr, noise_seed=None)
+                vecs = [clean[i]] * repeats
+            else:
+                vecs = [window_at(row, samples, snr,
+                                  noise_seed=seed + 50_000 + 100 * i + r)
+                        for r in range(repeats)]
+            for vec in vecs:
+                if vec is not None:
+                    x_hold.append(vec)
+                    y_true.append(truth)
+        y_pred = []
+        if x_hold:
+            codes = np.argmax(model.predict_proba(np.vstack(x_hold)), axis=1)
+            y_pred = [model.codebook[int(c)] for c in codes]
         counts = ConfusionCounts.from_predictions(y_true, y_pred)
         fc = counts.per_class[FAULT_CLASS]
         dc = counts.per_class[DISTURBANCE_CLASS]

@@ -1,35 +1,14 @@
-"""Classification tree: information gain arithmetic and brute-force parity."""
+"""Classification tree: impurity arithmetic and brute-force parity."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from diffsentry.ensembles import CartConfig, cart_fit, information_gain
+from diffsentry.ensembles import CartConfig, cart_fit
 from diffsentry.ensembles.cart import entropy_impurity, gini_impurity
 from diffsentry.ensembles.model import model_from_dict, model_to_dict
-from diffsentry.errors import EmptyChild, EmptyDataset, SchemaMismatch
-
-
-def test_gini_pure_split():
-    got = information_gain([0, 0, 1, 1], [0, 0], [1, 1], "gini")
-    assert got == pytest.approx(0.5)
-
-
-def test_proportional_split_gains_nothing():
-    got = information_gain([0, 0, 1, 1], [0, 1], [0, 1], "gini")
-    assert got == pytest.approx(0.0, abs=1e-15)
-
-
-def test_entropy_hand_case():
-    # parent (3,1): 0.811278 bits; children (2,0) and (1,1): 0 and 1 bit
-    got = information_gain([0, 0, 0, 1], [0, 0], [0, 1], "entropy")
-    assert got == pytest.approx(0.8112781244591328 - 0.5, rel=1e-12)
-
-
-def test_empty_child_rejected():
-    with pytest.raises(EmptyChild):
-        information_gain([0, 1], [], [0, 1])
+from diffsentry.errors import EmptyDataset, SchemaMismatch
 
 
 def test_impurity_functions():

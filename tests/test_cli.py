@@ -222,3 +222,57 @@ def test_missing_corpus_is_a_data_error(tmp_path, saved_model, capsys):
                  str(saved_model), "--out", str(tmp_path / "r")])
     assert code == 1
     assert "error [evaluate]" in capsys.readouterr().err
+
+
+def test_evaluate_non_numeric_snr_is_a_usage_error(tmp_path, saved_model,
+                                                   reference_corpus, capsys):
+    corpus_dir, _, _ = reference_corpus
+    code = main(["evaluate", "--corpus", str(corpus_dir), "--model",
+                 str(saved_model), "--out", str(tmp_path / "r"),
+                 "--snr", "inf,abc"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error [evaluate]: ")
+    assert "'abc'" in err
+    assert not (tmp_path / "r").exists()
+
+
+def _command(name, corpus_dir, saved_model, out):
+    if name == "train":
+        return ["train", "--corpus", str(corpus_dir), "--out", str(out)]
+    return ["evaluate", "--corpus", str(corpus_dir), "--model",
+            str(saved_model), "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_config_that_is_not_json_is_a_data_error(tmp_path, saved_model,
+                                                 reference_corpus, capsys,
+                                                 command):
+    corpus_dir, _, _ = reference_corpus
+    cfg = tmp_path / "config.json"
+    cfg.write_text("{'grid': ")
+    out = tmp_path / "out"
+    code = main(_command(command, corpus_dir, saved_model, out)
+                + ["--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error [{command}]: ")
+    assert "not valid JSON" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_config_that_is_not_an_object_is_a_data_error(tmp_path, saved_model,
+                                                      reference_corpus, capsys,
+                                                      command):
+    corpus_dir, _, _ = reference_corpus
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps([{"grid": {"n_estimators": [2]}}]))
+    out = tmp_path / "out"
+    code = main(_command(command, corpus_dir, saved_model, out)
+                + ["--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error [{command}]: ")
+    assert "JSON object" in err
+    assert not out.exists()

@@ -1,12 +1,17 @@
 """Metrics, stratified folds, grid search, and harness plumbing."""
 
+import itertools
+import json
+
 import numpy as np
 import pytest
 
-from diffsentry.ensembles import GbcConfig, gbc_fit
+from diffsentry.ensembles import CartConfig, GbcConfig, cart_fit, gbc_fit
+from diffsentry.ensembles.model import model_to_dict
 from diffsentry.errors import ClassTooSmall, EmptyCounts, ZeroSupportClass
 from diffsentry.evaluation import (
     ConfusionCounts,
+    _tie_key,
     accuracy,
     balanced_accuracy,
     grid_search,
@@ -169,6 +174,71 @@ def test_grid_search_empty_grid_rejected():
     X, y = _toy_task(4)
     with pytest.raises(ValueError):
         grid_search(X, y, _fit, {}, cv_k=2, seed=0)
+
+
+def _grid_search_per_point(X, y, fit_fn, grid, cv_k, seed):
+    """Oracle: one fit per grid point and fold, no shared stages."""
+    folds = stratified_kfold(y, cv_k, seed)
+    keys = list(grid)
+    table, best = [], None
+    for combo in itertools.product(*(grid[k] for k in keys)):
+        config = dict(zip(keys, combo))
+        scores = []
+        for train_idx, test_idx in folds:
+            model = fit_fn(X[train_idx], y[train_idx], seed=seed, **config)
+            codes = np.argmax(model.predict_proba(X[test_idx]), axis=1)
+            preds = np.asarray([model.codebook[c] for c in codes])
+            scores.append(balanced_accuracy(
+                ConfusionCounts.from_predictions(y[test_idx], preds)))
+        mean_score = float(np.mean(scores))
+        table.append({"config": config, "mean_balanced_accuracy": mean_score})
+        if best is None or _tie_key(config, mean_score) < _tie_key(*best):
+            best = (config, mean_score)
+    return table, best[0], best[1], fit_fn(X, y, seed=seed, **best[0])
+
+
+def _three_class_task(seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(72, 4))
+    y = np.digitize(X[:, 0] + 0.7 * X[:, 1] + 0.5 * rng.normal(size=72),
+                    [-0.5, 0.5])
+    return X, y
+
+
+@pytest.mark.parametrize("grid", [
+    {"n_estimators": [6, 0, 3, 9], "max_depth": [2, 1], "learning_rate": [0.1]},
+    {"learning_rate": [0.3, 0.1], "n_estimators": [4, 2, 4], "max_depth": [1]},
+], ids=["unsorted_with_zero", "duplicate_n"])
+def test_staged_grid_search_equals_one_fit_per_point(grid):
+    X, y = _three_class_task(6)
+    fits = []
+
+    def fit(X, y, seed, **config):
+        fits.append(config["n_estimators"])
+        return _fit(X, y, seed, **config)
+
+    result = grid_search(X, y, fit, grid, cv_k=3, seed=2)
+    table, config, score, model = _grid_search_per_point(X, y, _fit, grid, 3, 2)
+    assert result.table == table
+    assert result.best_config == config
+    assert result.best_score == score
+    assert (json.dumps(model_to_dict(result.model))
+            == json.dumps(model_to_dict(model)))
+    groups = len(table) // len(grid["n_estimators"])
+    assert fits[:-1] == [max(grid["n_estimators"])] * (groups * 3)
+
+
+def test_grid_search_without_n_estimators_fits_every_point():
+    X, y = _three_class_task(7)
+
+    def fit(X, y, seed, max_depth):
+        return cart_fit(X, y, CartConfig(max_depth=max_depth))
+
+    grid = {"max_depth": [1, 3]}
+    result = grid_search(X, y, fit, grid, cv_k=3, seed=0)
+    table, config, score, _ = _grid_search_per_point(X, y, fit, grid, 3, 0)
+    assert (result.table, result.best_config, result.best_score) == (
+        table, config, score)
 
 
 def test_time_report_noop_stage():

@@ -1,7 +1,10 @@
 """Feature ops against independent brute-force oracles, plus task vectors."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffsentry.errors import (
     IndexOutOfRange,
@@ -11,17 +14,19 @@ from diffsentry.errors import (
 )
 from diffsentry.features import (
     Task,
+    _eval_spec,
     agg_linear_trend,
     ar_coefficients,
     change_quantile,
     dft_coefficient,
     extract,
+    extract_tasks,
     schema_hash,
     task_specs,
     task_window_len,
     welch_density,
 )
-from diffsentry.sampling import SamplingSpec
+from diffsentry.sampling import PHASES, SamplingSpec
 
 SPEC = SamplingSpec()
 
@@ -362,3 +367,101 @@ def test_feature_names_carry_phase_and_family():
     assert names[0].startswith("a_change_quantile_")
     assert names[-1].startswith("c_ar_coefficients_")
     assert len(set(names)) == len(names)
+
+
+# -- several tasks over one shared window ------------------------------------------
+
+#: ordered task pairs that take the same window length
+SHARED_PAIRS = [
+    (a, b) for a, b in itertools.product(Task, repeat=2)
+    if task_window_len(a, SPEC) == task_window_len(b, SPEC)
+]
+
+
+def _per_spec_loop(window, task):
+    """Values and fallback flag of one task, one spec at a time."""
+    values, fallback = [], False
+    for ph_idx in range(len(PHASES)):
+        for spec in task_specs(task):
+            val, fb = _eval_spec(spec, window[:, ph_idx])
+            values.append(val)
+            fallback = fallback or fb
+    return np.asarray(values, dtype=np.float64), fallback
+
+
+def _assert_shared_window_matches(window):
+    for task in {t for pair in SHARED_PAIRS for t in pair}:
+        if window.shape[0] != task_window_len(task, SPEC):
+            continue
+        alone = extract(window, task, SPEC)
+        values, fallback = _per_spec_loop(window, task)
+        assert alone.values.tobytes() == values.tobytes()
+        assert alone.ar_fallback == fallback
+    for a, b in SHARED_PAIRS:
+        if window.shape[0] != task_window_len(a, SPEC):
+            continue
+        both = extract_tasks(window, (a, b), SPEC)
+        for task in (a, b):
+            alone = extract(window, task, SPEC)
+            assert both[task].task is task
+            assert both[task].values.tobytes() == alone.values.tobytes()
+            assert both[task].spec_list == alone.spec_list
+            assert both[task].ar_fallback == alone.ar_fallback
+
+
+def test_shared_pairs_cover_every_classify_task():
+    assert len(SHARED_PAIRS) == 1 + 5 * 5
+    assert (Task.LOCATE_UNIT, Task.IDENTIFY_SERIES) in SHARED_PAIRS
+
+
+@st.composite
+def _windows(draw):
+    task = draw(st.sampled_from([Task.DETECT_FAULT, Task.LOCATE_UNIT]))
+    n = task_window_len(task, SPEC)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-5, 5))
+    kind = draw(st.sampled_from(["noise", "sine", "sine_dc", "steps", "zeros"]))
+    t = np.arange(n)[:, None]
+    offs = np.array([0.0, -2 * np.pi / 3, 2 * np.pi / 3])
+    if kind == "noise":
+        w = rng.normal(size=(n, 3))
+    elif kind == "sine":
+        w = np.sin(2 * np.pi * t / SPEC.samples_per_cycle + offs)
+    elif kind == "sine_dc":  # exact low-order recurrences: singular AR
+        w = np.sin(2 * np.pi * t / SPEC.samples_per_cycle + offs) + np.exp(-t / 80.0)
+    elif kind == "steps":  # many tied values
+        w = np.round(rng.normal(size=(n, 3)), 1)
+    else:
+        w = np.zeros((n, 3))
+    return scale * w
+
+
+@settings(deadline=None, max_examples=25)
+@given(window=_windows())
+def test_extract_tasks_equals_each_task_alone(window):
+    _assert_shared_window_matches(window)
+
+
+def test_extract_tasks_equals_each_task_alone_on_corpus(reference_corpus):
+    from diffsentry.detector import CdfConfig, detect
+    from diffsentry.sampling import read_waveform_csv
+
+    corpus_dir, manifest, _ = reference_corpus
+    seen = set()  # the first detected record of every unit and disturbance
+    for row in manifest:
+        key = (row["kind"], row.get("unit"), row.get("disturbance_type"))
+        if key in seen:
+            continue
+        event = detect(read_waveform_csv(corpus_dir / row["file"]), CdfConfig())
+        if not event.triggered:
+            continue
+        _assert_shared_window_matches(event.detect_window)
+        _assert_shared_window_matches(event.classify_window)
+        seen.add(key)
+    assert len(seen) == 3 + 6
+
+
+def test_extract_tasks_rejects_a_mismatched_task():
+    n = task_window_len(Task.LOCATE_UNIT, SPEC)
+    with pytest.raises(WrongWindowLength):
+        extract_tasks(np.zeros((n, 3)), (Task.LOCATE_UNIT, Task.DETECT_FAULT), SPEC)

@@ -171,3 +171,27 @@ def test_deviance_definition():
     p = softmax(scores)
     want = -np.mean([np.log(p[0, 0]), np.log(p[1, 1])])
     assert multinomial_deviance(y, scores) == pytest.approx(want, rel=1e-12)
+
+
+def _model_bytes(model):
+    return json.dumps(model_to_dict(model)).encode()
+
+
+@pytest.mark.parametrize("subsample", [1.0, 0.7])
+def test_first_stages_equals_the_shorter_fit(subsample):
+    X, y = _blobs(90, 3, seed=12)
+    cfg = GbcConfig(n_estimators=7, max_depth=2, subsample=subsample, seed=4)
+    full = gbc_fit(X, y, cfg)
+    for n in (0, 1, 4, 7):
+        short = gbc_fit(X, y, GbcConfig(n_estimators=n, max_depth=2,
+                                        subsample=subsample, seed=4))
+        assert _model_bytes(full.first_stages(n)) == _model_bytes(short)
+    assert _model_bytes(full) == _model_bytes(gbc_fit(X, y, cfg))  # untouched
+
+
+@pytest.mark.parametrize("n", [-1, 8])
+def test_first_stages_outside_the_fit_rejected(n):
+    X, y = _blobs(60, 3, seed=13)
+    model = gbc_fit(X, y, GbcConfig(n_estimators=7, max_depth=2))
+    with pytest.raises(ValueError):
+        model.first_stages(n)

@@ -292,3 +292,85 @@ def test_load_rejects_schema_tamper(tmp_path, trained_pipeline):
     path.write_text(json.dumps(bundle))
     with pytest.raises(SchemaMismatch):
         load_pipeline(path)
+
+
+def _noise_study_per_repeat(records, train_files, snr_list, seed, repeats,
+                            gbc):
+    """Oracle: the noise study with every repeat detected, extracted and
+    predicted on its own, clean ones included."""
+    import math
+
+    from diffsentry.detector import detect
+    from diffsentry.ensembles import gbc_fit
+    from diffsentry.evaluation import ConfusionCounts, accuracy
+    from diffsentry.features import extract
+    from diffsentry.sampling import EventLabel, Waveform
+    from diffsentry.wavegen.noise import add_noise
+
+    def window_at(row, samples, snr, noise_seed):
+        wave = Waveform(spec=SPEC, samples=samples,
+                        label=EventLabel.from_dict(row),
+                        inception_index=row["inception_index"])
+        if not math.isinf(snr):
+            wave = add_noise(wave, snr, seed=noise_seed)
+        event = detect(wave, CdfConfig())
+        if not event.triggered:
+            return None
+        return extract(event.detect_window, Task.DETECT_FAULT, SPEC).values
+
+    levels = [s for s in snr_list if not math.isinf(s)]
+    x_train, y_train, hold = [], [], []
+    for i, (row, samples) in enumerate(records):
+        truth = FAULT_CLASS if row["kind"] == "InternalFault" else DISTURBANCE_CLASS
+        if row["file"] in train_files:
+            for j, snr in enumerate([math.inf] + levels):
+                vec = window_at(row, samples, snr, seed + 100 * i + j)
+                if vec is not None:
+                    x_train.append(vec)
+                    y_train.append(truth)
+        else:
+            hold.append((i, row, samples, truth))
+    model = gbc_fit(np.vstack(x_train), np.asarray(y_train), gbc)
+    out = []
+    for snr in snr_list:
+        y_true, y_pred = [], []
+        for i, row, samples, truth in hold:
+            for r in range(repeats):
+                vec = window_at(row, samples, snr, seed + 50_000 + 100 * i + r)
+                if vec is None:
+                    continue
+                probs = model.predict_proba(vec[None, :])[0]
+                y_true.append(truth)
+                y_pred.append(model.codebook[int(np.argmax(probs))])
+        counts = ConfusionCounts.from_predictions(y_true, y_pred)
+        fc = counts.per_class[FAULT_CLASS]
+        dc = counts.per_class[DISTURBANCE_CLASS]
+        out.append({
+            "snr_db": "inf" if math.isinf(snr) else snr,
+            "accuracy": accuracy(counts),
+            "fault_recall": fc["tp"] / (fc["tp"] + fc["fn"]),
+            "disturbance_recall": dc["tp"] / (dc["tp"] + dc["fn"]),
+            "n": len(y_true),
+        })
+    return out
+
+
+def test_noise_study_equals_one_pass_per_repeat(small_corpus):
+    import math
+
+    from diffsentry.ensembles import GbcConfig
+    from diffsentry.pipeline import detect_noise_study, load_corpus_waveforms
+
+    corpus_dir, manifest = small_corpus
+    faults = [r for r in manifest if r["kind"] == "InternalFault"][::40]
+    others = [r for r in manifest if r["kind"] != "InternalFault"][::6]
+    records = load_corpus_waveforms(corpus_dir, faults + others)
+    train_files = [row["file"] for row, _ in records[1::3] + records[2::3]]
+    snr_list = [math.inf, 30.0, 10.0]
+    gbc = GbcConfig(n_estimators=8)
+    got = detect_noise_study(records, train_files, snr_list, seed=3,
+                             repeats=3, gbc=gbc, sampling=SPEC)
+    want = _noise_study_per_repeat(records, set(train_files), snr_list,
+                                   seed=3, repeats=3, gbc=gbc)
+    assert got == want
+    assert got[0]["n"] % 3 == 0
