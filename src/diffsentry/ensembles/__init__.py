@@ -1,4 +1,4 @@
-"""From-scratch tree ensembles: CART and gradient boosting."""
+"""From-scratch tree ensembles: CART, random forest, gradient boosting."""
 
 from .cart import (
     CartConfig,
@@ -7,6 +7,7 @@ from .cart import (
     entropy_impurity,
     gini_impurity,
 )
+from .forest import ForestConfig, forest_fit, rank_features
 from .gbc import GBC_GRID_FULL, GBC_GRID_SMALL, GbcConfig, gbc_fit, multinomial_deviance, softmax
 from .model import TreeEnsembleModel, predict
 
@@ -16,6 +17,9 @@ __all__ = [
     "cart_fit",
     "entropy_impurity",
     "gini_impurity",
+    "ForestConfig",
+    "forest_fit",
+    "rank_features",
     "GbcConfig",
     "gbc_fit",
     "softmax",

@@ -1,7 +1,7 @@
 """Trees grown by one recursive best-split search and read by one walker.
 
-``grow_tree`` grows the CART classification trees here and the
-gradient-boosting regression trees of ``gbc.py``; ``tree_values``
+``grow_tree`` grows the CART and random-forest classification trees here
+and the gradient-boosting regression trees of ``gbc.py``; ``tree_values``
 reads all of them. At each node the grower makes one ``scan`` call, which
 scores every column of the node's matrix in one array pass (a stable
 column-wise argsort, column-wise cumulative sums, then ``_best_split``) and
@@ -172,17 +172,19 @@ def _class_probabilities(y_codes: np.ndarray, k: int) -> list:
     return list(counts / counts.sum())
 
 
-def grow_tree(X, target, scan, leaf, max_depth, min_samples_split,
+def grow_tree(X, target, scan, leaf, max_depth, min_samples_split, pick=None,
               depth=0) -> Node:
-    """The one recursive best-split grower behind CART and GBC trees.
+    """The one recursive best-split grower behind CART, RF and GBC trees.
 
     ``scan(X, target)`` returns the best (gain, column, threshold) over all
     columns of the node's matrix, or None when no column has two distinct
     values; it is called once per node that is not made a leaf first.
-    ``leaf(target)`` returns a leaf payload list. ``max_depth``, fewer than
-    ``min_samples_split`` rows or a constant target make a leaf, checked in
-    that order: a child can be empty when a midpoint threshold rounds onto
-    the upper of two adjacent floats.
+    ``leaf(target)`` returns a leaf payload list; ``pick(n_features)`` draws
+    the sorted candidate features at each node, in pre-order (None: all of
+    them). ``max_depth``, fewer than ``min_samples_split`` rows or a
+    constant target make a leaf, checked in that order: a child can be
+    empty when a midpoint threshold rounds onto the upper of two adjacent
+    floats.
     """
     n = target.shape[0]
     if (
@@ -192,29 +194,45 @@ def grow_tree(X, target, scan, leaf, max_depth, min_samples_split,
     ):
         return Node(value=leaf(target), n_samples=n)
 
-    best = scan(X, target)
+    feats = None if pick is None else pick(X.shape[1])
+    best = scan(X if feats is None else X[:, feats], target)
     if best is None:
         return Node(value=leaf(target), n_samples=n)
 
     gain, f, thr = best
+    if feats is not None:
+        f = int(feats[f])
     mask = X[:, f] <= thr
     node = Node(feature=f, threshold=thr, gain=gain, n_samples=n)
     node.left = grow_tree(X[mask], target[mask], scan, leaf, max_depth,
-                          min_samples_split, depth + 1)
+                          min_samples_split, pick, depth + 1)
     node.right = grow_tree(X[~mask], target[~mask], scan, leaf, max_depth,
-                           min_samples_split, depth + 1)
+                           min_samples_split, pick, depth + 1)
     return node
 
 
-def grow_classification_tree(X: np.ndarray, y_codes: np.ndarray, k: int,
-                             cfg: CartConfig) -> Node:
-    """CART tree: impurity-gain splits and class-probability leaves."""
+def grow_classification_tree(
+    X: np.ndarray,
+    y_codes: np.ndarray,
+    k: int,
+    cfg: CartConfig,
+    rng: Optional[np.random.Generator] = None,
+    max_features: Optional[int] = None,
+) -> Node:
+    """CART/RF tree: impurity-gain splits, class-probability leaves and,
+    when ``max_features`` is below the feature count, a fresh sorted
+    feature draw from ``rng`` at every split node (in pre-order)."""
+    pick = None
+    if max_features is not None and max_features < X.shape[1]:
+        def pick(n_feat):
+            return np.sort(rng.choice(n_feat, size=max_features, replace=False))
     return grow_tree(
         X, y_codes,
         scan=lambda X_, t: _scan_impurity(X_, t, k, cfg.impurity),
         leaf=lambda t: _class_probabilities(t, k),
         max_depth=cfg.max_depth,
         min_samples_split=cfg.min_samples_split,
+        pick=pick,
     )
 
 

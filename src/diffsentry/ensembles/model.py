@@ -15,14 +15,14 @@ FILE_VERSION = 1
 
 @dataclass
 class TreeEnsembleModel:
-    """Trained CART / GBC model with its class codebook and metadata.
+    """Trained CART / RF / GBC model with its class codebook and metadata.
 
     Immutable after fit by convention; safe to share across threads for
     prediction. ``schema_hash`` pins the feature layout the model expects.
     """
 
-    kind: str                    # "CART" | "GBC"
-    trees: list                  # CART: [Node]; GBC: [[Node per class] per stage]
+    kind: str                    # "CART" | "RF" | "GBC"
+    trees: list                  # CART/RF: [Node]; GBC: [[Node per class] per stage]
     codebook: list
     config: dict
     n_features: int
@@ -62,6 +62,11 @@ class TreeEnsembleModel:
             )
         if self.kind == "CART":
             return tree_values(self.trees[0], X)
+        if self.kind == "RF":
+            acc = np.zeros((X.shape[0], len(self.codebook)))
+            for tree in self.trees:
+                acc += tree_values(tree, X)
+            return acc / len(self.trees)
         # GBC: raw scores -> softmax
         from .gbc import softmax
 
@@ -113,7 +118,7 @@ def model_to_dict(model: TreeEnsembleModel) -> dict:
 def model_from_dict(d: dict) -> TreeEnsembleModel:
     """Rebuild a model, raising ``SchemaMismatch`` for an unknown version or
     kind, a split feature outside [0, n_features), a non-finite threshold,
-    a leaf width other than the class count (CART) or 1 (GBC), or a GBC
+    a leaf width other than the class count (CART/RF) or 1 (GBC), or a GBC
     stage or ``init_raw`` whose width is not the class count."""
     if d.get("version") != FILE_VERSION:
         raise SchemaMismatch(f"unsupported model file version {d.get('version')!r}")
@@ -123,7 +128,7 @@ def model_from_dict(d: dict) -> TreeEnsembleModel:
         if len(d["metadata"]["init_raw"]) != k or any(len(s) != k for s in stages):
             raise SchemaMismatch(f"a boosting stage or init_raw is not {k} wide")
         trees = [[Node.from_dict(t, n_features, 1) for t in s] for s in stages]
-    elif kind == "CART":
+    elif kind in ("CART", "RF"):
         trees = [Node.from_dict(t, n_features, k) for t in d["trees"]]
     else:
         raise SchemaMismatch(f"unknown model kind {kind!r}")
