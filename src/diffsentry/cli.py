@@ -32,13 +32,7 @@ from .pipeline import (
     train_pipeline,
 )
 from .resampling import ResamplePlan, Strategy
-from .sampling import (
-    EventKind,
-    EventLabel,
-    SamplingSpec,
-    Waveform,
-    read_waveform_csv,
-)
+from .sampling import SamplingSpec, read_waveform_csv
 from .wavegen.corpus import generate_corpus, load_manifest, reference_plan
 from .ensembles import GBC_GRID_FULL, GBC_GRID_SMALL
 from .ensembles.model import predict
@@ -87,18 +81,29 @@ def _load_json_config(path):
     return config
 
 
+def _config_section(path, config: dict, key: str, valid, what: str) -> dict:
+    """``config[key]`` (``{}`` when absent), checked to be an object whose
+    every value passes ``valid``."""
+    section = config.get(key, {})
+    if not (isinstance(section, dict) and all(map(valid, section.values()))):
+        raise IoFailure(
+            f"config file {path}: {key!r} must be an object of {what}")
+    return section
+
+
 def _parse_snr_list(text: str) -> list:
+    """SNRs in dB from a comma list; ``inf`` is the clean case."""
     out = []
     for token in (text.split(",") if text else []):
         token = token.strip()
-        if token in ("inf", "Inf", "INF"):
-            out.append(math.inf)
-            continue
         try:
-            out.append(float(token))
+            snr = float(token)
         except ValueError:
+            snr = math.nan
+        if math.isnan(snr) or snr == -math.inf:
             raise DiffsentryError(
-                f"--snr token {token!r} is not a number or inf") from None
+                f"--snr token {token!r} is not a finite number or inf")
+        out.append(snr)
     return out
 
 
@@ -144,7 +149,7 @@ def cmd_generate(args) -> int:
         raise
     counts = {}
     for row in manifest:
-        name = label_class_name_from_row(row)
+        name = row["disturbance_type"] or row["kind"]
         counts[name] = counts.get(name, 0) + 1
     print(f"corpus written to {args.out} ({len(manifest)} waveforms)")
     print(f"{'class':<28}{'cases':>8}")
@@ -153,19 +158,14 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def label_class_name_from_row(row: dict) -> str:
-    if row["kind"] == EventKind.INTERNAL_FAULT.value:
-        return EventKind.INTERNAL_FAULT.value
-    return row["disturbance_type"]
-
-
 def cmd_train(args) -> int:
     manifest = load_manifest(args.corpus)
     strategy = _RESAMPLE_CHOICES[args.resample]
     plan = ResamplePlan(strategy=strategy) if strategy else None
     grid = dict(GBC_GRID_FULL if args.grid == "paper" else GBC_GRID_SMALL)
-    overrides = _load_json_config(args.config)
-    grid.update(overrides.get("grid", {}))
+    grid.update(_config_section(
+        args.config, _load_json_config(args.config), "grid",
+        lambda v: isinstance(v, list) and len(v) > 0, "non-empty lists"))
     config = TrainConfig(
         grid=grid,
         cv_k=args.cv,
@@ -209,6 +209,11 @@ def cmd_evaluate(args) -> int:
     manifest = load_manifest(args.corpus)
     model = load_pipeline(args.model)
     snr_list = _parse_snr_list(args.snr)
+    thresholds = dict(_DEFAULT_THRESHOLDS)
+    thresholds.update(_config_section(
+        args.config, _load_json_config(args.config), "thresholds",
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+        "numbers"))
 
     holdout_files = set(model.metadata.get("holdout_files", []))
     holdout_rows = [r for r in manifest if r["file"] in holdout_files]
@@ -222,8 +227,6 @@ def cmd_evaluate(args) -> int:
         args.corpus, manifest if snr_list else holdout_rows
     )
     records = [rec for rec in all_records if rec[0]["file"] in holdout_files]
-    thresholds = dict(_DEFAULT_THRESHOLDS)
-    thresholds.update(_load_json_config(args.config).get("thresholds", {}))
 
     report = {
         "tool_version": __version__,
@@ -304,11 +307,7 @@ def _write_predictions_csv(path, records, model) -> None:
         fh.write("file,kind,truth,verdict,fault_unit,fault_type,disturbance_type\n")
         for row, samples in records:
             decision = decide(samples, model)
-            truth = (
-                row["fault_type"]
-                if row["kind"] == EventKind.INTERNAL_FAULT.value
-                else row["disturbance_type"]
-            )
+            truth = row["fault_type"] or row["disturbance_type"]
             fh.write(
                 f"{row['file']},{row['kind']},{truth},{decision.verdict},"
                 f"{decision.fault_unit or ''},{decision.fault_type or ''},"
@@ -317,15 +316,11 @@ def _write_predictions_csv(path, records, model) -> None:
 
 
 def _measure_timing(records, model, sampling) -> dict:
-    row, samples = records[0]
-    wave = Waveform(
-        spec=sampling, samples=samples,
-        label=EventLabel.from_dict(row), inception_index=row["inception_index"],
-    )
+    _, samples = records[0]
     from .detector import detect as _detect
 
-    event = _detect(wave, model.detector_cfg)
-    stages = {"decide_one": lambda: decide(wave, model)}
+    event = _detect(samples, model.detector_cfg)
+    stages = {"decide_one": lambda: decide(samples, model)}
     if event.triggered:
         vec = extract(event.detect_window, Task.DETECT_FAULT, sampling)
         batch = np.vstack([vec.values] * 64)

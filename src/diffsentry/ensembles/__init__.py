@@ -7,7 +7,7 @@ from .cart import (
     entropy_impurity,
     gini_impurity,
 )
-from .forest import ForestConfig, forest_fit, rank_features
+from .forest import ForestConfig, forest_fit
 from .gbc import GBC_GRID_FULL, GBC_GRID_SMALL, GbcConfig, gbc_fit, multinomial_deviance, softmax
 from .model import TreeEnsembleModel, predict
 
@@ -19,7 +19,6 @@ __all__ = [
     "gini_impurity",
     "ForestConfig",
     "forest_fit",
-    "rank_features",
     "GbcConfig",
     "gbc_fit",
     "softmax",

@@ -7,7 +7,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .cart import CartConfig, Node, grow_classification_tree, training_matrix
+from .cart import CartConfig, grow_classification_tree, training_matrix
 
 
 @dataclass(frozen=True)
@@ -77,34 +77,3 @@ def forest_fit(X, y, cfg: ForestConfig = ForestConfig()):
         metadata={"seed": cfg.seed},
     )
 
-
-def _accumulate_importance(node: Node, total: int, acc: np.ndarray) -> None:
-    if node.is_leaf:
-        return
-    acc[node.feature] += node.n_samples / total * node.gain
-    _accumulate_importance(node.left, total, acc)
-    _accumulate_importance(node.right, total, acc)
-
-
-def rank_features(model_or_x, y=None, cfg: ForestConfig = None) -> list[tuple[int, float]]:
-    """Mean decrease in impurity, normalized to sum 1, descending; ties go
-    to the lower feature index.
-
-    Accepts either an already-fitted forest, or (X, y, cfg) to fit one and
-    rank in a single call.
-    """
-    if y is not None:
-        model = forest_fit(model_or_x, y, cfg or ForestConfig())
-    else:
-        model = model_or_x
-    acc = np.zeros(model.n_features)
-    for tree in model.trees_flat():
-        if tree.n_samples:
-            _accumulate_importance(tree, tree.n_samples, acc)
-    total = acc.sum()
-    if total > 0:
-        acc = acc / total
-    elif model.n_features == 1:
-        acc = np.ones(1)
-    order = np.lexsort((np.arange(len(acc)), -acc))
-    return [(int(i), float(acc[i])) for i in order]

@@ -77,6 +77,11 @@ class TreeEnsembleModel:
                 scores[:, cls] += lr * tree_values(tree, X)[:, 0]
         return softmax(scores)
 
+    def predict_labels(self, X) -> list:
+        """The codebook label of each row's most probable class."""
+        codes = np.argmax(self.predict_proba(X), axis=1)
+        return [self.codebook[int(c)] for c in codes]
+
 
 def predict(model: TreeEnsembleModel, features):
     """(predicted label, probability vector) for one feature vector."""

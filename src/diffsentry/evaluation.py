@@ -144,7 +144,7 @@ def grid_search(
     """Mean-CV balanced accuracy over the grid cross-product.
 
     ``fit_fn(X, y, **config, seed=...)`` must return a model exposing
-    predict_proba; the winning config is refit on all rows. Grid points
+    predict_labels; the winning config is refit on all rows. Grid points
     that differ only in ``n_estimators`` share one fit per fold at their
     largest ``n_estimators``, and each smaller value is scored on that
     model's ``first_stages(n)``, which equals the fit at ``n``.
@@ -173,9 +173,8 @@ def grid_search(
             for i in members:
                 scored = (model.first_stages(configs[i]["n_estimators"])
                           if staged else model)
-                codes = np.argmax(scored.predict_proba(X[test_idx]), axis=1)
-                preds = np.asarray([scored.codebook[c] for c in codes])
-                counts = ConfusionCounts.from_predictions(y[test_idx], preds)
+                counts = ConfusionCounts.from_predictions(
+                    y[test_idx], scored.predict_labels(X[test_idx]))
                 scores[i].append(balanced_accuracy(counts))
     table = []
     best = None

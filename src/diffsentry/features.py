@@ -16,6 +16,7 @@ concatenate phase a, then b, then c.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -241,6 +242,7 @@ def task_window_len(task: Task, spec: SamplingSpec = SamplingSpec(),
     return post_classify * spc
 
 
+@functools.cache
 def schema_hash(task: Task, window_len: int | None = None) -> str:
     payload = {
         "task": task.value,

@@ -13,19 +13,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .detector import CdfConfig, DetectionEvent, StreamingDetector, detect
 from .ensembles import GBC_GRID_SMALL, GbcConfig, gbc_fit
-from .ensembles.model import (
-    TreeEnsembleModel,
-    model_from_dict,
-    model_to_dict,
-    predict,
-)
+from .ensembles.model import model_from_dict, model_to_dict, predict
 from .errors import (
     ClassMissing,
     DiffsentryError,
@@ -101,21 +96,31 @@ class PipelineDecision:
     latency: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        return asdict(self)
+
+
+def _task_targets(label: EventLabel) -> dict:
+    """{task: class} for every task that learns from an event with this
+    label: a fault is a fault, on its unit, of its type for that unit's
+    classifier; a disturbance is a disturbance of its type."""
+    if label.kind is EventKind.INTERNAL_FAULT:
         return {
-            "detected": self.detected,
-            "verdict": self.verdict,
-            "fault_unit": self.fault_unit,
-            "fault_type": self.fault_type,
-            "disturbance_type": self.disturbance_type,
-            "stage_probabilities": self.stage_probabilities,
-            "trigger_index": self.trigger_index,
-            "trigger_phase": self.trigger_phase,
-            "latency": self.latency,
+            Task.DETECT_FAULT: FAULT_CLASS,
+            Task.LOCATE_UNIT: label.unit.value,
+            TASK_FOR_UNIT[label.unit]: label.fault_type.value,
         }
+    return {
+        Task.DETECT_FAULT: DISTURBANCE_CLASS,
+        Task.IDENTIFY_DISTURBANCE: label.disturbance_type.value,
+    }
 
 
-def _probs_dict(model: TreeEnsembleModel, probs: np.ndarray) -> dict:
-    return {str(lab): float(p) for lab, p in zip(model.codebook, probs)}
+def _ask(model: PipelineModel, task: Task, window,
+         sampling: SamplingSpec) -> tuple:
+    """(label, {class: probability}) from the task's slot on one window."""
+    slot = model.slots[task]
+    label, probs = predict(slot, extract(window, task, sampling))
+    return label, {str(c): float(p) for c, p in zip(slot.codebook, probs)}
 
 
 def decide(wave, model: PipelineModel,
@@ -148,43 +153,23 @@ def _decide_from_event(event: DetectionEvent, model: PipelineModel,
         latency["verdict_from_inception_samples"] = lag + verdict_lat
 
     stage_probs = {}
-    detect_vec = extract(event.detect_window, Task.DETECT_FAULT, sampling)
-    label1, p1 = predict(model.slots[Task.DETECT_FAULT], detect_vec)
-    stage_probs["detect"] = _probs_dict(model.slots[Task.DETECT_FAULT], p1)
-
-    if label1 == FAULT_CLASS:
-        locate_vec = extract(event.classify_window, Task.LOCATE_UNIT, sampling)
-        unit_label, p3 = predict(model.slots[Task.LOCATE_UNIT], locate_vec)
-        stage_probs["locate"] = _probs_dict(model.slots[Task.LOCATE_UNIT], p3)
-        task = TASK_FOR_UNIT[Unit(unit_label)]
-        type_vec = extract(event.classify_window, task, sampling)
-        type_label, p_type = predict(model.slots[task], type_vec)
-        stage_probs["fault_type"] = _probs_dict(model.slots[task], p_type)
-        return PipelineDecision(
-            detected=True,
-            verdict="Trip",
-            fault_unit=unit_label,
-            fault_type=type_label,
-            stage_probabilities=stage_probs,
-            trigger_index=event.trigger_index,
-            trigger_phase=event.trigger_phase,
-            latency=latency,
-        )
-
-    dist_vec = extract(event.classify_window, Task.IDENTIFY_DISTURBANCE, sampling)
-    dist_label, p2 = predict(model.slots[Task.IDENTIFY_DISTURBANCE], dist_vec)
-    stage_probs["disturbance"] = _probs_dict(
-        model.slots[Task.IDENTIFY_DISTURBANCE], p2
-    )
-    return PipelineDecision(
-        detected=True,
-        verdict="Restrain",
-        disturbance_type=dist_label,
-        stage_probabilities=stage_probs,
-        trigger_index=event.trigger_index,
-        trigger_phase=event.trigger_phase,
-        latency=latency,
-    )
+    common = dict(detected=True, stage_probabilities=stage_probs,
+                  trigger_index=event.trigger_index,
+                  trigger_phase=event.trigger_phase, latency=latency)
+    window = event.classify_window
+    label, stage_probs["detect"] = _ask(
+        model, Task.DETECT_FAULT, event.detect_window, sampling)
+    if label == FAULT_CLASS:
+        unit, stage_probs["locate"] = _ask(
+            model, Task.LOCATE_UNIT, window, sampling)
+        fault_type, stage_probs["fault_type"] = _ask(
+            model, TASK_FOR_UNIT[Unit(unit)], window, sampling)
+        return PipelineDecision(verdict="Trip", fault_unit=unit,
+                                fault_type=fault_type, **common)
+    disturbance, stage_probs["disturbance"] = _ask(
+        model, Task.IDENTIFY_DISTURBANCE, window, sampling)
+    return PipelineDecision(verdict="Restrain", disturbance_type=disturbance,
+                            **common)
 
 
 class StreamingClassifier:
@@ -216,17 +201,15 @@ class StreamingClassifier:
         ):
             self._verdict_emitted = True
             window = det.slice_window(trigger - cfg.pre_samples, cfg.detect_window_len)
-            vec = extract(window, Task.DETECT_FAULT, self.sampling)
-            label, probs = predict(self.model.slots[Task.DETECT_FAULT], vec)
+            label, probs = _ask(self.model, Task.DETECT_FAULT, window,
+                                self.sampling)
             out.append(
                 {
                     "stage": "verdict",
                     "verdict": "Trip" if label == FAULT_CLASS else "Restrain",
                     "trigger_index": trigger,
                     "emitted_at_sample": det.samples_seen - 1,
-                    "probabilities": _probs_dict(
-                        self.model.slots[Task.DETECT_FAULT], probs
-                    ),
+                    "probabilities": probs,
                 }
             )
         if event is not None:
@@ -253,12 +236,6 @@ class TrainConfig:
         return dict(self.grid) if self.grid else dict(GBC_GRID_SMALL)
 
 
-def _full_label(row: dict) -> str:
-    if row["kind"] == EventKind.INTERNAL_FAULT.value:
-        return f"{row['kind']}/{row['unit']}/{row['fault_type']}"
-    return f"{row['kind']}/{row['disturbance_type']}"
-
-
 def load_corpus_waveforms(corpus_dir, manifest):
     """(manifest row, (N,3) samples) pairs for every corpus record."""
     out = []
@@ -268,44 +245,36 @@ def load_corpus_waveforms(corpus_dir, manifest):
     return out
 
 
+def _record_wave(row: dict, samples, sampling: SamplingSpec) -> Waveform:
+    """The checked, labelled Waveform of one manifest row's samples."""
+    return Waveform(
+        spec=sampling, samples=samples,
+        label=EventLabel.from_dict(row), inception_index=row["inception_index"],
+        provenance=row.get("provenance", {}),
+    )
+
+
 def _windows_by_task(records, detector_cfg: CdfConfig,
                      sampling: SamplingSpec):
     """Run detection over corpus records and build per-task datasets."""
     data = {task: {"X": [], "y": [], "files": []} for task in Task}
     undetected = []
     for row, samples in records:
-        wave = Waveform(
-            spec=sampling, samples=samples,
-            label=EventLabel.from_dict(row), inception_index=row["inception_index"],
-            provenance=row.get("provenance", {}),
-        )
+        wave = _record_wave(row, samples, sampling)
         event = detect(wave, detector_cfg)
         if not event.triggered:
             undetected.append(row["file"])
             continue
-        is_fault = row["kind"] == EventKind.INTERNAL_FAULT.value
-        detect_vec = extract(event.detect_window, Task.DETECT_FAULT, sampling)
-        data[Task.DETECT_FAULT]["X"].append(detect_vec.values)
-        data[Task.DETECT_FAULT]["y"].append(
-            FAULT_CLASS if is_fault else DISTURBANCE_CLASS
-        )
-        data[Task.DETECT_FAULT]["files"].append(row["file"])
-        if is_fault:
-            type_task = TASK_FOR_UNIT[Unit(row["unit"])]
-            vecs = extract_tasks(event.classify_window,
-                                 (Task.LOCATE_UNIT, type_task), sampling)
-            for task, label in (
-                (Task.LOCATE_UNIT, row["unit"]),
-                (type_task, row["fault_type"]),
-            ):
-                data[task]["X"].append(vecs[task].values)
-                data[task]["y"].append(label)
-                data[task]["files"].append(row["file"])
-        else:
-            vec = extract(event.classify_window, Task.IDENTIFY_DISTURBANCE, sampling)
-            data[Task.IDENTIFY_DISTURBANCE]["X"].append(vec.values)
-            data[Task.IDENTIFY_DISTURBANCE]["y"].append(row["disturbance_type"])
-            data[Task.IDENTIFY_DISTURBANCE]["files"].append(row["file"])
+        targets = _task_targets(wave.label)
+        vecs = {Task.DETECT_FAULT: extract(event.detect_window,
+                                           Task.DETECT_FAULT, sampling)}
+        vecs.update(extract_tasks(event.classify_window,
+                                  [t for t in targets if t is not Task.DETECT_FAULT],
+                                  sampling))
+        for task, cls in targets.items():
+            data[task]["X"].append(vecs[task].values)
+            data[task]["y"].append(cls)
+            data[task]["files"].append(row["file"])
     return data, undetected
 
 
@@ -313,11 +282,15 @@ def train_pipeline(corpus_dir, manifest, config: TrainConfig,
                    sampling: SamplingSpec = SamplingSpec()) -> PipelineModel:
     """Grid-search one classifier per task and assemble the pipeline.
 
-    The corpus is split 4:1 stratified by the full hierarchical label before
-    any window is cut; per-stage holdout metrics are stored in metadata.
+    The corpus is split 4:1 stratified by the full hierarchical label (every
+    task's class, joined) before any window is cut; per-stage holdout
+    metrics are stored in metadata.
     """
     records = load_corpus_waveforms(corpus_dir, manifest)
-    labels = np.asarray([_full_label(row) for row, _ in records])
+    labels = np.asarray([
+        "/".join(_task_targets(EventLabel.from_dict(row)).values())
+        for row, _ in records
+    ])
     train_idx, hold_idx = train_test_split(
         labels, config.holdout_fraction, config.seed
     )
@@ -406,12 +379,7 @@ def _holdout_metrics(slots: dict, hold_data: dict) -> dict:
             continue
         X = np.vstack(hold_data[task]["X"])
         y = np.asarray(ys)
-        model = slots[task]
-        probs = model.predict_proba(X)
-        preds = np.asarray(
-            [model.codebook[int(i)] for i in np.argmax(probs, axis=1)]
-        )
-        counts = ConfusionCounts.from_predictions(y, preds)
+        counts = ConfusionCounts.from_predictions(y, slots[task].predict_labels(X))
         entry = {"n": int(y.shape[0]), "accuracy": accuracy(counts)}
         try:
             entry["balanced_accuracy"] = balanced_accuracy(counts)
@@ -442,11 +410,7 @@ def detect_noise_study(records, train_files, snr_list, seed,
     train_files = set(train_files)
     levels = [s for s in snr_list if not _math.isinf(s)]
 
-    def window_at(row, samples, snr, noise_seed):
-        wave = Waveform(
-            spec=sampling, samples=samples, label=EventLabel.from_dict(row),
-            inception_index=row["inception_index"],
-        )
+    def window_at(wave, snr, noise_seed):
         if not _math.isinf(snr):
             wave = add_noise(wave, snr, seed=noise_seed)
         event = detect(wave, detector_cfg)
@@ -457,19 +421,16 @@ def detect_noise_study(records, train_files, snr_list, seed,
     x_train, y_train = [], []
     hold = []
     for i, (row, samples) in enumerate(records):
-        truth = (
-            FAULT_CLASS
-            if row["kind"] == EventKind.INTERNAL_FAULT.value
-            else DISTURBANCE_CLASS
-        )
+        wave = _record_wave(row, samples, sampling)
+        truth = _task_targets(wave.label)[Task.DETECT_FAULT]
         if row["file"] in train_files:
             for j, snr in enumerate([_math.inf] + levels):
-                vec = window_at(row, samples, snr, noise_seed=seed + 100 * i + j)
+                vec = window_at(wave, snr, noise_seed=seed + 100 * i + j)
                 if vec is not None:
                     x_train.append(vec)
                     y_train.append(truth)
         else:
-            hold.append((i, row, samples, truth))
+            hold.append((i, wave, truth))
 
     model = gbc_fit(np.vstack(x_train), np.asarray(y_train), gbc)
 
@@ -477,23 +438,20 @@ def detect_noise_study(records, train_files, snr_list, seed,
     rows_out = []
     for snr in snr_list:
         x_hold, y_true = [], []
-        for i, row, samples, truth in hold:
+        for i, wave, truth in hold:
             if _math.isinf(snr):
                 if i not in clean:
-                    clean[i] = window_at(row, samples, snr, noise_seed=None)
+                    clean[i] = window_at(wave, snr, noise_seed=None)
                 vecs = [clean[i]] * repeats
             else:
-                vecs = [window_at(row, samples, snr,
+                vecs = [window_at(wave, snr,
                                   noise_seed=seed + 50_000 + 100 * i + r)
                         for r in range(repeats)]
             for vec in vecs:
                 if vec is not None:
                     x_hold.append(vec)
                     y_true.append(truth)
-        y_pred = []
-        if x_hold:
-            codes = np.argmax(model.predict_proba(np.vstack(x_hold)), axis=1)
-            y_pred = [model.codebook[int(c)] for c in codes]
+        y_pred = model.predict_labels(np.vstack(x_hold)) if x_hold else []
         counts = ConfusionCounts.from_predictions(y_true, y_pred)
         fc = counts.per_class[FAULT_CLASS]
         dc = counts.per_class[DISTURBANCE_CLASS]
@@ -514,13 +472,7 @@ def detect_noise_study(records, train_files, snr_list, seed,
 def save_pipeline(model: PipelineModel, path) -> None:
     bundle = {
         "version": model.version,
-        "detector_cfg": {
-            "threshold": model.detector_cfg.threshold,
-            "cycle_samples": model.detector_cfg.cycle_samples,
-            "pre_cycles": model.detector_cfg.pre_cycles,
-            "post_cycles_detect": model.detector_cfg.post_cycles_detect,
-            "post_cycles_classify": model.detector_cfg.post_cycles_classify,
-        },
+        "detector_cfg": asdict(model.detector_cfg),
         "slots": {t.value: model_to_dict(m) for t, m in model.slots.items()},
         "metadata": model.metadata,
     }

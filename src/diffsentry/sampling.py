@@ -78,11 +78,6 @@ class SamplingSpec:
     def dt(self) -> float:
         return 1.0 / self.sample_rate_hz
 
-    @property
-    def effective_fundamental_hz(self) -> float:
-        """Fundamental actually synthesized: exactly one cycle per spc samples."""
-        return self.sample_rate_hz / self.samples_per_cycle
-
 
 @dataclass(frozen=True)
 class EventLabel:
@@ -154,15 +149,9 @@ class Waveform:
         if not 0 <= self.inception_index <= self.samples.shape[0] - 3 * spc:
             raise ValueError("inception must leave 3 post-event cycles")
 
-    def __len__(self) -> int:
-        return self.samples.shape[0]
-
     @property
     def n_samples(self) -> int:
         return self.samples.shape[0]
-
-    def phase(self, idx: int) -> np.ndarray:
-        return self.samples[:, idx]
 
 
 _ROW = "%.10g,%.10g,%.10g,%.10g\n"

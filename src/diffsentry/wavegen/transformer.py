@@ -53,9 +53,6 @@ class InductanceMatrix:
             raise ValueError("entries shape must match order")
         object.__setattr__(self, "entries", ent)
 
-    def as_array(self) -> np.ndarray:
-        return self.entries.copy()
-
 
 def _sub_winding_parts(v, base_i, w, xl, im, frac):
     """(leakage, magnetizing) henries for one sub-winding of turns fraction frac."""

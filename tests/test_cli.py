@@ -276,3 +276,58 @@ def test_config_that_is_not_an_object_is_a_data_error(tmp_path, saved_model,
     assert err.startswith(f"error [{command}]: ")
     assert "JSON object" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("train", {"grid": 5}),
+    ("train", {"grid": {"max_depth": 3}}),
+    ("train", {"grid": {"max_depth": []}}),
+    ("evaluate", {"thresholds": {"DetectFault": "high"}}),
+], ids=["grid_not_object", "grid_value_not_list", "grid_value_empty",
+        "threshold_not_number"])
+def test_config_section_of_wrong_type_is_a_data_error(tmp_path, saved_model,
+                                                      reference_corpus, capsys,
+                                                      command, config):
+    corpus_dir, _, _ = reference_corpus
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main(_command(command, corpus_dir, saved_model, out)
+                + ["--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error [{command}]: ")
+    assert repr(next(iter(config))) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("token", ["-inf", "nan", "-Infinity", "NaN"])
+def test_snr_list_rejects_nan_and_minus_inf(token):
+    from diffsentry.cli import _parse_snr_list
+    from diffsentry.errors import DiffsentryError
+
+    with pytest.raises(DiffsentryError) as err:
+        _parse_snr_list(f"inf,{token}")
+    assert repr(token) in str(err.value)
+
+
+def test_snr_list_keeps_inf_and_finite_levels():
+    import math
+
+    from diffsentry.cli import _parse_snr_list
+
+    assert _parse_snr_list("inf, 30,-5,Inf") == [math.inf, 30.0, -5.0, math.inf]
+    assert _parse_snr_list("") == []
+
+
+def test_evaluate_minus_inf_snr_is_a_usage_error(tmp_path, saved_model,
+                                                 reference_corpus, capsys):
+    corpus_dir, _, _ = reference_corpus
+    code = main(["evaluate", "--corpus", str(corpus_dir), "--model",
+                 str(saved_model), "--out", str(tmp_path / "r"),
+                 "--snr", "inf,-inf"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error [evaluate]: ")
+    assert "'-inf'" in err
+    assert not (tmp_path / "r").exists()

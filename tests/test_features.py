@@ -360,6 +360,24 @@ def test_schema_hash_distinguishes_tasks():
     assert len(hashes) == len(list(Task))
 
 
+@pytest.mark.parametrize("task", list(Task), ids=lambda t: t.value)
+def test_cached_schema_hash_equals_a_fresh_digest(task):
+    import hashlib
+    import json
+
+    payload = {
+        "task": task.value,
+        "window_len": task_window_len(task),
+        "specs": [{"phase": ph, "family": s.family, "params": s.params}
+                  for ph in PHASES for s in task_specs(task)],
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    fresh = hashlib.sha256(blob.encode()).hexdigest()[:16]
+    assert schema_hash(task) == fresh
+    assert schema_hash(task) == fresh          # the cached second read
+    assert extract(np.zeros((task_window_len(task), 3)), task).schema == fresh
+
+
 def test_feature_names_carry_phase_and_family():
     n = task_window_len(Task.DETECT_FAULT, SPEC)
     vec = extract(np.random.default_rng(0).normal(size=(n, 3)), Task.DETECT_FAULT)

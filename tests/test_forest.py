@@ -1,4 +1,4 @@
-"""Random forest: bagging behavior, determinism, impurity importances."""
+"""Random forest: bagging behavior and determinism."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from diffsentry.ensembles import (
     ForestConfig,
     cart_fit,
     forest_fit,
-    rank_features,
 )
 from diffsentry.errors import EmptyDataset
 
@@ -62,43 +61,3 @@ def test_empty_dataset_rejected():
     with pytest.raises(EmptyDataset):
         forest_fit(np.empty((0, 3)), np.empty(0), ForestConfig())
 
-
-def test_informative_feature_ranked_first():
-    rng = np.random.default_rng(6)
-    X = rng.normal(size=(250, 4))
-    y = (X[:, 0] > 0.1).astype(int)
-    model = forest_fit(X, y, ForestConfig(n_estimators=25, seed=2))
-    ranking = rank_features(model)
-    assert ranking[0][0] == 0
-    assert ranking[0][1] > 0.5
-    assert sum(score for _, score in ranking) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_identical_copies_share_importance():
-    rng = np.random.default_rng(8)
-    base = rng.normal(size=250)
-    X = np.column_stack([base, base, base])
-    y = (base > 0).astype(int)
-    model = forest_fit(X, y, ForestConfig(n_estimators=200, max_features=1, seed=3))
-    ranking = dict(rank_features(model))
-    for idx in range(3):
-        assert ranking[idx] == pytest.approx(1.0 / 3.0, abs=0.05)
-
-
-def test_single_feature_importance_is_one():
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(60, 1))
-    y = (X[:, 0] > 0).astype(int)
-    model = forest_fit(X, y, ForestConfig(n_estimators=5, seed=4))
-    assert rank_features(model) == [(0, pytest.approx(1.0))]
-
-
-def test_rank_features_fit_and_rank_form():
-    rng = np.random.default_rng(10)
-    X = rng.normal(size=(150, 3))
-    y = (X[:, 2] > 0).astype(int)
-    cfg = ForestConfig(n_estimators=15, seed=6)
-    direct = rank_features(X, y, cfg)
-    via_model = rank_features(forest_fit(X, y, cfg))
-    assert direct == via_model
-    assert direct[0][0] == 2

@@ -195,3 +195,28 @@ def test_first_stages_outside_the_fit_rejected(n):
     model = gbc_fit(X, y, GbcConfig(n_estimators=7, max_depth=2))
     with pytest.raises(ValueError):
         model.first_stages(n)
+
+
+def _argmax_labels(model, X):
+    """Oracle: the argmax-to-codebook loop the callers used to spell out."""
+    codes = np.argmax(model.predict_proba(X), axis=1)
+    return [model.codebook[int(c)] for c in codes]
+
+
+@pytest.mark.parametrize("kind", ["GBC", "CART"])
+@pytest.mark.parametrize("names", [False, True], ids=["int", "str"])
+@pytest.mark.parametrize("rows", [0, 1, 40])
+def test_predict_labels_equals_argmax_over_codebook(kind, names, rows):
+    from diffsentry.ensembles import CartConfig, cart_fit
+
+    X, y = _blobs(n=90, k=3, seed=8)
+    if names:
+        y = np.asarray(["wa-g", "PT", "fault"])[y]
+    model = (gbc_fit(X, y, GbcConfig(n_estimators=5, max_depth=2, seed=1))
+             if kind == "GBC" else cart_fit(X, y, CartConfig(max_depth=3)))
+    probe = np.random.default_rng(rows).normal(scale=3.0, size=(rows, 4))
+    got = model.predict_labels(probe)
+    want = _argmax_labels(model, probe)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert len(got) == rows

@@ -374,3 +374,59 @@ def test_noise_study_equals_one_pass_per_repeat(small_corpus):
                                    seed=3, repeats=3, gbc=gbc)
     assert got == want
     assert got[0]["n"] % 3 == 0
+
+
+def _all_event_labels():
+    from diffsentry.sampling import EventKind, EventLabel
+
+    faults = [EventLabel(EventKind.INTERNAL_FAULT, unit=u, fault_type=ft)
+              for u in Unit for ft in FaultType]
+    disturbances = [EventLabel(EventKind.DISTURBANCE, disturbance_type=d)
+                    for d in DisturbanceType]
+    return faults + disturbances
+
+
+def _old_full_label(row: dict) -> str:
+    """Oracle: the stratum the training split used to build from a row."""
+    if row["kind"] == "InternalFault":
+        return f"{row['kind']}/{row['unit']}/{row['fault_type']}"
+    return f"{row['kind']}/{row['disturbance_type']}"
+
+
+def test_task_targets_name_a_required_class_for_every_label():
+    from diffsentry.pipeline import _REQUIRED_CLASSES, TASK_FOR_UNIT, _task_targets
+
+    labels = _all_event_labels()
+    assert len(labels) == 45
+    for label in labels:
+        targets = _task_targets(label)
+        assert next(iter(targets)) is Task.DETECT_FAULT
+        for task, cls in targets.items():
+            assert cls in _REQUIRED_CLASSES[task], (label, task)
+        if label.unit is None:
+            assert list(targets) == [Task.DETECT_FAULT, Task.IDENTIFY_DISTURBANCE]
+            assert targets[Task.DETECT_FAULT] == DISTURBANCE_CLASS
+        else:
+            assert list(targets) == [Task.DETECT_FAULT, Task.LOCATE_UNIT,
+                                     TASK_FOR_UNIT[label.unit]]
+            assert targets[Task.DETECT_FAULT] == FAULT_CLASS
+
+
+def test_joined_targets_stratify_like_the_old_full_label():
+    from diffsentry.evaluation import train_test_split
+    from diffsentry.pipeline import _task_targets
+
+    labels = _all_event_labels()
+    old = [_old_full_label(label.to_dict()) for label in labels]
+    new = ["/".join(_task_targets(label).values()) for label in labels]
+    assert len(set(new)) == len(labels)
+    assert np.array_equal(np.argsort(old), np.argsort(new))
+    # the split draws per class in sorted order, so equal order means an
+    # equal split on any corpus, here one with uneven, shuffled classes
+    rng = np.random.default_rng(12)
+    picks = rng.permutation(np.repeat(np.arange(len(labels)),
+                                      rng.integers(1, 9, len(labels))))
+    for seed in (0, 11):
+        a = train_test_split(np.asarray(old)[picks], 0.2, seed)
+        b = train_test_split(np.asarray(new)[picks], 0.2, seed)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
