@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -34,7 +35,7 @@ from .pipeline import (
 from .resampling import ResamplePlan, Strategy
 from .sampling import SamplingSpec, read_waveform_csv
 from .wavegen.corpus import generate_corpus, load_manifest, reference_plan
-from .ensembles import GBC_GRID_FULL, GBC_GRID_SMALL
+from .ensembles import GBC_GRID_FULL, GBC_GRID_SMALL, GbcConfig
 from .ensembles.model import predict
 
 _DEFAULT_THRESHOLDS = {
@@ -158,14 +159,30 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _check_grid(path, grid: dict) -> None:
+    """Make a ``GbcConfig`` of every grid point, so that a bad grid fails
+    before the corpus is read."""
+    unknown = sorted(set(grid) - set(GBC_GRID_SMALL))
+    if unknown:
+        raise IoFailure(f"config file {path}: unknown grid keys {unknown}; "
+                        f"known: {sorted(GBC_GRID_SMALL)}")
+    for point in itertools.product(*grid.values()):
+        try:
+            GbcConfig(**dict(zip(grid, point)))
+        except (TypeError, ValueError) as exc:
+            raise IoFailure(f"config file {path}: grid point "
+                            f"{dict(zip(grid, point))}: {exc}") from exc
+
+
 def cmd_train(args) -> int:
-    manifest = load_manifest(args.corpus)
     strategy = _RESAMPLE_CHOICES[args.resample]
     plan = ResamplePlan(strategy=strategy) if strategy else None
     grid = dict(GBC_GRID_FULL if args.grid == "paper" else GBC_GRID_SMALL)
     grid.update(_config_section(
         args.config, _load_json_config(args.config), "grid",
         lambda v: isinstance(v, list) and len(v) > 0, "non-empty lists"))
+    _check_grid(args.config, grid)
+    manifest = load_manifest(args.corpus)
     config = TrainConfig(
         grid=grid,
         cv_k=args.cv,

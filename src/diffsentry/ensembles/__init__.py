@@ -1,24 +1,25 @@
-"""From-scratch tree ensembles: CART, random forest, gradient boosting."""
+"""From-scratch tree ensembles: CART and gradient boosting."""
 
 from .cart import (
     CartConfig,
     Node,
+    PackedTrees,
     cart_fit,
     entropy_impurity,
     gini_impurity,
+    pack,
 )
-from .forest import ForestConfig, forest_fit
 from .gbc import GBC_GRID_FULL, GBC_GRID_SMALL, GbcConfig, gbc_fit, multinomial_deviance, softmax
 from .model import TreeEnsembleModel, predict
 
 __all__ = [
     "CartConfig",
     "Node",
+    "PackedTrees",
     "cart_fit",
     "entropy_impurity",
     "gini_impurity",
-    "ForestConfig",
-    "forest_fit",
+    "pack",
     "GbcConfig",
     "gbc_fit",
     "softmax",

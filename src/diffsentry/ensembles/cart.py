@@ -1,11 +1,12 @@
 """Trees grown by one recursive best-split search and read by one walker.
 
-``grow_tree`` grows the CART and random-forest classification trees here
-and the gradient-boosting regression trees of ``gbc.py``; ``tree_values``
-reads all of them. At each node the grower makes one ``scan`` call, which
-scores every column of the node's matrix in one array pass (a stable
-column-wise argsort, column-wise cumulative sums, then ``_best_split``) and
-returns the best (gain, column, threshold). Split candidates are midpoints
+``grow_tree`` grows the CART classification trees here and the
+gradient-boosting regression trees of ``gbc.py`` as ``Node`` objects;
+``pack`` lays a model's trees out as one ``PackedTrees`` array set, whose
+``leaf_index`` walks all of them at once. At each node the grower makes one
+``scan`` call, which scores every column of the node's matrix in one array
+pass (a stable column-wise argsort, column-wise cumulative sums, then
+``_best_split``) and returns the best (gain, column, threshold). Split candidates are midpoints
 between consecutive sorted unique feature values; for classification the
 split maximizing information gain wins, with ties broken by (lower feature
 index, lower threshold). Nodes keep splitting while any valid split exists,
@@ -15,13 +16,12 @@ partition (required for XOR-like data).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..errors import EmptyChild, EmptyDataset, NonFiniteFeature, SchemaMismatch
+from ..errors import EmptyChild, EmptyDataset, NonFiniteFeature
 
 
 def gini_impurity(counts) -> float:
@@ -62,42 +62,6 @@ class Node:
     @property
     def is_leaf(self) -> bool:
         return self.feature is None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"value": self.value, "n": self.n_samples}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "gain": self.gain,
-            "n": self.n_samples,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict, n_features: int, width: int) -> "Node":
-        """Rebuild a tree from ``to_dict`` form, raising ``SchemaMismatch``
-        for a split feature outside [0, n_features), a non-finite threshold
-        or a leaf payload that does not hold ``width`` values."""
-        if "feature" not in d:
-            if len(d["value"]) != width:
-                raise SchemaMismatch(
-                    f"leaf holds {len(d['value'])} values, expected {width}")
-            return cls(value=d["value"], n_samples=d["n"])
-        f, thr = d["feature"], d["threshold"]
-        if type(f) is not int or not 0 <= f < n_features:
-            raise SchemaMismatch(f"split feature {f!r} outside [0, {n_features})")
-        if not math.isfinite(thr):
-            raise SchemaMismatch(f"split threshold {thr!r} is not finite")
-        return cls(
-            feature=f,
-            threshold=thr,
-            gain=d["gain"],
-            n_samples=d["n"],
-            left=cls.from_dict(d["left"], n_features, width),
-            right=cls.from_dict(d["right"], n_features, width),
-        )
 
 
 @dataclass(frozen=True)
@@ -172,19 +136,17 @@ def _class_probabilities(y_codes: np.ndarray, k: int) -> list:
     return list(counts / counts.sum())
 
 
-def grow_tree(X, target, scan, leaf, max_depth, min_samples_split, pick=None,
+def grow_tree(X, target, scan, leaf, max_depth, min_samples_split,
               depth=0) -> Node:
-    """The one recursive best-split grower behind CART, RF and GBC trees.
+    """The one recursive best-split grower behind CART and GBC trees.
 
     ``scan(X, target)`` returns the best (gain, column, threshold) over all
     columns of the node's matrix, or None when no column has two distinct
     values; it is called once per node that is not made a leaf first.
-    ``leaf(target)`` returns a leaf payload list; ``pick(n_features)`` draws
-    the sorted candidate features at each node, in pre-order (None: all of
-    them). ``max_depth``, fewer than ``min_samples_split`` rows or a
-    constant target make a leaf, checked in that order: a child can be
-    empty when a midpoint threshold rounds onto the upper of two adjacent
-    floats.
+    ``leaf(target)`` returns a leaf payload list. ``max_depth``, fewer than
+    ``min_samples_split`` rows or a constant target make a leaf, checked in
+    that order: a child can be empty when a midpoint threshold rounds onto
+    the upper of two adjacent floats.
     """
     n = target.shape[0]
     if (
@@ -194,61 +156,127 @@ def grow_tree(X, target, scan, leaf, max_depth, min_samples_split, pick=None,
     ):
         return Node(value=leaf(target), n_samples=n)
 
-    feats = None if pick is None else pick(X.shape[1])
-    best = scan(X if feats is None else X[:, feats], target)
+    best = scan(X, target)
     if best is None:
         return Node(value=leaf(target), n_samples=n)
 
     gain, f, thr = best
-    if feats is not None:
-        f = int(feats[f])
     mask = X[:, f] <= thr
     node = Node(feature=f, threshold=thr, gain=gain, n_samples=n)
     node.left = grow_tree(X[mask], target[mask], scan, leaf, max_depth,
-                          min_samples_split, pick, depth + 1)
+                          min_samples_split, depth + 1)
     node.right = grow_tree(X[~mask], target[~mask], scan, leaf, max_depth,
-                           min_samples_split, pick, depth + 1)
+                           min_samples_split, depth + 1)
     return node
 
 
-def grow_classification_tree(
-    X: np.ndarray,
-    y_codes: np.ndarray,
-    k: int,
-    cfg: CartConfig,
-    rng: Optional[np.random.Generator] = None,
-    max_features: Optional[int] = None,
-) -> Node:
-    """CART/RF tree: impurity-gain splits, class-probability leaves and,
-    when ``max_features`` is below the feature count, a fresh sorted
-    feature draw from ``rng`` at every split node (in pre-order)."""
-    pick = None
-    if max_features is not None and max_features < X.shape[1]:
-        def pick(n_feat):
-            return np.sort(rng.choice(n_feat, size=max_features, replace=False))
+def grow_classification_tree(X: np.ndarray, y_codes: np.ndarray, k: int,
+                             cfg: CartConfig) -> Node:
+    """CART tree: impurity-gain splits and class-probability leaves."""
     return grow_tree(
         X, y_codes,
         scan=lambda X_, t: _scan_impurity(X_, t, k, cfg.impurity),
         leaf=lambda t: _class_probabilities(t, k),
         max_depth=cfg.max_depth,
         min_samples_split=cfg.min_samples_split,
-        pick=pick,
     )
 
 
-def _find_leaf(node: Node, x: np.ndarray) -> Node:
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node
+@dataclass(frozen=True)
+class PackedTrees:
+    """Every node of a model's trees in one set of parallel arrays.
+
+    The trees follow one another, each in pre-order: tree ``t`` holds nodes
+    ``offsets[t]`` (its root) to ``offsets[t + 1] - 1``. A leaf has
+    ``feature`` -1, ``left`` and ``right`` -1, threshold and gain 0 and its
+    payload in ``value``; a split has its children's node indices and a zero
+    ``value`` row.
+    """
+
+    offsets: np.ndarray    # (n_trees + 1,) int64
+    feature: np.ndarray    # (n_nodes,) int64
+    threshold: np.ndarray  # (n_nodes,) float64
+    left: np.ndarray       # (n_nodes,) int64
+    right: np.ndarray      # (n_nodes,) int64
+    gain: np.ndarray       # (n_nodes,) float64
+    n: np.ndarray          # (n_nodes,) int64, training rows at the node
+    value: np.ndarray      # (n_nodes, width) float64
+
+    NODE_ARRAYS = ("feature", "threshold", "left", "right", "gain", "n", "value")
+
+    @property
+    def n_trees(self) -> int:
+        return self.offsets.shape[0] - 1
+
+    def leaf_index(self, X: np.ndarray) -> np.ndarray:
+        """The node index of the leaf each row of X reaches in each tree, as
+        an (n_trees, n_rows) array. Every tree and row moves down one level
+        per pass, with one gather and one compare."""
+        rows = np.arange(X.shape[0])
+        idx = np.repeat(self.offsets[:-1, None], X.shape[0], axis=1)
+        while True:
+            f = self.feature[idx]
+            split = f >= 0
+            if not split.any():
+                return idx
+            # a leaf's -1 gathers the last column; its result is discarded
+            go_left = X[rows, f] <= self.threshold[idx]
+            idx = np.where(split, np.where(go_left, self.left[idx],
+                                           self.right[idx]), idx)
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """Leaf payloads as an (n_trees, n_rows, width) array."""
+        return self.value[self.leaf_index(X)]
+
+    def first_trees(self, n: int) -> "PackedTrees":
+        """The first ``n`` trees; a prefix keeps every node index valid."""
+        end = self.offsets[n]
+        return PackedTrees(self.offsets[:n + 1],
+                           *(getattr(self, a)[:end] for a in self.NODE_ARRAYS))
+
+    def roots(self) -> list:
+        """Every tree decoded into ``Node`` objects, for inspection."""
+        feature, threshold, left, right, gain, n, value = (
+            getattr(self, a).tolist() for a in self.NODE_ARRAYS)
+
+        def decode(i):
+            if feature[i] < 0:
+                return Node(value=value[i], n_samples=n[i], gain=gain[i])
+            return Node(feature=feature[i], threshold=threshold[i],
+                        gain=gain[i], n_samples=n[i],
+                        left=decode(left[i]), right=decode(right[i]))
+
+        return [decode(i) for i in self.offsets[:-1].tolist()]
 
 
-def tree_values(root: Node, X: np.ndarray) -> np.ndarray:
-    """Leaf payloads for every row of X, stacked into an (n, payload) array."""
-    values = [_find_leaf(root, row).value for row in X]
-    if not values:  # no rows: take the width from the leftmost leaf
-        leftmost = _find_leaf(root, np.full(X.shape[1], -np.inf))
-        return np.empty((0, len(leftmost.value)))
-    return np.array(values, dtype=np.float64)
+def pack(roots, width: int) -> PackedTrees:
+    """The packed form of grown trees whose leaves hold ``width`` values."""
+    cols = {a: [] for a in PackedTrees.NODE_ARRAYS}
+    offsets = [0]
+
+    def visit(node):
+        i = len(cols["feature"])
+        leaf = node.is_leaf
+        cols["feature"].append(-1 if leaf else node.feature)
+        cols["threshold"].append(0.0 if leaf else node.threshold)
+        cols["gain"].append(node.gain)
+        cols["n"].append(node.n_samples)
+        cols["value"].extend(node.value if leaf else [0.0] * width)
+        cols["left"].append(-1)
+        cols["right"].append(-1)
+        if not leaf:
+            cols["left"][i] = visit(node.left)
+            cols["right"][i] = visit(node.right)
+        return i
+
+    for root in roots:
+        visit(root)
+        offsets.append(len(cols["feature"]))
+    ints = {"feature", "left", "right", "n"}
+    arrays = {a: np.asarray(v, dtype=np.int64 if a in ints else np.float64)
+              for a, v in cols.items()}
+    arrays["value"] = arrays["value"].reshape(-1, width)
+    return PackedTrees(np.asarray(offsets, dtype=np.int64), **arrays)
 
 
 def training_matrix(X) -> np.ndarray:
@@ -274,10 +302,10 @@ def cart_fit(X, y, cfg: CartConfig = CartConfig()):
     if X.shape[0] != y.shape[0]:
         raise ValueError("X and y row counts differ")
     codebook, y_codes = np.unique(y, return_inverse=True)
-    root = grow_classification_tree(X, y_codes, len(codebook), cfg)
+    k = len(codebook)
     return TreeEnsembleModel(
         kind="CART",
-        trees=[root],
+        packed=pack([grow_classification_tree(X, y_codes, k, cfg)], k),
         codebook=[c.item() if hasattr(c, "item") else c for c in codebook],
         config={
             "max_depth": cfg.max_depth,

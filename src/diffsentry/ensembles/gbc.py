@@ -15,12 +15,13 @@ lower threshold and then the lower column.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+
 import numpy as np
 
 from ..errors import NonFiniteLoss, SingleClass
-from .cart import (Node, _best_split, _sorted_columns, grow_tree, training_matrix,
-                   tree_values)
+from .cart import _best_split, _sorted_columns, grow_tree, pack, training_matrix
 
 #: hyperparameter grids: the full-scale search and a desk-scale one
 GBC_GRID_FULL = {
@@ -45,8 +46,22 @@ class GbcConfig:
     seed: int = 0
 
     def __post_init__(self):
+        def integer(v):
+            return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+        if not integer(self.n_estimators):
+            raise TypeError(
+                f"n_estimators must be an integer, not {self.n_estimators!r}")
+        if not (self.max_depth is None or integer(self.max_depth)):
+            raise TypeError(f"max_depth must be an integer, not {self.max_depth!r}")
+        if not (isinstance(self.learning_rate, numbers.Real)
+                and not isinstance(self.learning_rate, bool)):
+            raise TypeError(
+                f"learning_rate must be a number, not {self.learning_rate!r}")
         if self.n_estimators < 0:
             raise ValueError("n_estimators must be >= 0")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ValueError("max_depth must be >= 0")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
         if not 0.0 < self.subsample <= 1.0:
@@ -116,7 +131,7 @@ def gbc_fit(X, y, cfg: GbcConfig = GbcConfig()):
     def newton_leaf(r):
         return [_newton_leaf(r, k)]
 
-    stages: list[list[Node]] = []
+    trees = []  # k per stage, stage by stage
     deviance: list[float] = []
     n_sub = max(1, int(round(cfg.subsample * n)))
 
@@ -129,15 +144,14 @@ def gbc_fit(X, y, cfg: GbcConfig = GbcConfig()):
             else np.arange(n)
         )
         X_rows = X[rows]
-        stage = []
-        for cls in range(k):
-            tree = grow_tree(
-                X_rows, residual[rows, cls], _scan_sse, newton_leaf,
-                cfg.max_depth, cfg.min_samples_split,
-            )
-            stage.append(tree)
-            scores[:, cls] += cfg.learning_rate * tree_values(tree, X)[:, 0]
-        stages.append(stage)
+        stage = [
+            grow_tree(X_rows, residual[rows, cls], _scan_sse, newton_leaf,
+                      cfg.max_depth, cfg.min_samples_split)
+            for cls in range(k)
+        ]
+        trees.extend(stage)
+        # each class's tree moves only its own column of scores
+        scores += cfg.learning_rate * pack(stage, 1).leaf_values(X)[:, :, 0].T
         dev = multinomial_deviance(y_codes, scores)
         if not np.isfinite(dev):
             raise NonFiniteLoss(
@@ -147,7 +161,7 @@ def gbc_fit(X, y, cfg: GbcConfig = GbcConfig()):
 
     return TreeEnsembleModel(
         kind="GBC",
-        trees=stages,
+        packed=pack(trees, 1),
         codebook=[c.item() if hasattr(c, "item") else c for c in codebook],
         config={
             "n_estimators": cfg.n_estimators,

@@ -8,45 +8,51 @@ from typing import Optional
 import numpy as np
 
 from ..errors import SchemaMismatch
-from .cart import Node, tree_values
+from .cart import PackedTrees
 
-FILE_VERSION = 1
+FILE_VERSION = 2
 
 
 @dataclass
 class TreeEnsembleModel:
-    """Trained CART / RF / GBC model with its class codebook and metadata.
+    """Trained CART / GBC model with its class codebook and metadata.
 
     Immutable after fit by convention; safe to share across threads for
     prediction. ``schema_hash`` pins the feature layout the model expects.
     """
 
-    kind: str                    # "CART" | "RF" | "GBC"
-    trees: list                  # CART/RF: [Node]; GBC: [[Node per class] per stage]
+    kind: str                    # "CART" | "GBC"
+    packed: PackedTrees          # CART: one tree; GBC: one per class per stage
     codebook: list
     config: dict
     n_features: int
     metadata: dict = field(default_factory=dict)
     schema_hash: Optional[str] = None
 
+    @property
+    def trees(self) -> list:
+        """Decoded ``Node`` trees: CART [root]; GBC [[root per class] per stage]."""
+        roots = self.packed.roots()
+        if self.kind != "GBC":
+            return roots
+        k = len(self.codebook)
+        return [roots[i:i + k] for i in range(0, len(roots), k)]
+
     def trees_flat(self):
-        if self.kind == "GBC":
-            for stage in self.trees:
-                yield from stage
-        else:
-            yield from self.trees
+        yield from self.packed.roots()
 
     def first_stages(self, n: int) -> "TreeEnsembleModel":
         """The first ``n`` boosting stages of a GBC model. A fit is a stage
         prefix of any longer fit with the same data and seed, so this equals
         ``gbc_fit`` at ``n_estimators=n``."""
-        if self.kind != "GBC" or not 0 <= n <= len(self.trees):
+        k = len(self.codebook)
+        stages = self.packed.n_trees // k
+        if self.kind != "GBC" or not 0 <= n <= stages:
             raise ValueError(
-                f"no {n}-stage prefix of a {self.kind} model "
-                f"with {len(self.trees)} stages")
+                f"no {n}-stage prefix of a {self.kind} model with {stages} stages")
         return replace(
             self,
-            trees=self.trees[:n],
+            packed=self.packed.first_trees(n * k),
             config={**self.config, "n_estimators": n},
             metadata={**self.metadata,
                       "train_deviance": self.metadata["train_deviance"][:n]},
@@ -60,22 +66,18 @@ class TreeEnsembleModel:
             raise SchemaMismatch(
                 f"model expects {self.n_features} features, got {X.shape[1]}"
             )
+        values = self.packed.leaf_values(X)
         if self.kind == "CART":
-            return tree_values(self.trees[0], X)
-        if self.kind == "RF":
-            acc = np.zeros((X.shape[0], len(self.codebook)))
-            for tree in self.trees:
-                acc += tree_values(tree, X)
-            return acc / len(self.trees)
-        # GBC: raw scores -> softmax
+            return values[0]
+        # GBC: raw scores -> softmax. The cumulative sum adds the stages in
+        # order, one class per column, exactly as gbc_fit moved its scores.
         from .gbc import softmax
 
-        scores = np.tile(np.asarray(self.metadata["init_raw"]), (X.shape[0], 1))
-        lr = self.config["learning_rate"]
-        for stage in self.trees:
-            for cls, tree in enumerate(stage):
-                scores[:, cls] += lr * tree_values(tree, X)[:, 0]
-        return softmax(scores)
+        n_rows, k = X.shape[0], len(self.codebook)
+        steps = self.config["learning_rate"] * values[:, :, 0]
+        steps = steps.reshape(self.packed.n_trees // k, k, n_rows).transpose(0, 2, 1)
+        init = np.broadcast_to(np.asarray(self.metadata["init_raw"]), (1, n_rows, k))
+        return softmax(np.cumsum(np.concatenate([init, steps]), axis=0)[-1])
 
     def predict_labels(self, X) -> list:
         """The codebook label of each row's most probable class."""
@@ -104,10 +106,11 @@ def _coerce(model: TreeEnsembleModel, features):
 
 
 def model_to_dict(model: TreeEnsembleModel) -> dict:
-    if model.kind == "GBC":
-        trees = [[t.to_dict() for t in stage] for stage in model.trees]
-    else:
-        trees = [t.to_dict() for t in model.trees]
+    """The file form: ``trees`` holds the packed arrays as parallel lists,
+    ``value`` flattened to ``width`` numbers per node."""
+    p = model.packed
+    trees = {a: getattr(p, a).ravel().tolist() for a in PackedTrees.NODE_ARRAYS}
+    trees["offsets"] = p.offsets.tolist()
     return {
         "version": FILE_VERSION,
         "kind": model.kind,
@@ -120,26 +123,79 @@ def model_to_dict(model: TreeEnsembleModel) -> dict:
     }
 
 
+def _array(trees: dict, name: str, integer: bool) -> np.ndarray:
+    a = np.asarray(trees[name], dtype=None if integer else np.float64)
+    if a.ndim != 1 or (integer and a.size and a.dtype.kind != "i"):
+        raise SchemaMismatch(
+            f"trees.{name} is not a list of {'integers' if integer else 'numbers'}")
+    return a.astype(np.int64) if integer else a
+
+
+def _packed_from_dict(trees: dict, n_features: int, width: int) -> PackedTrees:
+    """The checked arrays of a file's ``trees`` (see ``model_from_dict``)."""
+    offsets = _array(trees, "offsets", True)
+    arrays = {a: _array(trees, a, a in ("feature", "left", "right", "n"))
+              for a in PackedTrees.NODE_ARRAYS}
+    feature, threshold = arrays["feature"], arrays["threshold"]
+    n_nodes = feature.shape[0]
+    if any(arrays[a].shape[0] != n_nodes for a in arrays if a != "value"):
+        raise SchemaMismatch("the node arrays differ in length")
+    if arrays["value"].shape[0] != n_nodes * width:
+        raise SchemaMismatch(f"a leaf does not hold {width} values")
+    if not np.isfinite(arrays["value"]).all():
+        raise SchemaMismatch("a leaf value is not finite")
+    arrays["value"] = arrays["value"].reshape(n_nodes, width)
+    sizes = np.diff(offsets)
+    if offsets.shape[0] < 1 or offsets[0] != 0 or offsets[-1] != n_nodes \
+            or (sizes < 1).any():
+        raise SchemaMismatch(f"tree offsets do not split {n_nodes} nodes into trees")
+    if ((feature < -1) | (feature >= n_features)).any():
+        raise SchemaMismatch(f"a split feature is outside [0, {n_features})")
+    split = feature >= 0
+    if not np.isfinite(threshold[split]).all():
+        raise SchemaMismatch("a split threshold is not finite")
+    node = np.arange(n_nodes)
+    tree_end = np.repeat(offsets[1:], sizes)
+    for child in (arrays["left"], arrays["right"]):
+        # children come after their split and inside its tree, so every walk
+        # ends; a leaf has none
+        if (split & ((child <= node) | (child >= tree_end))).any():
+            raise SchemaMismatch("a child index is not after its split inside its tree")
+        if (~split & (child != -1)).any():
+            raise SchemaMismatch("a leaf has a child index")
+    return PackedTrees(offsets, **arrays)
+
+
 def model_from_dict(d: dict) -> TreeEnsembleModel:
-    """Rebuild a model, raising ``SchemaMismatch`` for an unknown version or
-    kind, a split feature outside [0, n_features), a non-finite threshold,
-    a leaf width other than the class count (CART/RF) or 1 (GBC), or a GBC
-    stage or ``init_raw`` whose width is not the class count."""
+    """Rebuild a model, raising ``SchemaMismatch`` for a version other than
+    ``FILE_VERSION``, an unknown kind, an empty codebook, node arrays that
+    are not integer or number lists of one length, tree offsets that do not
+    split the nodes, a split feature outside [0, n_features), a non-finite
+    threshold, a child index that is not after its split inside its tree, a
+    leaf with a child, a non-finite leaf value, a leaf width other than the
+    class count (CART) or 1 (GBC), a CART model that is not one tree, or a
+    GBC stage or ``init_raw`` whose width is not the class count."""
     if d.get("version") != FILE_VERSION:
         raise SchemaMismatch(f"unsupported model file version {d.get('version')!r}")
     kind, n_features, k = d["kind"], d["n_features"], len(d["codebook"])
-    if kind == "GBC":
-        stages = d["trees"]
-        if len(d["metadata"]["init_raw"]) != k or any(len(s) != k for s in stages):
-            raise SchemaMismatch(f"a boosting stage or init_raw is not {k} wide")
-        trees = [[Node.from_dict(t, n_features, 1) for t in s] for s in stages]
-    elif kind in ("CART", "RF"):
-        trees = [Node.from_dict(t, n_features, k) for t in d["trees"]]
-    else:
+    if kind not in ("CART", "GBC"):
         raise SchemaMismatch(f"unknown model kind {kind!r}")
+    if not k:
+        raise SchemaMismatch("the codebook is empty")
+    try:
+        packed = _packed_from_dict(d["trees"], n_features, 1 if kind == "GBC" else k)
+    except SchemaMismatch:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"malformed tree arrays: {exc!r}") from exc
+    if kind == "GBC":
+        if len(d["metadata"]["init_raw"]) != k or packed.n_trees % k:
+            raise SchemaMismatch(f"a boosting stage or init_raw is not {k} wide")
+    elif packed.n_trees != 1:
+        raise SchemaMismatch(f"a CART model holds {packed.n_trees} trees, not 1")
     return TreeEnsembleModel(
         kind=kind,
-        trees=trees,
+        packed=packed,
         codebook=d["codebook"],
         config=d["config"],
         n_features=n_features,

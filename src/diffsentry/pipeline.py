@@ -49,7 +49,7 @@ from .sampling import (
     read_waveform_csv,
 )
 
-PIPELINE_FILE_VERSION = 1
+PIPELINE_FILE_VERSION = 2
 
 FAULT_CLASS = "fault"
 DISTURBANCE_CLASS = "disturbance"

@@ -130,15 +130,11 @@ def _exhaustive_best_depth2(cells):
 
 
 def _greedy_training_impurity(model, X, y):
-    probs = model.predict_proba(X)
-    # group rows by leaf assignment: identical probability vectors from the
-    # same leaf; use the tree walk instead for exactness
-    from diffsentry.ensembles.cart import _find_leaf
-
+    # group rows by the leaf they reach: the node index from the walker, not
+    # the probability vector, which two leaves can share
     leaves = {}
-    for i in range(X.shape[0]):
-        leaf = _find_leaf(model.trees[0], X[i])
-        leaves.setdefault(id(leaf), []).append(y[i])
+    for leaf, label in zip(model.packed.leaf_index(X)[0].tolist(), y):
+        leaves.setdefault(leaf, []).append(label)
     return _weighted_leaf_gini([np.asarray(v, dtype=int) for v in leaves.values()])
 
 
@@ -193,9 +189,8 @@ def test_leaf_width_other_than_class_count_is_a_schema_mismatch():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     d = model_to_dict(cart_fit(X, np.array([0, 1, 2, 2])))
     model_from_dict(d)
-    leaf = d["trees"][0]
-    while "feature" in leaf:
-        leaf = leaf["left"]
-    leaf["value"].pop()
+    trees = d["trees"]
+    leaf = trees["feature"].index(-1)
+    trees["value"].pop(3 * leaf)  # the first leaf holds 2 values, not 3
     with pytest.raises(SchemaMismatch):
         model_from_dict(d)

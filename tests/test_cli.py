@@ -174,22 +174,42 @@ def test_classify_unsupported_model_version_is_a_data_error(tmp_path, saved_mode
     _assert_classify_error(code, capsys)
 
 
-def _detect_root(bundle):
-    return bundle["slots"]["DetectFault"]["trees"][0][0]
+def _detect_trees(bundle):
+    trees = bundle["slots"]["DetectFault"]["trees"]
+    assert trees["feature"][0] >= 0  # the first tree's root is a split
+    return trees
 
 
-def _first_leaf(tree):
-    while "feature" in tree:
-        tree = tree["left"]
-    return tree
+def _set_root(bundle, name, value):
+    _detect_trees(bundle)[name][0] = value
+
+
+def _child_to_parent(bundle):
+    """Point a split's left child, itself a split, back at that split."""
+    t = _detect_trees(bundle)
+    i = next(i for i, f in enumerate(t["feature"])
+             if f >= 0 and t["feature"][t["left"][i]] >= 0)
+    t["left"][t["left"][i]] = i
+
+
+def _version_1(bundle):
+    bundle["version"] = 1
+    for slot in bundle["slots"].values():
+        slot["version"] = 1
 
 
 MODEL_TAMPERS = {
-    "feature_index": lambda b: _detect_root(b).update(
-        feature=b["slots"]["DetectFault"]["n_features"]),
-    "leaf_width": lambda b: _first_leaf(_detect_root(b))["value"].append(0.0),
-    "missing_threshold": lambda b: _detect_root(b).pop("threshold"),
+    "feature_index": lambda b: _set_root(
+        b, "feature", b["slots"]["DetectFault"]["n_features"]),
+    "leaf_width": lambda b: _detect_trees(b)["value"].append(0.0),
+    "missing_threshold": lambda b: _detect_trees(b).pop("threshold"),
     "missing_slots": lambda b: b.pop("slots"),
+    "child_outside_tree": lambda b: _set_root(
+        b, "right", _detect_trees(b)["offsets"][1]),
+    "child_to_parent": _child_to_parent,
+    "offsets_overrun": lambda b: _detect_trees(b)["offsets"].append(
+        _detect_trees(b)["offsets"][-1] + 5),
+    "version_1": _version_1,
 }
 
 
@@ -298,6 +318,30 @@ def test_config_section_of_wrong_type_is_a_data_error(tmp_path, saved_model,
     assert code == 1
     assert err.startswith(f"error [{command}]: ")
     assert repr(next(iter(config))) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, names", [
+    ({"foo": [1]}, "'foo'"),
+    ({"max_depth": ["a"]}, "max_depth"),
+    ({"n_estimators": [-1]}, "n_estimators"),
+    ({"learning_rate": [0]}, "learning_rate"),
+], ids=["unknown_key", "depth_not_a_number", "negative_estimators",
+        "zero_learning_rate"])
+def test_bad_train_grid_fails_before_the_corpus_is_read(tmp_path, capsys, grid,
+                                                         names):
+    # the corpus does not exist: only a check made before reading it can
+    # name the grid
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"grid": grid}))
+    out = tmp_path / "pipeline.json"
+    code = main(["train", "--corpus", str(tmp_path / "no_corpus"), "--out",
+                 str(out), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error [train]: ")
+    assert "grid" in err and names in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

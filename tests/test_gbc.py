@@ -121,28 +121,41 @@ def test_schema_hash_checked_on_load(tmp_path):
         load_pipeline(path)
 
 
-def _root(d):
-    root = d["trees"][0][0]
-    assert "feature" in root
-    return root
+def _root(d, name, value):
+    """Set one array entry of the first tree's root, a split node."""
+    trees = d["trees"]
+    assert trees["feature"][0] >= 0
+    trees[name][0] = value
 
 
-def _first_leaf(tree):
-    while "feature" in tree:
-        tree = tree["left"]
-    return tree
+def _first_leaf(d):
+    return d["trees"]["feature"].index(-1)
+
+
+def _child_to_parent(d):
+    """Point a split's left child, itself a split, back at that split."""
+    t = d["trees"]
+    i = next(i for i, f in enumerate(t["feature"])
+             if f >= 0 and t["feature"][t["left"][i]] >= 0)
+    t["left"][t["left"][i]] = i
 
 
 TAMPERS = {
-    "feature_past_the_end": lambda d: _root(d).update(feature=d["n_features"]),
-    "negative_feature": lambda d: _root(d).update(feature=-1),
-    "float_feature": lambda d: _root(d).update(feature=1.0),
-    "nan_threshold": lambda d: _root(d).update(threshold=float("nan")),
-    "infinite_threshold": lambda d: _root(d).update(threshold=float("inf")),
-    "wide_leaf": lambda d: _first_leaf(_root(d))["value"].append(0.0),
-    "narrow_stage": lambda d: d["trees"][1].pop(),
+    "feature_past_the_end": lambda d: _root(d, "feature", d["n_features"]),
+    "negative_feature": lambda d: _root(d, "feature", -1),
+    "float_feature": lambda d: _root(d, "feature", 1.0),
+    "nan_threshold": lambda d: _root(d, "threshold", float("nan")),
+    "infinite_threshold": lambda d: _root(d, "threshold", float("inf")),
+    "wide_leaf": lambda d: d["trees"]["value"].insert(_first_leaf(d), 0.0),
+    "narrow_stage": lambda d: d["trees"]["offsets"].pop(1),
     "short_init_raw": lambda d: d["metadata"]["init_raw"].pop(),
     "unknown_kind": lambda d: d.update(kind="XGB"),
+    "child_outside_tree": lambda d: _root(d, "right", d["trees"]["offsets"][1]),
+    "child_to_parent": _child_to_parent,
+    "offsets_overrun": lambda d: d["trees"]["offsets"].append(
+        d["trees"]["offsets"][-1] + 5),
+    "empty_codebook": lambda d: (d.update(codebook=[]),
+                                 d["metadata"].update(init_raw=[])),
 }
 
 
@@ -153,6 +166,16 @@ def test_tampered_model_file_is_a_schema_mismatch(tamper):
     model_from_dict(json.loads(json.dumps(d)))
     TAMPERS[tamper](d)
     with pytest.raises(SchemaMismatch):
+        model_from_dict(d)
+
+
+def test_version_1_model_is_a_schema_mismatch_naming_the_version():
+    # the nested node layout of version 1 files is no longer read
+    d = {"version": 1, "kind": "GBC", "codebook": [0, 1], "n_features": 1,
+         "config": {"learning_rate": 0.1, "n_estimators": 1},
+         "metadata": {"init_raw": [-0.7, -0.7], "train_deviance": [0.6]},
+         "trees": [[{"value": [0.5], "n": 4}, {"value": [-0.5], "n": 4}]]}
+    with pytest.raises(SchemaMismatch, match="version 1"):
         model_from_dict(d)
 
 
@@ -182,10 +205,15 @@ def test_first_stages_equals_the_shorter_fit(subsample):
     X, y = _blobs(90, 3, seed=12)
     cfg = GbcConfig(n_estimators=7, max_depth=2, subsample=subsample, seed=4)
     full = gbc_fit(X, y, cfg)
+    loaded = model_from_dict(json.loads(_model_bytes(full)))
+    probe = np.random.default_rng(1).normal(size=(40, 4))
     for n in (0, 1, 4, 7):
         short = gbc_fit(X, y, GbcConfig(n_estimators=n, max_depth=2,
                                         subsample=subsample, seed=4))
         assert _model_bytes(full.first_stages(n)) == _model_bytes(short)
+        assert _model_bytes(loaded.first_stages(n)) == _model_bytes(short)
+        assert (loaded.first_stages(n).predict_proba(probe).tobytes()
+                == short.predict_proba(probe).tobytes())
     assert _model_bytes(full) == _model_bytes(gbc_fit(X, y, cfg))  # untouched
 
 

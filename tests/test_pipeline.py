@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diffsentry.detector import CdfConfig
-from diffsentry.ensembles.cart import Node
+from diffsentry.ensembles.cart import Node, pack
 from diffsentry.ensembles.model import TreeEnsembleModel
 from diffsentry.errors import ClassMissing, IncompleteModel, SchemaMismatch
 from diffsentry.features import Task, schema_hash, task_specs
@@ -47,7 +47,7 @@ def _stub(task: Task, label: str) -> TreeEnsembleModel:
     probs[classes.index(label)] = 1.0
     return TreeEnsembleModel(
         kind="CART",
-        trees=[Node(value=probs, n_samples=1)],
+        packed=pack([Node(value=probs, n_samples=1)], len(classes)),
         codebook=classes,
         config={},
         n_features=len(task_specs(task)) * 3,
@@ -64,7 +64,8 @@ def _poisoned(task: Task) -> TreeEnsembleModel:
     classes = _TASK_CLASSES[task]
     return _Poisoned(
         kind="CART",
-        trees=[Node(value=[1.0] + [0.0] * (len(classes) - 1), n_samples=1)],
+        packed=pack([Node(value=[1.0] + [0.0] * (len(classes) - 1), n_samples=1)],
+                    len(classes)),
         codebook=classes,
         config={},
         n_features=len(task_specs(task)) * 3,

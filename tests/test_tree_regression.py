@@ -1,4 +1,4 @@
-"""Recorded trees of small seeded CART, RF and GBC fits.
+"""Recorded trees of small seeded CART and GBC fits.
 
 The fixture ``data/tree_regression.json`` holds the trees these fits grew
 before the tree kinds were folded onto one grower and one walker. Split
@@ -17,10 +17,8 @@ import pytest
 
 from diffsentry.ensembles import (
     CartConfig,
-    ForestConfig,
     GbcConfig,
     cart_fit,
-    forest_fit,
     gbc_fit,
 )
 from diffsentry.errors import EmptyChild
@@ -54,8 +52,6 @@ FITS = {
         X, y, CartConfig(impurity="entropy"))),
     "cart_gini_depth3": (_data, lambda X, y: cart_fit(
         X, y, CartConfig(max_depth=3, min_samples_split=4))),
-    "rf_sqrt_bootstrap": (_data, lambda X, y: forest_fit(
-        X, y, ForestConfig(n_estimators=4, max_depth=5, seed=3))),
     "gbc_subsample": (_data, lambda X, y: gbc_fit(
         X, y, GbcConfig(n_estimators=6, max_depth=3, subsample=0.7, seed=5))),
     "gbc_empty_child": (_adjacent_floats, lambda X, y: gbc_fit(

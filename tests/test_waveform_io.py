@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from diffsentry.cli import main
-from diffsentry.ensembles import CartConfig, ForestConfig, GbcConfig
-from diffsentry.ensembles import cart_fit, forest_fit, gbc_fit
+from diffsentry.ensembles import CartConfig, GbcConfig
+from diffsentry.ensembles import cart_fit, gbc_fit
 from diffsentry.errors import IoFailure, NonFiniteFeature
 from diffsentry.sampling import (
     DisturbanceType,
@@ -207,7 +207,6 @@ def test_classify_nan_row_names_sample_and_phase(tmp_path, saved_model, capsys):
 
 _FITS = {
     "cart": lambda X, y: cart_fit(X, y, CartConfig(max_depth=2)),
-    "forest": lambda X, y: forest_fit(X, y, ForestConfig(n_estimators=2, max_depth=2)),
     "gbc": lambda X, y: gbc_fit(X, y, GbcConfig(n_estimators=2, max_depth=2)),
 }
 
