@@ -33,7 +33,7 @@ from .pipeline import (
     train_pipeline,
 )
 from .resampling import ResamplePlan, Strategy
-from .sampling import SamplingSpec, read_waveform_csv
+from .sampling import read_waveform_csv
 from .wavegen.corpus import generate_corpus, load_manifest, reference_plan
 from .ensembles import GBC_GRID_FULL, GBC_GRID_SMALL, GbcConfig
 from .ensembles.model import predict
@@ -222,7 +222,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    sampling = SamplingSpec()
     manifest = load_manifest(args.corpus)
     model = load_pipeline(args.model)
     snr_list = _parse_snr_list(args.snr)
@@ -260,7 +259,7 @@ def cmd_evaluate(args) -> int:
         ]
         noise_rows = detect_noise_study(
             all_records, train_files, snr_list, seed=args.seed,
-            detector_cfg=model.detector_cfg, sampling=sampling,
+            detector_cfg=model.detector_cfg,
         )
     report["noise_sweep"] = noise_rows
 
@@ -290,7 +289,7 @@ def cmd_evaluate(args) -> int:
              "thresholds": thresholds},
         )
         if args.timing:
-            timing = _measure_timing(records, model, sampling)
+            timing = _measure_timing(records, model)
             with open(os.path.join(args.out, "timing.json"), "w", newline="\n") as fh:
                 json.dump(timing, fh, indent=2, sort_keys=True)
                 fh.write("\n")
@@ -332,17 +331,17 @@ def _write_predictions_csv(path, records, model) -> None:
             )
 
 
-def _measure_timing(records, model, sampling) -> dict:
+def _measure_timing(records, model) -> dict:
     _, samples = records[0]
     from .detector import detect as _detect
 
     event = _detect(samples, model.detector_cfg)
     stages = {"decide_one": lambda: decide(samples, model)}
     if event.triggered:
-        vec = extract(event.detect_window, Task.DETECT_FAULT, sampling)
+        vec = extract(event.detect_window, Task.DETECT_FAULT)
         batch = np.vstack([vec.values] * 64)
         stages["feature_extraction"] = lambda: extract(
-            event.detect_window, Task.DETECT_FAULT, sampling
+            event.detect_window, Task.DETECT_FAULT
         )
         stages["predict_one"] = lambda: predict(
             model.slots[Task.DETECT_FAULT], vec
@@ -355,11 +354,10 @@ def _measure_timing(records, model, sampling) -> dict:
 
 def cmd_classify(args) -> int:
     model = load_pipeline(args.model)
-    sampling = SamplingSpec()
     sink = open(args.out, "w", newline="\n") if args.out else sys.stdout
     try:
         if args.stdin:
-            classifier = StreamingClassifier(model, sampling)
+            classifier = StreamingClassifier(model)
             for line_no, line in enumerate(sys.stdin, 1):
                 line = line.strip()
                 if not line or line.startswith("t"):
@@ -371,6 +369,9 @@ def cmd_classify(args) -> int:
                     raise IoFailure(
                         f"malformed stream row at line {line_no}: {exc}"
                     ) from exc
+                if not all(map(math.isfinite, sample)):
+                    raise IoFailure(
+                        f"non-finite sample in stream row at line {line_no}: {line}")
                 for rec in classifier.push(sample):
                     sink.write(json.dumps(rec, sort_keys=True) + "\n")
         else:

@@ -13,40 +13,38 @@ the threshold.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteSample, TooShort, WrongShape
+from .errors import NonFiniteSample, TooShort, WrongSamplingGrid, WrongShape
 from .sampling import PHASES, SamplingSpec, Waveform
+
+
+#: One cycle of the 10 kHz / 60 Hz grid the feature set is frozen for.
+CYCLE = SamplingSpec().samples_per_cycle
+#: The registered 1.5-cycle window: PRE samples before the trigger, one
+#: cycle from it.
+DETECT_LEN = round(1.5 * CYCLE)
+PRE = DETECT_LEN - CYCLE
+#: The 3-cycle drill-down window, from the trigger.
+CLASSIFY_LEN = 3 * CYCLE
+# the earliest trigger, sample 2 * CYCLE - 1, has PRE samples before it, so
+# the registered window never waits for its pre-window
 
 
 @dataclass(frozen=True)
 class CdfConfig:
     threshold: float = 0.05
-    cycle_samples: int = SamplingSpec().samples_per_cycle
-    pre_cycles: float = 0.5
-    post_cycles_detect: int = 1
-    post_cycles_classify: int = 3
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
-        if self.cycle_samples < 2:
-            raise ValueError("cycle_samples must be at least 2")
-
-    @property
-    def detect_window_len(self) -> int:
-        return round((self.pre_cycles + self.post_cycles_detect) * self.cycle_samples)
-
-    @property
-    def pre_samples(self) -> int:
-        return self.detect_window_len - self.post_cycles_detect * self.cycle_samples
-
-    @property
-    def classify_window_len(self) -> int:
-        return self.post_cycles_classify * self.cycle_samples
+        if not (isinstance(self.threshold, numbers.Real)
+                and 0 < self.threshold < math.inf):
+            raise ValueError(
+                f"threshold must be a positive finite number, not {self.threshold!r}")
 
 
 @dataclass
@@ -54,9 +52,8 @@ class DetectionEvent:
     triggered: bool
     trigger_index: Optional[int] = None
     trigger_phase: Optional[str] = None
-    detect_window: Optional[np.ndarray] = None     # (detect_window_len, 3)
-    classify_window: Optional[np.ndarray] = None   # (3 * n_c, 3)
-    deferred_samples: int = 0
+    detect_window: Optional[np.ndarray] = None     # (DETECT_LEN, 3)
+    classify_window: Optional[np.ndarray] = None   # (CLASSIFY_LEN, 3)
 
 
 def cdf_series(values, n_c: int) -> np.ndarray:
@@ -76,12 +73,19 @@ def detect(wave, cfg: CdfConfig = CdfConfig()) -> DetectionEvent:
     ``wave`` may be a Waveform or a bare (N, 3) sample array. Non-detection
     is a value, not an error; an array of another shape raises
     ``WrongShape`` and a NaN or infinite sample ``NonFiniteSample``, since
-    either would otherwise hide an event. The trigger index is the sample
-    whose arrival completed the first above-threshold window; if the
-    half-cycle pre-window does not fit, detection is deferred until it does.
+    either would otherwise hide an event, and so does a Waveform on a grid
+    other than ``CYCLE`` samples per cycle (``WrongSamplingGrid``). The
+    trigger index is the sample whose arrival completed the first
+    above-threshold window.
     """
-    n_c = cfg.cycle_samples
-    samples = wave.samples if isinstance(wave, Waveform) else np.asarray(wave, dtype=np.float64)
+    if isinstance(wave, Waveform):
+        if wave.spec.samples_per_cycle != CYCLE:
+            raise WrongSamplingGrid(
+                f"waveform has {wave.spec.samples_per_cycle} samples per cycle; "
+                f"the detector and features are fixed to {CYCLE}")
+        samples = wave.samples
+    else:
+        samples = np.asarray(wave, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[1] != 3:
         raise WrongShape(f"samples must have shape (N, 3), got {samples.shape}")
     bad = ~np.isfinite(samples)
@@ -91,7 +95,7 @@ def detect(wave, cfg: CdfConfig = CdfConfig()) -> DetectionEvent:
             f"sample {i} phase {PHASES[p]} is {samples[i, p]}"
         )
     n = samples.shape[0]
-    series = np.stack([cdf_series(samples[:, p], n_c) for p in range(3)], axis=1)
+    series = np.stack([cdf_series(samples[:, p], CYCLE) for p in range(3)], axis=1)
     over = series > cfg.threshold
     hits = np.nonzero(over.any(axis=1))[0]
     if hits.size == 0:
@@ -99,20 +103,18 @@ def detect(wave, cfg: CdfConfig = CdfConfig()) -> DetectionEvent:
 
     j = int(hits[0])
     phase_idx = int(np.argmax(over[j]))  # ties resolve a < b < c
-    raw_trigger = 2 * n_c + j - 1
-    trigger = max(raw_trigger, cfg.pre_samples)
-    if trigger + cfg.classify_window_len > n:
+    trigger = 2 * CYCLE + j - 1
+    if trigger + CLASSIFY_LEN > n:
         raise TooShort(
             "waveform too short for the classification window after the trigger"
         )
-    start = trigger - cfg.pre_samples
+    start = trigger - PRE
     return DetectionEvent(
         triggered=True,
         trigger_index=trigger,
         trigger_phase=PHASES[phase_idx],
-        detect_window=samples[start: start + cfg.detect_window_len].copy(),
-        classify_window=samples[trigger: trigger + cfg.classify_window_len].copy(),
-        deferred_samples=trigger - raw_trigger,
+        detect_window=samples[start: start + DETECT_LEN].copy(),
+        classify_window=samples[trigger: trigger + CLASSIFY_LEN].copy(),
     )
 
 
@@ -126,15 +128,12 @@ class StreamingDetector:
 
     def __init__(self, cfg: CdfConfig = CdfConfig()):
         self.cfg = cfg
-        n_c = cfg.cycle_samples
-        self._abs = np.zeros((2 * n_c, 3))     # ring buffer of |sample|
-        self._sum_cur = np.zeros(3)            # last n_c samples
-        self._sum_prev = np.zeros(3)           # the n_c before those
-        keep = cfg.pre_samples + cfg.classify_window_len + 2 * n_c
-        self._history = np.zeros((keep, 3))
+        self._abs = np.zeros((2 * CYCLE, 3))   # ring buffer of |sample|
+        self._sum_cur = np.zeros(3)            # last CYCLE samples
+        self._sum_prev = np.zeros(3)           # the CYCLE before those
+        self._history = np.zeros((PRE + CLASSIFY_LEN + 2 * CYCLE, 3))
         self._count = 0
         self._trigger: Optional[int] = None
-        self._raw_trigger: Optional[int] = None
         self._trigger_phase: Optional[str] = None
         self._emitted = False
 
@@ -157,8 +156,7 @@ class StreamingDetector:
         return self._window(start, length)
 
     def push(self, sample) -> Optional[DetectionEvent]:
-        cfg = self.cfg
-        n_c = cfg.cycle_samples
+        n_c = CYCLE
         s = np.asarray(sample, dtype=np.float64)
         idx = self._count
         ring_pos = idx % (2 * n_c)
@@ -173,16 +171,15 @@ class StreamingDetector:
 
         if self._trigger is None and idx >= 2 * n_c - 1:
             cdf = self._sum_cur - self._sum_prev
-            over = cdf > cfg.threshold
+            over = cdf > self.cfg.threshold
             if over.any():
-                self._raw_trigger = idx
-                self._trigger = max(idx, cfg.pre_samples)
+                self._trigger = idx
                 self._trigger_phase = PHASES[int(np.argmax(over))]
 
         if (
             self._trigger is not None
             and not self._emitted
-            and idx == self._trigger + cfg.classify_window_len - 1
+            and idx == self._trigger + CLASSIFY_LEN - 1
         ):
             self._emitted = True
             return self._make_event()
@@ -193,13 +190,11 @@ class StreamingDetector:
         return self._history[rows].copy()
 
     def _make_event(self) -> DetectionEvent:
-        cfg = self.cfg
         t = self._trigger
         return DetectionEvent(
             triggered=True,
             trigger_index=t,
             trigger_phase=self._trigger_phase,
-            detect_window=self._window(t - cfg.pre_samples, cfg.detect_window_len),
-            classify_window=self._window(t, cfg.classify_window_len),
-            deferred_samples=t - self._raw_trigger,
+            detect_window=self._window(t - PRE, DETECT_LEN),
+            classify_window=self._window(t, CLASSIFY_LEN),
         )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -166,6 +168,10 @@ def _packed_from_dict(trees: dict, n_features: int, width: int) -> PackedTrees:
     return PackedTrees(offsets, **arrays)
 
 
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def model_from_dict(d: dict) -> TreeEnsembleModel:
     """Rebuild a model, raising ``SchemaMismatch`` for a version other than
     ``FILE_VERSION``, an unknown kind, an empty codebook, node arrays that
@@ -173,8 +179,10 @@ def model_from_dict(d: dict) -> TreeEnsembleModel:
     split the nodes, a split feature outside [0, n_features), a non-finite
     threshold, a child index that is not after its split inside its tree, a
     leaf with a child, a non-finite leaf value, a leaf width other than the
-    class count (CART) or 1 (GBC), a CART model that is not one tree, or a
-    GBC stage or ``init_raw`` whose width is not the class count."""
+    class count (CART) or 1 (GBC), a CART model that is not one tree, a GBC
+    stage whose width is not the class count, a GBC ``learning_rate`` that
+    is not a number in (0, 1], or a GBC ``init_raw`` that is not one finite
+    number per class."""
     if d.get("version") != FILE_VERSION:
         raise SchemaMismatch(f"unsupported model file version {d.get('version')!r}")
     kind, n_features, k = d["kind"], d["n_features"], len(d["codebook"])
@@ -189,8 +197,14 @@ def model_from_dict(d: dict) -> TreeEnsembleModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatch(f"malformed tree arrays: {exc!r}") from exc
     if kind == "GBC":
-        if len(d["metadata"]["init_raw"]) != k or packed.n_trees % k:
-            raise SchemaMismatch(f"a boosting stage or init_raw is not {k} wide")
+        if packed.n_trees % k:
+            raise SchemaMismatch(f"a boosting stage is not {k} wide")
+        rate, init = d["config"].get("learning_rate"), d["metadata"].get("init_raw")
+        if not (_real(rate) and 0 < rate <= 1):
+            raise SchemaMismatch(f"learning_rate {rate!r} is not a number in (0, 1]")
+        if not (isinstance(init, list) and len(init) == k
+                and all(_real(v) and math.isfinite(v) for v in init)):
+            raise SchemaMismatch(f"init_raw is not {k} finite numbers")
     elif packed.n_trees != 1:
         raise SchemaMismatch(f"a CART model holds {packed.n_trees} trees, not 1")
     return TreeEnsembleModel(

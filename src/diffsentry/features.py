@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .detector import CLASSIFY_LEN, DETECT_LEN
 from .errors import IndexOutOfRange, SingularDesign, TooShort, WrongWindowLength
-from .sampling import PHASES, SamplingSpec
+from .sampling import PHASES
 
 
 class Task(enum.Enum):
@@ -233,20 +234,17 @@ def task_specs(task: Task) -> list[FeatureSpec]:
     return specs
 
 
-def task_window_len(task: Task, spec: SamplingSpec = SamplingSpec(),
-                    pre_cycles: float = 0.5, post_detect: int = 1,
-                    post_classify: int = 3) -> int:
-    spc = spec.samples_per_cycle
-    if task is Task.DETECT_FAULT:
-        return round((pre_cycles + post_detect) * spc)
-    return post_classify * spc
+def task_window_len(task: Task) -> int:
+    """The detector's 1.5-cycle window for DetectFault, its 3-cycle window
+    for every other task."""
+    return DETECT_LEN if task is Task.DETECT_FAULT else CLASSIFY_LEN
 
 
 @functools.cache
-def schema_hash(task: Task, window_len: int | None = None) -> str:
+def schema_hash(task: Task) -> str:
     payload = {
         "task": task.value,
-        "window_len": window_len if window_len is not None else task_window_len(task),
+        "window_len": task_window_len(task),
         "specs": [
             {"phase": ph, "family": s.family, "params": s.params}
             for ph in PHASES
@@ -290,8 +288,7 @@ def _eval_spec(spec: FeatureSpec, x: np.ndarray):
     raise ValueError(f"unknown feature family {spec.family!r}")
 
 
-def extract_tasks(window: np.ndarray, tasks,
-                  sampling: SamplingSpec = SamplingSpec()) -> dict:
+def extract_tasks(window: np.ndarray, tasks) -> dict:
     """{task: FeatureVector} for several tasks over one shared 3-phase window.
 
     The union of the tasks' specs (first-seen order, by ``FeatureSpec``
@@ -303,7 +300,7 @@ def extract_tasks(window: np.ndarray, tasks,
     if window.ndim != 2 or window.shape[1] != 3:
         raise WrongWindowLength("window must have shape (n, 3)")
     for task in tasks:
-        expected = task_window_len(task, sampling)
+        expected = task_window_len(task)
         if window.shape[0] != expected:
             raise WrongWindowLength(
                 f"{task.value} needs a {expected}-sample window, got {window.shape[0]}"
@@ -334,7 +331,6 @@ def extract_tasks(window: np.ndarray, tasks,
     return out
 
 
-def extract(window: np.ndarray, task: Task,
-            sampling: SamplingSpec = SamplingSpec()) -> FeatureVector:
+def extract(window: np.ndarray, task: Task) -> FeatureVector:
     """Fixed per-task feature vector over a 3-phase window (shape (n, 3))."""
-    return extract_tasks(window, (task,), sampling)[task]
+    return extract_tasks(window, (task,))[task]

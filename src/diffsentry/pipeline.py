@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .detector import CdfConfig, DetectionEvent, StreamingDetector, detect
+from .detector import (CLASSIFY_LEN, CYCLE, DETECT_LEN, PRE, CdfConfig,
+                       DetectionEvent, StreamingDetector, detect)
 from .ensembles import GBC_GRID_SMALL, GbcConfig, gbc_fit
 from .ensembles.model import model_from_dict, model_to_dict, predict
 from .errors import (
@@ -49,7 +50,7 @@ from .sampling import (
     read_waveform_csv,
 )
 
-PIPELINE_FILE_VERSION = 2
+PIPELINE_FILE_VERSION = 3
 
 FAULT_CLASS = "fault"
 DISTURBANCE_CLASS = "disturbance"
@@ -74,7 +75,6 @@ _REQUIRED_CLASSES = {
 class PipelineModel:
     detector_cfg: CdfConfig
     slots: dict                        # Task -> TreeEnsembleModel
-    version: int = PIPELINE_FILE_VERSION
     metadata: dict = field(default_factory=dict)
 
     def require_complete(self):
@@ -115,16 +115,14 @@ def _task_targets(label: EventLabel) -> dict:
     }
 
 
-def _ask(model: PipelineModel, task: Task, window,
-         sampling: SamplingSpec) -> tuple:
+def _ask(model: PipelineModel, task: Task, window) -> tuple:
     """(label, {class: probability}) from the task's slot on one window."""
     slot = model.slots[task]
-    label, probs = predict(slot, extract(window, task, sampling))
+    label, probs = predict(slot, extract(window, task))
     return label, {str(c): float(p) for c, p in zip(slot.codebook, probs)}
 
 
-def decide(wave, model: PipelineModel,
-           sampling: SamplingSpec = SamplingSpec()) -> PipelineDecision:
+def decide(wave, model: PipelineModel) -> PipelineDecision:
     """Run the full decision scheme over one waveform (a Waveform or a bare
     (N, 3) sample array)."""
     model.require_complete()
@@ -132,25 +130,22 @@ def decide(wave, model: PipelineModel,
     if not event.triggered:
         return PipelineDecision(detected=False, verdict="NoEvent")
     inception = wave.inception_index if isinstance(wave, Waveform) else None
-    return _decide_from_event(event, model, inception, sampling)
+    return _decide_from_event(event, model, inception)
 
 
 def _decide_from_event(event: DetectionEvent, model: PipelineModel,
-                       inception_index: Optional[int],
-                       sampling: SamplingSpec) -> PipelineDecision:
-    cfg = model.detector_cfg
-    n_c = cfg.cycle_samples
-    verdict_lat = cfg.post_cycles_detect * n_c
-    full_lat = cfg.classify_window_len
+                       inception_index: Optional[int]) -> PipelineDecision:
+    # the verdict window closes one cycle after the trigger, the drill-down
+    # window three
     latency = {
-        "verdict_from_trigger_samples": verdict_lat,
-        "verdict_from_trigger_cycles": verdict_lat / n_c,
-        "full_from_trigger_samples": full_lat,
+        "verdict_from_trigger_samples": CYCLE,
+        "verdict_from_trigger_cycles": 1.0,
+        "full_from_trigger_samples": CLASSIFY_LEN,
     }
     if inception_index is not None:
         lag = event.trigger_index - inception_index
         latency["trigger_from_inception_samples"] = lag
-        latency["verdict_from_inception_samples"] = lag + verdict_lat
+        latency["verdict_from_inception_samples"] = lag + CYCLE
 
     stage_probs = {}
     common = dict(detected=True, stage_probabilities=stage_probs,
@@ -158,16 +153,15 @@ def _decide_from_event(event: DetectionEvent, model: PipelineModel,
                   trigger_phase=event.trigger_phase, latency=latency)
     window = event.classify_window
     label, stage_probs["detect"] = _ask(
-        model, Task.DETECT_FAULT, event.detect_window, sampling)
+        model, Task.DETECT_FAULT, event.detect_window)
     if label == FAULT_CLASS:
-        unit, stage_probs["locate"] = _ask(
-            model, Task.LOCATE_UNIT, window, sampling)
+        unit, stage_probs["locate"] = _ask(model, Task.LOCATE_UNIT, window)
         fault_type, stage_probs["fault_type"] = _ask(
-            model, TASK_FOR_UNIT[Unit(unit)], window, sampling)
+            model, TASK_FOR_UNIT[Unit(unit)], window)
         return PipelineDecision(verdict="Trip", fault_unit=unit,
                                 fault_type=fault_type, **common)
     disturbance, stage_probs["disturbance"] = _ask(
-        model, Task.IDENTIFY_DISTURBANCE, window, sampling)
+        model, Task.IDENTIFY_DISTURBANCE, window)
     return PipelineDecision(verdict="Restrain", disturbance_type=disturbance,
                             **common)
 
@@ -180,29 +174,25 @@ class StreamingClassifier:
     bounded by the detector's history window.
     """
 
-    def __init__(self, model: PipelineModel,
-                 sampling: SamplingSpec = SamplingSpec()):
+    def __init__(self, model: PipelineModel):
         model.require_complete()
         self.model = model
-        self.sampling = sampling
         self.detector = StreamingDetector(model.detector_cfg)
         self._verdict_emitted = False
 
     def push(self, sample) -> list[dict]:
         out = []
-        cfg = self.model.detector_cfg
         det = self.detector
         event = det.push(sample)
         trigger = det.pending_trigger
         if (
             trigger is not None
             and not self._verdict_emitted
-            and det.samples_seen - 1 >= trigger + cfg.post_cycles_detect * cfg.cycle_samples - 1
+            and det.samples_seen >= trigger - PRE + DETECT_LEN
         ):
             self._verdict_emitted = True
-            window = det.slice_window(trigger - cfg.pre_samples, cfg.detect_window_len)
-            label, probs = _ask(self.model, Task.DETECT_FAULT, window,
-                                self.sampling)
+            window = det.slice_window(trigger - PRE, DETECT_LEN)
+            label, probs = _ask(self.model, Task.DETECT_FAULT, window)
             out.append(
                 {
                     "stage": "verdict",
@@ -213,7 +203,7 @@ class StreamingClassifier:
                 }
             )
         if event is not None:
-            decision = _decide_from_event(event, self.model, None, self.sampling)
+            decision = _decide_from_event(event, self.model, None)
             rec = decision.to_dict()
             rec["stage"] = "full"
             rec["emitted_at_sample"] = det.samples_seen - 1
@@ -245,32 +235,29 @@ def load_corpus_waveforms(corpus_dir, manifest):
     return out
 
 
-def _record_wave(row: dict, samples, sampling: SamplingSpec) -> Waveform:
+def _record_wave(row: dict, samples) -> Waveform:
     """The checked, labelled Waveform of one manifest row's samples."""
     return Waveform(
-        spec=sampling, samples=samples,
+        spec=SamplingSpec(), samples=samples,
         label=EventLabel.from_dict(row), inception_index=row["inception_index"],
         provenance=row.get("provenance", {}),
     )
 
 
-def _windows_by_task(records, detector_cfg: CdfConfig,
-                     sampling: SamplingSpec):
+def _windows_by_task(records, detector_cfg: CdfConfig):
     """Run detection over corpus records and build per-task datasets."""
     data = {task: {"X": [], "y": [], "files": []} for task in Task}
     undetected = []
     for row, samples in records:
-        wave = _record_wave(row, samples, sampling)
+        wave = _record_wave(row, samples)
         event = detect(wave, detector_cfg)
         if not event.triggered:
             undetected.append(row["file"])
             continue
         targets = _task_targets(wave.label)
-        vecs = {Task.DETECT_FAULT: extract(event.detect_window,
-                                           Task.DETECT_FAULT, sampling)}
+        vecs = {Task.DETECT_FAULT: extract(event.detect_window, Task.DETECT_FAULT)}
         vecs.update(extract_tasks(event.classify_window,
-                                  [t for t in targets if t is not Task.DETECT_FAULT],
-                                  sampling))
+                                  [t for t in targets if t is not Task.DETECT_FAULT]))
         for task, cls in targets.items():
             data[task]["X"].append(vecs[task].values)
             data[task]["y"].append(cls)
@@ -278,8 +265,7 @@ def _windows_by_task(records, detector_cfg: CdfConfig,
     return data, undetected
 
 
-def train_pipeline(corpus_dir, manifest, config: TrainConfig,
-                   sampling: SamplingSpec = SamplingSpec()) -> PipelineModel:
+def train_pipeline(corpus_dir, manifest, config: TrainConfig) -> PipelineModel:
     """Grid-search one classifier per task and assemble the pipeline.
 
     The corpus is split 4:1 stratified by the full hierarchical label (every
@@ -295,10 +281,10 @@ def train_pipeline(corpus_dir, manifest, config: TrainConfig,
         labels, config.holdout_fraction, config.seed
     )
     train_data, undetected = _windows_by_task(
-        [records[i] for i in train_idx], config.detector, sampling
+        [records[i] for i in train_idx], config.detector
     )
     hold_data, _ = _windows_by_task(
-        [records[i] for i in hold_idx], config.detector, sampling
+        [records[i] for i in hold_idx], config.detector
     )
 
     for task in Task:
@@ -392,8 +378,7 @@ def _holdout_metrics(slots: dict, hold_data: dict) -> dict:
 def detect_noise_study(records, train_files, snr_list, seed,
                        repeats: int = 3,
                        detector_cfg: CdfConfig = CdfConfig(),
-                       gbc: GbcConfig = GbcConfig(n_estimators=100),
-                       sampling: SamplingSpec = SamplingSpec()) -> list[dict]:
+                       gbc: GbcConfig = GbcConfig(n_estimators=100)) -> list[dict]:
     """Fault-detection accuracy per SNR with noise-matched training.
 
     One detect-stage model is trained on noise-augmented training windows
@@ -416,12 +401,12 @@ def detect_noise_study(records, train_files, snr_list, seed,
         event = detect(wave, detector_cfg)
         if not event.triggered:
             return None
-        return extract(event.detect_window, Task.DETECT_FAULT, sampling).values
+        return extract(event.detect_window, Task.DETECT_FAULT).values
 
     x_train, y_train = [], []
     hold = []
     for i, (row, samples) in enumerate(records):
-        wave = _record_wave(row, samples, sampling)
+        wave = _record_wave(row, samples)
         truth = _task_targets(wave.label)[Task.DETECT_FAULT]
         if row["file"] in train_files:
             for j, snr in enumerate([_math.inf] + levels):
@@ -471,7 +456,7 @@ def detect_noise_study(records, train_files, snr_list, seed,
 
 def save_pipeline(model: PipelineModel, path) -> None:
     bundle = {
-        "version": model.version,
+        "version": PIPELINE_FILE_VERSION,
         "detector_cfg": asdict(model.detector_cfg),
         "slots": {t.value: model_to_dict(m) for t, m in model.slots.items()},
         "metadata": model.metadata,
@@ -487,11 +472,11 @@ def load_pipeline(path) -> PipelineModel:
             bundle = json.load(fh)
         except ValueError as exc:
             raise IoFailure(f"model file {path} is not valid JSON: {exc}") from exc
-    if bundle.get("version") != PIPELINE_FILE_VERSION:
-        raise SchemaMismatch(
-            f"unsupported pipeline version {bundle.get('version')!r}"
-        )
     try:
+        if bundle.get("version") != PIPELINE_FILE_VERSION:
+            raise SchemaMismatch(
+                f"unsupported pipeline version {bundle.get('version')!r}"
+            )
         slots = {}
         for name, md in bundle["slots"].items():
             task = Task(name)
@@ -506,7 +491,6 @@ def load_pipeline(path) -> PipelineModel:
         return PipelineModel(
             detector_cfg=CdfConfig(**bundle["detector_cfg"]),
             slots=slots,
-            version=bundle["version"],
             metadata=bundle.get("metadata", {}),
         )
     except DiffsentryError:

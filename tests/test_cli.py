@@ -162,6 +162,20 @@ def test_classify_malformed_stream_row_is_a_data_error(saved_model, monkeypatch,
     _assert_classify_error(code, capsys)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_classify_non_finite_stream_sample_is_a_data_error(saved_model, monkeypatch,
+                                                           capsys, value):
+    # a NaN would stay in its phase's rolling sum, so that phase could never
+    # trigger again
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO(f"t_s,ia,ib,ic\n0,0,0,0\n1e-4,0,{value},0\n"))
+    code = main(["classify", "--model", str(saved_model), "--stdin"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error [classify]: ")
+    assert "line 3" in err
+
+
 @pytest.mark.parametrize("where", ["pipeline", "slot"])
 def test_classify_unsupported_model_version_is_a_data_error(tmp_path, saved_model,
                                                             capsys, where):
@@ -198,6 +212,12 @@ def _version_1(bundle):
         slot["version"] = 1
 
 
+def _detect_config(bundle):
+    slot = bundle["slots"]["DetectFault"]
+    assert slot["kind"] == "GBC"
+    return slot["config"]
+
+
 MODEL_TAMPERS = {
     "feature_index": lambda b: _set_root(
         b, "feature", b["slots"]["DetectFault"]["n_features"]),
@@ -210,6 +230,10 @@ MODEL_TAMPERS = {
     "offsets_overrun": lambda b: _detect_trees(b)["offsets"].append(
         _detect_trees(b)["offsets"][-1] + 5),
     "version_1": _version_1,
+    "version_2": lambda b: b.update(version=2),
+    "removed_detector_key": lambda b: b["detector_cfg"].update(
+        post_cycles_classify=3),
+    "gbc_no_learning_rate": lambda b: _detect_config(b).pop("learning_rate"),
 }
 
 

@@ -3,9 +3,20 @@
 import numpy as np
 import pytest
 
-from diffsentry.detector import CdfConfig, StreamingDetector, cdf_series, detect
-from diffsentry.errors import NonFiniteSample, TooShort, WrongShape
+from diffsentry.detector import (
+    CLASSIFY_LEN,
+    CYCLE,
+    DETECT_LEN,
+    PRE,
+    CdfConfig,
+    StreamingDetector,
+    cdf_series,
+    detect,
+)
+from diffsentry.errors import NonFiniteSample, TooShort, WrongSamplingGrid, WrongShape
+from diffsentry.features import Task, task_window_len
 from diffsentry.sampling import FaultType, SamplingSpec, Unit
+from diffsentry.wavegen.corpus import build_case
 from diffsentry.wavegen.faults import FaultSpec, UNIT_PRESETS, simulate_internal_fault
 
 SPEC = SamplingSpec()
@@ -100,20 +111,21 @@ def test_fault_triggers_within_one_cycle_of_inception():
 
 
 def test_window_lengths_exact():
-    cfg = CdfConfig()
-    event = detect(_fault_wave(), cfg)
-    assert cfg.detect_window_len == 250
+    # the paper's 1.5 cycles (half a cycle before the trigger, one after)
+    # and 3 cycles on the 10 kHz / 60 Hz grid
+    assert (CYCLE, DETECT_LEN, PRE, CLASSIFY_LEN) == (SPC, 250, 83, 501)
+    assert task_window_len(Task.DETECT_FAULT) == DETECT_LEN
+    assert {task_window_len(t) for t in Task if t is not Task.DETECT_FAULT} == {501}
+    event = detect(_fault_wave(), CdfConfig())
     assert event.detect_window.shape == (250, 3)
     assert event.classify_window.shape == (3 * SPC, 3)
 
 
 def test_window_alignment():
-    cfg = CdfConfig()
     w = _fault_wave()
-    event = detect(w, cfg)
+    event = detect(w, CdfConfig())
     t = event.trigger_index
-    assert np.array_equal(event.detect_window,
-                          w.samples[t - cfg.pre_samples: t - cfg.pre_samples + 250])
+    assert np.array_equal(event.detect_window, w.samples[t - PRE: t - PRE + 250])
     assert np.array_equal(event.classify_window, w.samples[t: t + 3 * SPC])
 
 
@@ -155,7 +167,17 @@ def test_detection_deferred_when_pre_window_does_not_fit():
     x[2 * SPC - 10:, 0] = 1.0  # step very close to the earliest possible window
     event = detect(x, cfg)
     assert event.triggered
-    assert event.trigger_index >= cfg.pre_samples
+    # the earliest possible trigger already has the pre-window before it
+    assert event.trigger_index == 2 * SPC - 1 >= PRE
+
+
+def test_waveform_on_another_grid_is_refused():
+    params = {"unit": "PT", "fault_type": "wa-g", "resistance_ohm": 0.01}
+    wave = build_case("InternalFault", params, SamplingSpec(sample_rate_hz=20_000.0), 8)
+    with pytest.raises(WrongSamplingGrid, match="333 samples per cycle"):
+        detect(wave, CdfConfig())
+    # the same record on the detector's grid is decided as before
+    assert detect(build_case("InternalFault", params, SPEC, 8), CdfConfig()).triggered
 
 
 def test_weak_turn_to_turn_corner_is_recorded_not_fatal():

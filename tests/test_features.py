@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diffsentry.detector import CYCLE
 from diffsentry.errors import (
     IndexOutOfRange,
     SingularDesign,
@@ -26,9 +27,7 @@ from diffsentry.features import (
     task_window_len,
     welch_density,
 )
-from diffsentry.sampling import PHASES, SamplingSpec
-
-SPEC = SamplingSpec()
+from diffsentry.sampling import PHASES
 
 
 # -- brute-force oracles (kept deliberately plain and loop-based) -----------------
@@ -304,9 +303,9 @@ def test_ar_too_short():
     (Task.IDENTIFY_DISTURBANCE, 15),
 ])
 def test_vector_lengths(task, length):
-    n = task_window_len(task, SPEC)
+    n = task_window_len(task)
     window = np.random.default_rng(1).normal(size=(n, 3))
-    vec = extract(window, task, SPEC)
+    vec = extract(window, task)
     assert vec.values.shape == (length,)
     assert len(vec.spec_list) == length
     # identical per-phase structure: a third of the specs per phase
@@ -333,31 +332,44 @@ def test_per_task_family_counts_are_frozen():
 
 
 def test_zero_window_fallbacks():
-    n = task_window_len(Task.DETECT_FAULT, SPEC)
-    vec = extract(np.zeros((n, 3)), Task.DETECT_FAULT, SPEC)
+    n = task_window_len(Task.DETECT_FAULT)
+    vec = extract(np.zeros((n, 3)), Task.DETECT_FAULT)
     assert vec.ar_fallback
     assert np.all(np.isfinite(vec.values))
     assert np.all(vec.values == 0.0)
 
 
 def test_extract_is_pure():
-    n = task_window_len(Task.IDENTIFY_DISTURBANCE, SPEC)
+    n = task_window_len(Task.IDENTIFY_DISTURBANCE)
     window = np.random.default_rng(3).normal(size=(n, 3))
-    a = extract(window, Task.IDENTIFY_DISTURBANCE, SPEC)
-    b = extract(window.copy(), Task.IDENTIFY_DISTURBANCE, SPEC)
+    a = extract(window, Task.IDENTIFY_DISTURBANCE)
+    b = extract(window.copy(), Task.IDENTIFY_DISTURBANCE)
     assert np.array_equal(a.values, b.values)
 
 
 def test_wrong_window_length_rejected():
     with pytest.raises(WrongWindowLength):
-        extract(np.zeros((100, 3)), Task.DETECT_FAULT, SPEC)
+        extract(np.zeros((100, 3)), Task.DETECT_FAULT)
     with pytest.raises(WrongWindowLength):
-        extract(np.zeros((250, 2)), Task.DETECT_FAULT, SPEC)
+        extract(np.zeros((250, 2)), Task.DETECT_FAULT)
+
+
+#: the hashes every trained model file carries; the fixed window geometry
+#: and the frozen specs must keep them
+SCHEMA_HASHES = {
+    Task.DETECT_FAULT: "f036462105f8f410",
+    Task.LOCATE_UNIT: "ce11254d8064d36c",
+    Task.IDENTIFY_SERIES: "95395c7c0d6162b0",
+    Task.IDENTIFY_EXCITING: "27f88a6794fd2734",
+    Task.IDENTIFY_PT: "27660445b7d79724",
+    Task.IDENTIFY_DISTURBANCE: "cdcffcca6cccd17c",
+}
 
 
 def test_schema_hash_distinguishes_tasks():
     hashes = {schema_hash(t) for t in Task}
     assert len(hashes) == len(list(Task))
+    assert {t: schema_hash(t) for t in Task} == SCHEMA_HASHES
 
 
 @pytest.mark.parametrize("task", list(Task), ids=lambda t: t.value)
@@ -379,7 +391,7 @@ def test_cached_schema_hash_equals_a_fresh_digest(task):
 
 
 def test_feature_names_carry_phase_and_family():
-    n = task_window_len(Task.DETECT_FAULT, SPEC)
+    n = task_window_len(Task.DETECT_FAULT)
     vec = extract(np.random.default_rng(0).normal(size=(n, 3)), Task.DETECT_FAULT)
     names = vec.names()
     assert names[0].startswith("a_change_quantile_")
@@ -392,7 +404,7 @@ def test_feature_names_carry_phase_and_family():
 #: ordered task pairs that take the same window length
 SHARED_PAIRS = [
     (a, b) for a, b in itertools.product(Task, repeat=2)
-    if task_window_len(a, SPEC) == task_window_len(b, SPEC)
+    if task_window_len(a) == task_window_len(b)
 ]
 
 
@@ -409,18 +421,18 @@ def _per_spec_loop(window, task):
 
 def _assert_shared_window_matches(window):
     for task in {t for pair in SHARED_PAIRS for t in pair}:
-        if window.shape[0] != task_window_len(task, SPEC):
+        if window.shape[0] != task_window_len(task):
             continue
-        alone = extract(window, task, SPEC)
+        alone = extract(window, task)
         values, fallback = _per_spec_loop(window, task)
         assert alone.values.tobytes() == values.tobytes()
         assert alone.ar_fallback == fallback
     for a, b in SHARED_PAIRS:
-        if window.shape[0] != task_window_len(a, SPEC):
+        if window.shape[0] != task_window_len(a):
             continue
-        both = extract_tasks(window, (a, b), SPEC)
+        both = extract_tasks(window, (a, b))
         for task in (a, b):
-            alone = extract(window, task, SPEC)
+            alone = extract(window, task)
             assert both[task].task is task
             assert both[task].values.tobytes() == alone.values.tobytes()
             assert both[task].spec_list == alone.spec_list
@@ -435,7 +447,7 @@ def test_shared_pairs_cover_every_classify_task():
 @st.composite
 def _windows(draw):
     task = draw(st.sampled_from([Task.DETECT_FAULT, Task.LOCATE_UNIT]))
-    n = task_window_len(task, SPEC)
+    n = task_window_len(task)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-5, 5))
     kind = draw(st.sampled_from(["noise", "sine", "sine_dc", "steps", "zeros"]))
@@ -444,9 +456,9 @@ def _windows(draw):
     if kind == "noise":
         w = rng.normal(size=(n, 3))
     elif kind == "sine":
-        w = np.sin(2 * np.pi * t / SPEC.samples_per_cycle + offs)
+        w = np.sin(2 * np.pi * t / CYCLE + offs)
     elif kind == "sine_dc":  # exact low-order recurrences: singular AR
-        w = np.sin(2 * np.pi * t / SPEC.samples_per_cycle + offs) + np.exp(-t / 80.0)
+        w = np.sin(2 * np.pi * t / CYCLE + offs) + np.exp(-t / 80.0)
     elif kind == "steps":  # many tied values
         w = np.round(rng.normal(size=(n, 3)), 1)
     else:
@@ -480,6 +492,6 @@ def test_extract_tasks_equals_each_task_alone_on_corpus(reference_corpus):
 
 
 def test_extract_tasks_rejects_a_mismatched_task():
-    n = task_window_len(Task.LOCATE_UNIT, SPEC)
+    n = task_window_len(Task.LOCATE_UNIT)
     with pytest.raises(WrongWindowLength):
-        extract_tasks(np.zeros((n, 3)), (Task.LOCATE_UNIT, Task.DETECT_FAULT), SPEC)
+        extract_tasks(np.zeros((n, 3)), (Task.LOCATE_UNIT, Task.DETECT_FAULT))

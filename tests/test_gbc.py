@@ -156,6 +156,11 @@ TAMPERS = {
         d["trees"]["offsets"][-1] + 5),
     "empty_codebook": lambda d: (d.update(codebook=[]),
                                  d["metadata"].update(init_raw=[])),
+    # predict_proba reads the rate and the priors on every call
+    "no_learning_rate": lambda d: d["config"].pop("learning_rate"),
+    "string_learning_rate": lambda d: d["config"].update(learning_rate="x"),
+    "string_init_raw": lambda d: d["metadata"]["init_raw"].__setitem__(0, "x"),
+    "nan_init_raw": lambda d: d["metadata"]["init_raw"].__setitem__(0, float("nan")),
 }
 
 

@@ -256,7 +256,7 @@ def test_streaming_matches_batch(trained_pipeline):
     model, _ = trained_pipeline
     wave = _fault_wave()
     batch = decide(wave, model)
-    stream = StreamingClassifier(model, SPEC)
+    stream = StreamingClassifier(model)
     records = []
     for s in wave.samples:
         records.extend(stream.push(s))
@@ -295,6 +295,44 @@ def test_load_rejects_schema_tamper(tmp_path, trained_pipeline):
         load_pipeline(path)
 
 
+def test_model_file_stores_only_the_threshold(tmp_path):
+    import json
+
+    path = tmp_path / "pipeline.json"
+    save_pipeline(_stub_pipeline({}), path)
+    bundle = json.loads(path.read_text())
+    assert bundle["version"] == 3
+    assert bundle["detector_cfg"] == {"threshold": 0.05}
+    assert load_pipeline(path).detector_cfg == CdfConfig()
+
+
+@pytest.mark.parametrize("tamper,message", [
+    # version 2 files stored the window geometry beside the threshold
+    (lambda b: b.update(version=2), "version 2"),
+    (lambda b: b["detector_cfg"].update(post_cycles_classify=3),
+     "post_cycles_classify"),
+    (lambda b: b["detector_cfg"].update(threshold=float("nan")), "threshold"),
+    (lambda b: b["detector_cfg"].update(threshold="0.05"), "threshold"),
+], ids=["version_2", "removed_key", "nan_threshold", "string_threshold"])
+def test_load_rejects_an_old_or_bad_detector_config(tmp_path, tamper, message):
+    import json
+
+    path = tmp_path / "pipeline.json"
+    save_pipeline(_stub_pipeline({}), path)
+    bundle = json.loads(path.read_text())
+    tamper(bundle)
+    path.write_text(json.dumps(bundle))
+    with pytest.raises(SchemaMismatch, match=message):
+        load_pipeline(path)
+
+
+def test_load_rejects_a_model_file_that_is_not_an_object(tmp_path):
+    path = tmp_path / "pipeline.json"
+    path.write_text("[3]\n")
+    with pytest.raises(SchemaMismatch):
+        load_pipeline(path)
+
+
 def _noise_study_per_repeat(records, train_files, snr_list, seed, repeats,
                             gbc):
     """Oracle: the noise study with every repeat detected, extracted and
@@ -317,7 +355,7 @@ def _noise_study_per_repeat(records, train_files, snr_list, seed, repeats,
         event = detect(wave, CdfConfig())
         if not event.triggered:
             return None
-        return extract(event.detect_window, Task.DETECT_FAULT, SPEC).values
+        return extract(event.detect_window, Task.DETECT_FAULT).values
 
     levels = [s for s in snr_list if not math.isinf(s)]
     x_train, y_train, hold = [], [], []
@@ -370,7 +408,7 @@ def test_noise_study_equals_one_pass_per_repeat(small_corpus):
     snr_list = [math.inf, 30.0, 10.0]
     gbc = GbcConfig(n_estimators=8)
     got = detect_noise_study(records, train_files, snr_list, seed=3,
-                             repeats=3, gbc=gbc, sampling=SPEC)
+                             repeats=3, gbc=gbc)
     want = _noise_study_per_repeat(records, set(train_files), snr_list,
                                    seed=3, repeats=3, gbc=gbc)
     assert got == want
