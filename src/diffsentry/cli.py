@@ -175,6 +175,8 @@ def _check_grid(path, grid: dict) -> None:
 
 
 def cmd_train(args) -> int:
+    if args.cv < 2:
+        raise DiffsentryError(f"--cv must be at least 2 folds, not {args.cv}")
     strategy = _RESAMPLE_CHOICES[args.resample]
     plan = ResamplePlan(strategy=strategy) if strategy else None
     grid = dict(GBC_GRID_FULL if args.grid == "paper" else GBC_GRID_SMALL)

@@ -121,9 +121,11 @@ def detect(wave, cfg: CdfConfig = CdfConfig()) -> DetectionEvent:
 class StreamingDetector:
     """Push-one-sample change detection with O(1) rolling-sum updates.
 
-    ``push`` returns a DetectionEvent exactly once, at the sample that
-    completes the classification window; until then it returns None.
-    A single writer owns a stream.
+    ``push`` returns a DetectionEvent at two samples of a stream and None
+    at every other: at trigger + ``CYCLE`` - 1, when the registered
+    1.5-cycle window closes (``classify_window`` is None), and at trigger +
+    ``CLASSIFY_LEN`` - 1 with both windows. The trigger latches, so a
+    stream gives one such pair. A single writer owns a stream.
     """
 
     def __init__(self, cfg: CdfConfig = CdfConfig()):
@@ -131,29 +133,14 @@ class StreamingDetector:
         self._abs = np.zeros((2 * CYCLE, 3))   # ring buffer of |sample|
         self._sum_cur = np.zeros(3)            # last CYCLE samples
         self._sum_prev = np.zeros(3)           # the CYCLE before those
-        self._history = np.zeros((PRE + CLASSIFY_LEN + 2 * CYCLE, 3))
+        self._history = np.zeros((PRE + CLASSIFY_LEN, 3))  # a full event's span
         self._count = 0
         self._trigger: Optional[int] = None
         self._trigger_phase: Optional[str] = None
-        self._emitted = False
 
     @property
     def samples_seen(self) -> int:
         return self._count
-
-    @property
-    def pending_trigger(self) -> Optional[int]:
-        """Latched trigger index, available before the event is emitted."""
-        return self._trigger
-
-    def slice_window(self, start: int, length: int) -> np.ndarray:
-        """Copy of buffered samples [start, start + length); the span must
-        lie within the retained history."""
-        if start < 0 or start + length > self._count:
-            raise ValueError("requested window is outside the buffered stream")
-        if self._count - start > self._history.shape[0]:
-            raise ValueError("requested window is older than the history buffer")
-        return self._window(start, length)
 
     def push(self, sample) -> Optional[DetectionEvent]:
         n_c = CYCLE
@@ -169,32 +156,31 @@ class StreamingDetector:
         self._history[idx % self._history.shape[0]] = s
         self._count += 1
 
-        if self._trigger is None and idx >= 2 * n_c - 1:
-            cdf = self._sum_cur - self._sum_prev
-            over = cdf > self.cfg.threshold
-            if over.any():
-                self._trigger = idx
-                self._trigger_phase = PHASES[int(np.argmax(over))]
-
-        if (
-            self._trigger is not None
-            and not self._emitted
-            and idx == self._trigger + CLASSIFY_LEN - 1
-        ):
-            self._emitted = True
-            return self._make_event()
+        if self._trigger is None:
+            if idx >= 2 * n_c - 1:
+                cdf = self._sum_cur - self._sum_prev
+                over = cdf > self.cfg.threshold
+                if over.any():
+                    self._trigger = idx
+                    self._trigger_phase = PHASES[int(np.argmax(over))]
+            return None
+        since = idx - self._trigger
+        if since == CYCLE - 1:
+            return self._make_event(full=False)
+        if since == CLASSIFY_LEN - 1:
+            return self._make_event(full=True)
         return None
 
     def _window(self, start: int, length: int) -> np.ndarray:
         rows = (np.arange(start, start + length)) % self._history.shape[0]
         return self._history[rows].copy()
 
-    def _make_event(self) -> DetectionEvent:
+    def _make_event(self, full: bool) -> DetectionEvent:
         t = self._trigger
         return DetectionEvent(
             triggered=True,
             trigger_index=t,
             trigger_phase=self._trigger_phase,
             detect_window=self._window(t - PRE, DETECT_LEN),
-            classify_window=self._window(t, CLASSIFY_LEN),
+            classify_window=self._window(t, CLASSIFY_LEN) if full else None,
         )

@@ -24,7 +24,7 @@ class UnknownDisturbance(DiffsentryError, ValueError):
 
 
 class ParameterOutOfRange(DiffsentryError, ValueError):
-    """A generator parameter violates its table range."""
+    """A generator or corpus-plan parameter violates its range."""
 
 
 class PlanEmpty(DiffsentryError, ValueError):

@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .detector import (CLASSIFY_LEN, CYCLE, DETECT_LEN, PRE, CdfConfig,
-                       DetectionEvent, StreamingDetector, detect)
+from .detector import (CLASSIFY_LEN, CYCLE, CdfConfig, DetectionEvent,
+                       StreamingDetector, detect)
 from .ensembles import GBC_GRID_SMALL, GbcConfig, gbc_fit
 from .ensembles.model import model_from_dict, model_to_dict, predict
 from .errors import (
@@ -169,46 +169,34 @@ def _decide_from_event(event: DetectionEvent, model: PipelineModel,
 class StreamingClassifier:
     """Sample-at-a-time decisions over a stream of (ia, ib, ic) rows.
 
-    Emits a verdict record when the 1.5-cycle window closes and the full
-    drill-down decision when the 3-cycle window closes. Memory use is
-    bounded by the detector's history window.
+    Emits a verdict record when the detector's 1.5-cycle window closes and
+    the full drill-down decision when its 3-cycle window closes. Memory use
+    is bounded by the detector's history window.
     """
 
     def __init__(self, model: PipelineModel):
         model.require_complete()
         self.model = model
         self.detector = StreamingDetector(model.detector_cfg)
-        self._verdict_emitted = False
 
     def push(self, sample) -> list[dict]:
-        out = []
-        det = self.detector
-        event = det.push(sample)
-        trigger = det.pending_trigger
-        if (
-            trigger is not None
-            and not self._verdict_emitted
-            and det.samples_seen >= trigger - PRE + DETECT_LEN
-        ):
-            self._verdict_emitted = True
-            window = det.slice_window(trigger - PRE, DETECT_LEN)
-            label, probs = _ask(self.model, Task.DETECT_FAULT, window)
-            out.append(
-                {
-                    "stage": "verdict",
-                    "verdict": "Trip" if label == FAULT_CLASS else "Restrain",
-                    "trigger_index": trigger,
-                    "emitted_at_sample": det.samples_seen - 1,
-                    "probabilities": probs,
-                }
-            )
-        if event is not None:
-            decision = _decide_from_event(event, self.model, None)
-            rec = decision.to_dict()
-            rec["stage"] = "full"
-            rec["emitted_at_sample"] = det.samples_seen - 1
-            out.append(rec)
-        return out
+        event = self.detector.push(sample)
+        if event is None:
+            return []
+        emitted_at = self.detector.samples_seen - 1
+        if event.classify_window is None:
+            label, probs = _ask(self.model, Task.DETECT_FAULT, event.detect_window)
+            return [{
+                "stage": "verdict",
+                "verdict": "Trip" if label == FAULT_CLASS else "Restrain",
+                "trigger_index": event.trigger_index,
+                "emitted_at_sample": emitted_at,
+                "probabilities": probs,
+            }]
+        rec = _decide_from_event(event, self.model, None).to_dict()
+        rec["stage"] = "full"
+        rec["emitted_at_sample"] = emitted_at
+        return [rec]
 
 
 # -- training -------------------------------------------------------------------

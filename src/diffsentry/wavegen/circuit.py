@@ -82,13 +82,12 @@ def run_piecewise(
     h: float,
     v_samples: np.ndarray,
     i0: np.ndarray,
-    carry_maps=None,
 ) -> np.ndarray:
     """Integrate a sequence of LTI segments over a shared 3-phase source.
 
     ``segments`` is a list of (start_index, MeshSystem); each segment runs
-    until the next one begins. ``carry_maps[k]`` maps the previous segment's
-    state into segment k's coordinates (new fault meshes start at zero).
+    until the next one begins, from the previous segment's final state with
+    its new fault meshes at zero.
     Returns the full mesh-state trajectory, padded with NaN for meshes that
     do not exist yet in earlier segments.
     """
@@ -101,13 +100,9 @@ def run_piecewise(
         # over from there with the new meshes starting at zero current
         stop = segments[k + 1][0] if k + 1 < len(segments) else n - 1
         if k > 0:
-            carry = carry_maps[k] if carry_maps else None
-            if carry is None:
-                grown = np.zeros(sys.size)
-                grown[: state.shape[0]] = state
-                state = grown
-            else:
-                state = carry @ state
+            grown = np.zeros(sys.size)
+            grown[: state.shape[0]] = state
+            state = grown
         a_d, b_d = _step_matrices(sys, h)
         bs = b_d @ sys.source_cols  # (m, 3)
         out[start, : sys.size] = state

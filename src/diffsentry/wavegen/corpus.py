@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..errors import IoFailure, PlanEmpty
+from ..errors import IoFailure, ParameterOutOfRange, PlanEmpty
 from ..sampling import (
     DisturbanceType,
     EventKind,
@@ -40,6 +41,12 @@ class ClassPlan:
     name: str                       # 'InternalFault' or a DisturbanceType value
     grid: dict
     cap: Optional[int] = None
+
+    def __post_init__(self):
+        if self.cap is not None and not (
+                isinstance(self.cap, numbers.Integral) and self.cap >= 0):
+            raise ParameterOutOfRange(
+                f"{self.name}: cap must be None or a count >= 0, not {self.cap!r}")
 
     def enumerate_cases(self) -> list[dict]:
         keys = list(self.grid.keys())
@@ -168,9 +175,15 @@ def load_manifest(corpus_dir) -> list[dict]:
     path = os.path.join(corpus_dir, "manifest.json")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            manifest = json.load(fh)
     except OSError as exc:
         raise IoFailure(f"cannot read manifest at {path}: {exc}") from exc
+    except ValueError as exc:
+        raise IoFailure(f"manifest at {path} is not valid JSON: {exc}") from exc
+    if not (isinstance(manifest, list)
+            and all(isinstance(row, dict) for row in manifest)):
+        raise IoFailure(f"manifest at {path} must hold a list of JSON objects")
+    return manifest
 
 
 # -- stock plans ---------------------------------------------------------------

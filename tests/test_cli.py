@@ -369,6 +369,51 @@ def test_bad_train_grid_fails_before_the_corpus_is_read(tmp_path, capsys, grid,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("folds", ["1", "0", "-2"])
+def test_train_cv_below_two_fails_before_the_corpus_is_read(tmp_path, capsys,
+                                                            folds):
+    # the corpus does not exist: only a check made before reading it can
+    # name the fold count
+    out = tmp_path / "pipeline.json"
+    code = main(["train", "--corpus", str(tmp_path / "no_corpus"), "--out",
+                 str(out), "--cv", folds])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error [train]: ")
+    assert "--cv" in err and folds in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("train", "[{'file': ", "not valid JSON"),
+    ("train", json.dumps({"a": 1}), "list of JSON objects"),
+    ("evaluate", json.dumps([1, 2]), "list of JSON objects"),
+], ids=["not_json", "object", "list_of_numbers"])
+def test_bad_manifest_is_a_data_error(tmp_path, saved_model, capsys, command,
+                                      text, message):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    (corpus_dir / "manifest.json").write_text(text)
+    out = tmp_path / "out"
+    code = main(_command(command, corpus_dir, saved_model, out))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error [{command}]: ")
+    assert str(corpus_dir / "manifest.json") in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--cases-per-class", "--fault-cases"])
+def test_negative_corpus_count_is_a_usage_error(tmp_path, capsys, flag):
+    out = tmp_path / "corpus"
+    code = main(["generate", "--out", str(out), flag, "-1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error [generate]: ")
+    assert "-1" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("token", ["-inf", "nan", "-Infinity", "NaN"])
 def test_snr_list_rejects_nan_and_minus_inf(token):
     from diffsentry.cli import _parse_snr_list

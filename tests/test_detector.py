@@ -1,5 +1,7 @@
 """Change-detection filter: hand cases, invariance, windows, streaming."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from diffsentry.detector import (
 )
 from diffsentry.errors import NonFiniteSample, TooShort, WrongSamplingGrid, WrongShape
 from diffsentry.features import Task, task_window_len
-from diffsentry.sampling import FaultType, SamplingSpec, Unit
+from diffsentry.sampling import FaultType, SamplingSpec, Unit, read_waveform_csv
 from diffsentry.wavegen.corpus import build_case
 from diffsentry.wavegen.faults import FaultSpec, UNIT_PRESETS, simulate_internal_fault
 
@@ -193,18 +195,40 @@ def test_weak_turn_to_turn_corner_is_recorded_not_fatal():
         assert event.trigger_index >= w.inception_index - 1
 
 
+def _assert_stream_matches_batch(samples):
+    """Both stream events carry batch detect's trigger, phase and windows,
+    at the samples where the 1.5- and 3-cycle windows close."""
+    batch = detect(samples, CdfConfig())
+    stream = StreamingDetector(CdfConfig())
+    events = [(i, e) for i, s in enumerate(samples)
+              if (e := stream.push(s)) is not None]
+    t = batch.trigger_index
+    assert [i for i, _ in events] == [t + CYCLE - 1, t + CLASSIFY_LEN - 1]
+    (_, verdict), (_, full) = events
+    assert verdict.classify_window is None
+    for ev in (verdict, full):
+        assert ev.trigger_index == t
+        assert ev.trigger_phase == batch.trigger_phase
+        assert np.array_equal(ev.detect_window, batch.detect_window)
+    assert np.array_equal(full.classify_window, batch.classify_window)
+
+
 def test_streaming_matches_batch():
-    cfg = CdfConfig()
-    w = _fault_wave()
-    batch = detect(w, cfg)
-    stream = StreamingDetector(cfg)
-    events = [e for s in w.samples if (e := stream.push(s)) is not None]
-    assert len(events) == 1
-    ev = events[0]
-    assert ev.trigger_index == batch.trigger_index
-    assert ev.trigger_phase == batch.trigger_phase
-    assert np.array_equal(ev.detect_window, batch.detect_window)
-    assert np.array_equal(ev.classify_window, batch.classify_window)
+    _assert_stream_matches_batch(_fault_wave().samples)
+
+
+def test_streaming_matches_batch_on_every_class(reference_corpus):
+    corpus_dir, manifest, _ = reference_corpus
+    checked = set()
+    for row in manifest:
+        name = row["disturbance_type"] or row["kind"]
+        if name in checked:
+            continue
+        samples = read_waveform_csv(os.path.join(corpus_dir, row["file"]))
+        if detect(samples, CdfConfig()).triggered:
+            _assert_stream_matches_batch(samples)
+            checked.add(name)
+    assert len(checked) == 7
 
 
 def test_streaming_no_event_on_steady_stream():

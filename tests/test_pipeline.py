@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from diffsentry.detector import CdfConfig
+from diffsentry.detector import (CLASSIFY_LEN, CYCLE, CdfConfig,
+                                 StreamingDetector, detect)
 from diffsentry.ensembles.cart import Node, pack
 from diffsentry.ensembles.model import TreeEnsembleModel
 from diffsentry.errors import ClassMissing, IncompleteModel, SchemaMismatch
@@ -269,6 +270,24 @@ def test_streaming_matches_batch(trained_pipeline):
     assert full["verdict"] == batch.verdict
     assert full["fault_unit"] == batch.fault_unit
     assert full["fault_type"] == batch.fault_type
+
+
+def test_stream_ending_between_the_windows_gives_only_the_verdict():
+    # every slot but DetectFault is poisoned, so a full decision would fail
+    model = _stub_pipeline(
+        {Task.DETECT_FAULT: _stub(Task.DETECT_FAULT, FAULT_CLASS)})
+    samples = _fault_wave().samples
+    trigger = detect(samples, model.detector_cfg).trigger_index
+    cut = samples[: trigger + CLASSIFY_LEN - 1]   # stops one short of 3 cycles
+    detector = StreamingDetector(model.detector_cfg)
+    events = [e for s in cut if (e := detector.push(s)) is not None]
+    assert len(events) == 1
+    assert events[0].classify_window is None
+    stream = StreamingClassifier(model)
+    records = [rec for s in cut for rec in stream.push(s)]
+    assert [r["stage"] for r in records] == ["verdict"]
+    assert records[0]["verdict"] == "Trip"
+    assert records[0]["emitted_at_sample"] == trigger + CYCLE - 1
 
 
 def test_save_load_round_trip(tmp_path, trained_pipeline):
