@@ -3,12 +3,23 @@
 The three phases are magnetically independent single-phase units, each
 described by the 4x4 sub-winding matrix. Mesh currents are the state:
 one source mesh and one load mesh per phase, plus fault meshes switched in
-at the inception sample. Integration is the trapezoidal rule,
+at the inception sample. The discretisation is the trapezoidal rule,
 
     (L + h/2 R) i[n+1] = (L - h/2 R) i[n] + h/2 (v[n] + v[n+1]),
 
-and the pre-fault state is initialized on the exact periodic orbit of the
-discrete recurrence, so the pre-inception record is periodic to roundoff.
+written i[n+1] = A i[n] + B (v[n] + v[n+1]). Every source is a sinusoid on
+the sample grid, v[n] = Re(V z^n) with z = exp(j theta), so each segment of
+the recurrence is solved in closed form instead of stepped:
+
+    i[n] = Re(P z^n) + A^(n-s) (i[s] - Re(P z^s)),   (z I - A) P = B V (1 + z),
+
+the exact periodic orbit plus the free response from the segment's first
+sample s, with A^k taken through the eigendecomposition of A. For symmetric
+positive definite L and R, A is diagonalizable with a real spectrum; a
+segment whose eigenvector matrix has a condition number above 1e6 (a
+defective or nearly defective A) raises SingularMatrix. The pre-fault state
+starts on the periodic orbit, so the pre-inception record is periodic to
+roundoff.
 """
 
 from __future__ import annotations
@@ -20,6 +31,8 @@ import numpy as np
 from ..errors import SingularMatrix
 
 _COND_LIMIT = 1e14
+# roundoff in A^k d grows with the eigenvector condition number
+_EIG_COND_LIMIT = 1e6
 
 
 @dataclass
@@ -62,6 +75,15 @@ def _step_matrices(sys: MeshSystem, h: float):
     return a_d, b_d
 
 
+def _orbit_amplitude(sys: MeshSystem, a_d, b_d, theta_step: float, phasors) -> np.ndarray:
+    """Complex P of the periodic orbit Re(P z^n) of the trapezoidal recurrence."""
+    v_mesh = sys.source_cols @ phasors  # complex per-mesh amplitude
+    z = np.exp(1j * theta_step)
+    lhs = z * np.eye(sys.size) - a_d
+    rhs = b_d @ v_mesh * (1.0 + z)
+    return np.linalg.solve(lhs, rhs)
+
+
 def periodic_state(sys: MeshSystem, h: float, theta_step: float, phasors: np.ndarray) -> np.ndarray:
     """State at n=0 of the exact periodic orbit of the trapezoidal recurrence.
 
@@ -69,46 +91,60 @@ def periodic_state(sys: MeshSystem, h: float, theta_step: float, phasors: np.nda
     v_phase[n] = Re(V * exp(1j * theta_step * n)).
     """
     a_d, b_d = _step_matrices(sys, h)
-    v_mesh = sys.source_cols @ phasors  # complex per-mesh amplitude
-    z = np.exp(1j * theta_step)
-    lhs = z * np.eye(sys.size) - a_d
-    rhs = b_d @ v_mesh * (1.0 + z)
-    i_ph = np.linalg.solve(lhs, rhs)
-    return np.real(i_ph)
+    return np.real(_orbit_amplitude(sys, a_d, b_d, theta_step, phasors))
+
+
+def _free_response(a_d: np.ndarray, offset: np.ndarray, n_steps: int) -> np.ndarray:
+    """Rows A^k @ offset for k = 0..n_steps, through the eigenvectors of A."""
+    lam, vecs = np.linalg.eig(a_d)
+    cond = np.linalg.cond(vecs)
+    if not np.isfinite(cond) or cond > _EIG_COND_LIMIT:
+        raise SingularMatrix(
+            "step matrix is not diagonalizable to working precision "
+            f"(eigenvector cond={cond:.3g}); the mesh L and R must be "
+            "symmetric positive definite"
+        )
+    coef = np.linalg.solve(vecs, offset)
+    powers = lam[None, :] ** np.arange(n_steps + 1)[:, None]
+    return np.real((powers * coef) @ vecs.T)
 
 
 def run_piecewise(
     segments,
     h: float,
-    v_samples: np.ndarray,
+    phasors: np.ndarray,
+    theta_step: float,
+    n_samples: int,
     i0: np.ndarray,
 ) -> np.ndarray:
-    """Integrate a sequence of LTI segments over a shared 3-phase source.
+    """Mesh-state trajectory of a sequence of LTI segments over one 3-phase source.
 
     ``segments`` is a list of (start_index, MeshSystem); each segment runs
     until the next one begins, from the previous segment's final state with
-    its new fault meshes at zero.
-    Returns the full mesh-state trajectory, padded with NaN for meshes that
-    do not exist yet in earlier segments.
+    its new fault meshes at zero. The source is v_phase[n] =
+    Re(phasors * exp(1j * theta_step * n)), as in ``periodic_state``.
+    Returns ``n_samples`` rows, padded with NaN for meshes that do not
+    exist yet in earlier segments.
     """
-    n = v_samples.shape[0]
     widths = [seg.size for _, seg in segments]
-    out = np.full((n, max(widths)), np.nan)
+    out = np.full((n_samples, max(widths)), np.nan)
     state = np.asarray(i0, dtype=np.float64)
     for k, (start, sys) in enumerate(segments):
-        # integrate up to the next segment's start sample; its dynamics take
+        # solve up to the next segment's start sample; its dynamics take
         # over from there with the new meshes starting at zero current
-        stop = segments[k + 1][0] if k + 1 < len(segments) else n - 1
+        stop = segments[k + 1][0] if k + 1 < len(segments) else n_samples - 1
         if k > 0:
             grown = np.zeros(sys.size)
             grown[: state.shape[0]] = state
             state = grown
         a_d, b_d = _step_matrices(sys, h)
-        bs = b_d @ sys.source_cols  # (m, 3)
-        out[start, : sys.size] = state
-        for idx in range(start, stop):
-            state = a_d @ state + bs @ (v_samples[idx] + v_samples[idx + 1])
-            out[idx + 1, : sys.size] = state
+        amp = _orbit_amplitude(sys, a_d, b_d, theta_step, phasors)
+        phase = np.exp(1j * theta_step * np.arange(start, stop + 1))
+        orbit = np.real(phase[:, None] * amp[None, :])
+        rows = orbit + _free_response(a_d, state - orbit[0], stop - start)
+        rows[0] = state  # the carried state itself, not orbit + offset rounded
+        out[start : stop + 1, : sys.size] = rows
+        state = rows[-1]
     return out
 
 

@@ -21,6 +21,7 @@ from ..errors import IoFailure, ParameterOutOfRange, PlanEmpty
 from ..sampling import (
     DisturbanceType,
     EventKind,
+    EventLabel,
     FaultType,
     SamplingSpec,
     Unit,
@@ -171,7 +172,13 @@ def enumerate_plan(plan: CorpusPlan, seed: int):
     return out
 
 
+#: keys every manifest row must carry; the label keys may hold null
+_MANIFEST_KEYS = ("file", "kind", "inception_index", "unit", "fault_type",
+                  "disturbance_type")
+
+
 def load_manifest(corpus_dir) -> list[dict]:
+    """Read ``manifest.json``; any unreadable or malformed row is an IoFailure."""
     path = os.path.join(corpus_dir, "manifest.json")
     try:
         with open(path) as fh:
@@ -183,6 +190,16 @@ def load_manifest(corpus_dir) -> list[dict]:
     if not (isinstance(manifest, list)
             and all(isinstance(row, dict) for row in manifest)):
         raise IoFailure(f"manifest at {path} must hold a list of JSON objects")
+    for idx, row in enumerate(manifest):
+        missing = [key for key in _MANIFEST_KEYS if key not in row]
+        if missing:
+            raise IoFailure(
+                f"manifest at {path}: row {idx} lacks {', '.join(missing)}")
+        try:
+            EventLabel.from_dict(row)
+        except ValueError as exc:
+            raise IoFailure(
+                f"manifest at {path}: row {idx} has a bad label: {exc}") from exc
     return manifest
 
 

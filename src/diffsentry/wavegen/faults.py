@@ -48,6 +48,10 @@ class FaultSpec:
     shift: str = "forward"         # phase-shift direction: "forward" | "backward"
 
     def __post_init__(self):
+        # inf is the open fault; NaN compares false, so it fails this check
+        if not self.resistance_ohm >= 0.0:
+            raise ValueError(
+                f"resistance_ohm must be >= 0 or inf, got {self.resistance_ohm}")
         if self.side not in ("primary", "secondary"):
             raise ValueError(f"side must be primary or secondary, got {self.side}")
         if self.phase not in _PHASE_IDX:
@@ -151,7 +155,7 @@ def simulate_internal_fault(
     duration_cycles: int = 8,
     inception_index: int | None = None,
 ) -> Waveform:
-    """Integrate the faulted bank and return per-unit differential currents.
+    """Solve the faulted bank and return per-unit differential currents.
 
     The fault meshes are switched in at ``inception_index``; before that the
     state sits on the exact periodic orbit of the discrete system. A fault
@@ -184,12 +188,11 @@ def simulate_internal_fault(
     src_pre[:3, :3] = np.eye(3)
     sys_pre = reduce_meshes(l_bank, r_windings, inc_pre, extra_pre, src_pre)
 
-    # 3-phase source samples, one cycle == spc samples exactly
+    # 3-phase source v[n] = amp * sin(theta * n + offs) = Re(phasors * z^n),
+    # one cycle == spc samples exactly
     theta = 2.0 * math.pi / spc
     offs = _phase_offsets(fault.shift)
     amp = math.sqrt(2.0) * p_run.v1 * _tap_drive(fault.tap)
-    idx = np.arange(n + 1)
-    v_samples = amp * np.sin(theta * idx[:, None] + offs[None, :])
     phasors = amp * np.exp(1j * (offs - math.pi / 2.0))
 
     h = spec.dt
@@ -207,7 +210,7 @@ def simulate_internal_fault(
         segments = [(0, sys_pre), (inception_index, sys_post)]
 
     try:
-        traj = run_piecewise(segments, h, v_samples, i0)
+        traj = run_piecewise(segments, h, phasors, theta, n, i0)
     except SingularMatrix as exc:
         raise SingularMatrix(
             f"{exc} [unit={fault.unit.value} fault={fault.fault_type.value} "
@@ -216,7 +219,7 @@ def simulate_internal_fault(
 
     base1 = math.sqrt(2.0) * p_run.mva / p_run.v1
     base2 = math.sqrt(2.0) * p_run.mva / p_run.v2
-    diff = traj[:n, 0:3] / base1 + traj[:n, 3:6] / base2
+    diff = traj[:, 0:3] / base1 + traj[:, 3:6] / base2
 
     label = EventLabel(
         kind=EventKind.INTERNAL_FAULT, unit=fault.unit, fault_type=fault.fault_type

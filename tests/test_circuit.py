@@ -1,4 +1,5 @@
-"""Micro-stepper sanity: conservation, singularity reporting."""
+"""Circuit sanity: conservation, singularity reporting, and the closed-form
+segment solution checked against plain trapezoidal stepping."""
 
 import numpy as np
 import pytest
@@ -44,14 +45,56 @@ def test_piecewise_segments_carry_state_and_grow():
     L2 = np.eye(3) * 0.5
     R2 = np.eye(3) * 0.1
     sys2 = MeshSystem(L=L2, R=R2, source_cols=np.zeros((3, 3)))
-    v = np.zeros((21, 3))
+    v = np.zeros(3, dtype=complex)
     i0 = np.array([1.0, -1.0])
-    traj = run_piecewise([(0, sys1), (10, sys2)], 1e-3, v, i0)
-    direct = run_piecewise([(0, sys1)], 1e-3, v, i0)
+    traj = run_piecewise([(0, sys1), (10, sys2)], 1e-3, v, 0.1, 21, i0)
+    direct = run_piecewise([(0, sys1)], 1e-3, v, 0.1, 21, i0)
     # identical decoupled dynamics: the original coordinates never diverge
     assert np.allclose(traj[:, :2], direct[:, :2], rtol=0, atol=1e-15)
     assert traj[10, 2] == 0.0
     assert np.isnan(traj[5, 2])
+
+
+def _spd(rng, m, scale):
+    a = rng.standard_normal((m, m))
+    return scale * (a @ a.T + m * np.eye(m))
+
+
+def test_closed_form_matches_stepping_oracle():
+    # random SPD meshes, a 3-phase sinusoid, and a switch that adds a mesh
+    # mid-record: the closed form must track plain stepping to 1e-10 of peak
+    rng = np.random.default_rng(2024)
+    h, theta, n, switch = 1e-4, 2.0 * np.pi / 167, 700, 250
+    sys1 = MeshSystem(L=_spd(rng, 3, 1e-2), R=_spd(rng, 3, 1.0),
+                      source_cols=rng.standard_normal((3, 3)))
+    sys2 = MeshSystem(L=_spd(rng, 4, 1e-2), R=_spd(rng, 4, 1.0),
+                      source_cols=rng.standard_normal((4, 3)))
+    phasors = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    i0 = rng.standard_normal(3)
+    traj = run_piecewise([(0, sys1), (switch, sys2)], h, phasors, theta, n, i0)
+
+    def source(sys, first):
+        # forcing vector at time t of a segment that starts at sample `first`
+        return lambda t: sys.source_cols @ np.real(
+            phasors * np.exp(1j * theta * (first + round(t / h))))
+
+    head = step_lti(sys1.L, sys1.R, source(sys1, 0), i0, h, switch)
+    tail = step_lti(sys2.L, sys2.R, source(sys2, switch),
+                    np.append(head[-1], 0.0), h, n - 1 - switch)
+    peak = np.abs(tail).max()
+    assert np.abs(traj[: switch + 1, :3] - head).max() <= 1e-10 * peak
+    assert np.abs(traj[switch:] - tail).max() <= 1e-10 * peak
+    assert np.isnan(traj[: switch, 3]).all()
+
+
+def test_defective_step_matrix_raises():
+    # a Jordan-block R makes A = (L + h/2 R)^-1 (L - h/2 R) defective: no
+    # eigenbasis, so the closed form must refuse rather than drift
+    sys = MeshSystem(L=np.eye(2), R=np.array([[1.0, 1.0], [0.0, 1.0]]),
+                     source_cols=np.zeros((2, 3)))
+    with pytest.raises(SingularMatrix):
+        run_piecewise([(0, sys)], 1e-4, np.zeros(3, dtype=complex), 0.1, 50,
+                      np.array([1.0, 1.0]))
 
 
 def test_reduce_meshes_projects_winding_quantities():

@@ -388,7 +388,12 @@ def test_train_cv_below_two_fails_before_the_corpus_is_read(tmp_path, capsys,
     ("train", "[{'file': ", "not valid JSON"),
     ("train", json.dumps({"a": 1}), "list of JSON objects"),
     ("evaluate", json.dumps([1, 2]), "list of JSON objects"),
-], ids=["not_json", "object", "list_of_numbers"])
+    ("train", json.dumps([{}]), "row 0 lacks file, kind"),
+    ("evaluate", json.dumps([{"file": "w.csv", "kind": "Lightning",
+                              "inception_index": 334, "unit": None,
+                              "fault_type": None, "disturbance_type": None}]),
+     "row 0 has a bad label"),
+], ids=["not_json", "object", "list_of_numbers", "empty_row", "bad_kind"])
 def test_bad_manifest_is_a_data_error(tmp_path, saved_model, capsys, command,
                                       text, message):
     corpus_dir = tmp_path / "corpus"
@@ -400,6 +405,7 @@ def test_bad_manifest_is_a_data_error(tmp_path, saved_model, capsys, command,
     assert code == 1
     assert err.startswith(f"error [{command}]: ")
     assert str(corpus_dir / "manifest.json") in err and message in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

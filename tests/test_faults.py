@@ -98,3 +98,11 @@ def test_inception_bounds_validated():
     with pytest.raises(ValueError):
         simulate_internal_fault(UNIT_PRESETS[Unit.PT], fault, SPEC,
                                 duration_cycles=8, inception_index=8 * SPC)
+
+
+@pytest.mark.parametrize("rf", [-1.0, math.nan], ids=["negative", "nan"])
+def test_bad_fault_resistance_rejected(rf):
+    # the closed-form solution needs a positive definite mesh R; inf (the
+    # open fault) stays valid
+    with pytest.raises(ValueError, match="resistance_ohm"):
+        FaultSpec(fault_type=FaultType.WA_G, unit=Unit.PT, resistance_ohm=rf)
