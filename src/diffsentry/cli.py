@@ -8,6 +8,7 @@ and configuration hash so outputs can be reproduced and audited.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
@@ -356,37 +357,51 @@ def _measure_timing(records, model) -> dict:
 
 def cmd_classify(args) -> int:
     model = load_pipeline(args.model)
-    sink = open(args.out, "w", newline="\n") if args.out else sys.stdout
+    cleanup = _Cleanup()
+    if args.out:
+        cleanup.track_file(args.out)
     try:
-        if args.stdin:
-            classifier = StreamingClassifier(model)
-            for line_no, line in enumerate(sys.stdin, 1):
-                line = line.strip()
-                if not line or line.startswith("t"):
-                    continue
-                try:
-                    parts = line.split(",")
-                    sample = [float(parts[1]), float(parts[2]), float(parts[3])]
-                except (IndexError, ValueError) as exc:
-                    raise IoFailure(
-                        f"malformed stream row at line {line_no}: {exc}"
-                    ) from exc
-                if not all(map(math.isfinite, sample)):
-                    raise IoFailure(
-                        f"non-finite sample in stream row at line {line_no}: {line}")
-                for rec in classifier.push(sample):
-                    sink.write(json.dumps(rec, sort_keys=True) + "\n")
-        else:
-            for path in args.inputs:
-                samples = read_waveform_csv(path)
-                decision = decide(samples, model)
-                rec = decision.to_dict()
-                rec["file"] = os.path.basename(path)
-                sink.write(json.dumps(rec, sort_keys=True) + "\n")
-    finally:
-        if args.out:
-            sink.close()
+        with (open(args.out, "w", newline="\n") if args.out
+              else contextlib.nullcontext(sys.stdout)) as sink:
+            _classify(args, model, sink)
+    except Exception:
+        cleanup.discard()
+        raise
     return 0
+
+
+def _classify(args, model, sink) -> None:
+    """Write one JSON record per decision of ``cmd_classify`` to ``sink``."""
+    if args.stdin:
+        classifier = StreamingClassifier(model)
+        rows = 0
+        for line_no, line in enumerate(sys.stdin, 1):
+            line = line.strip()
+            if not line:
+                continue
+            rows += 1
+            if rows == 1 and line.startswith("t"):
+                continue  # the header, if the stream has one
+            try:
+                parts = line.split(",")
+                # the time column is checked but not used
+                sample = [float(parts[i]) for i in range(4)][1:]
+            except (IndexError, ValueError) as exc:
+                raise IoFailure(
+                    f"malformed stream row at line {line_no}: {exc}"
+                ) from exc
+            if not all(map(math.isfinite, sample)):
+                raise IoFailure(
+                    f"non-finite sample in stream row at line {line_no}: {line}")
+            for rec in classifier.push(sample):
+                sink.write(json.dumps(rec, sort_keys=True) + "\n")
+    else:
+        for path in args.inputs:
+            samples = read_waveform_csv(path)
+            decision = decide(samples, model)
+            rec = decision.to_dict()
+            rec["file"] = os.path.basename(path)
+            sink.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

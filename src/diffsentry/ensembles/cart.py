@@ -1,16 +1,18 @@
 """Trees grown by one recursive best-split search and read by one walker.
 
 ``grow_tree`` grows the CART classification trees here and the
-gradient-boosting regression trees of ``gbc.py`` as ``Node`` objects;
-``pack`` lays a model's trees out as one ``PackedTrees`` array set, whose
-``leaf_index`` walks all of them at once. At each node the grower makes one
-``scan`` call, which scores every column of the node's matrix in one array
-pass (a stable column-wise argsort, column-wise cumulative sums, then
-``_best_split``) and returns the best (gain, column, threshold). Split candidates are midpoints
-between consecutive sorted unique feature values; for classification the
-split maximizing information gain wins, with ties broken by (lower feature
-index, lower threshold). Nodes keep splitting while any valid split exists,
-so zero-gain splits are taken when descendants can still purify the
+gradient-boosting regression trees of ``gbc.py`` straight into flat node
+lists, in pre-order; ``PackedTrees.from_nodes`` turns the lists into one
+array set, whose ``leaf_index`` walks all of a model's trees at once.
+
+At each node the grower makes one ``scan`` call, which scores every column
+of the node's matrix in one array pass (a stable column-wise argsort,
+column-wise cumulative sums, then ``_best_split``) and returns the best
+(gain, column, threshold). Split candidates are midpoints between
+consecutive sorted unique feature values; for classification the split
+maximizing information gain wins, with ties broken by (lower feature index,
+lower threshold). Nodes keep splitting while any valid split exists, so
+zero-gain splits are taken when descendants can still purify the
 partition (required for XOR-like data).
 """
 
@@ -45,23 +47,6 @@ def entropy_impurity(counts) -> float:
 
 
 _IMPURITY = {"gini": gini_impurity, "entropy": entropy_impurity}
-
-
-@dataclass
-class Node:
-    """One tree node; leaves carry a payload (probability vector or score)."""
-
-    feature: Optional[int] = None
-    threshold: Optional[float] = None
-    left: Optional["Node"] = None
-    right: Optional["Node"] = None
-    value: Optional[list] = None
-    n_samples: int = 0
-    gain: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
 
 
 @dataclass(frozen=True)
@@ -136,10 +121,18 @@ def _class_probabilities(y_codes: np.ndarray, k: int) -> list:
     return list(counts / counts.sum())
 
 
-def grow_tree(X, target, scan, leaf, max_depth, min_samples_split,
-              depth=0) -> Node:
+def node_lists() -> dict:
+    """Empty node lists, one per name in ``PackedTrees.NODE_ARRAYS``, for
+    ``grow_tree`` to append to."""
+    return {a: [] for a in PackedTrees.NODE_ARRAYS}
+
+
+def grow_tree(X, target, scan, leaf, max_depth, min_samples_split, nodes,
+              depth=0) -> int:
     """The one recursive best-split grower behind CART and GBC trees.
 
+    Appends the tree's nodes in pre-order to ``nodes`` (see ``node_lists``),
+    in the ``PackedTrees`` layout, and returns the root's index in them.
     ``scan(X, target)`` returns the best (gain, column, threshold) over all
     columns of the node's matrix, or None when no column has two distinct
     values; it is called once per node that is not made a leaf first.
@@ -149,37 +142,34 @@ def grow_tree(X, target, scan, leaf, max_depth, min_samples_split,
     the upper of two adjacent floats.
     """
     n = target.shape[0]
-    if (
+    best = None
+    if not (
         (max_depth is not None and depth >= max_depth)
         or n < min_samples_split
         or np.all(target == target[0])
     ):
-        return Node(value=leaf(target), n_samples=n)
-
-    best = scan(X, target)
+        best = scan(X, target)
+    i = len(nodes["feature"])
     if best is None:
-        return Node(value=leaf(target), n_samples=n)
+        _append(nodes, -1, 0.0, 0.0, n, leaf(target))
+        return i
 
     gain, f, thr = best
     mask = X[:, f] <= thr
-    node = Node(feature=f, threshold=thr, gain=gain, n_samples=n)
-    node.left = grow_tree(X[mask], target[mask], scan, leaf, max_depth,
-                          min_samples_split, depth + 1)
-    node.right = grow_tree(X[~mask], target[~mask], scan, leaf, max_depth,
-                           min_samples_split, depth + 1)
-    return node
+    _append(nodes, f, thr, gain, n, None)
+    nodes["left"][i] = grow_tree(X[mask], target[mask], scan, leaf, max_depth,
+                                 min_samples_split, nodes, depth + 1)
+    nodes["right"][i] = grow_tree(X[~mask], target[~mask], scan, leaf,
+                                  max_depth, min_samples_split, nodes, depth + 1)
+    # a split's zero row is as wide as its left child's, the next node
+    nodes["value"][i] = [0.0] * len(nodes["value"][i + 1])
+    return i
 
 
-def grow_classification_tree(X: np.ndarray, y_codes: np.ndarray, k: int,
-                             cfg: CartConfig) -> Node:
-    """CART tree: impurity-gain splits and class-probability leaves."""
-    return grow_tree(
-        X, y_codes,
-        scan=lambda X_, t: _scan_impurity(X_, t, k, cfg.impurity),
-        leaf=lambda t: _class_probabilities(t, k),
-        max_depth=cfg.max_depth,
-        min_samples_split=cfg.min_samples_split,
-    )
+def _append(nodes, feature, threshold, gain, n, value) -> None:
+    for a, v in zip(PackedTrees.NODE_ARRAYS,
+                    (feature, threshold, -1, -1, gain, n, value)):
+        nodes[a].append(v)
 
 
 @dataclass(frozen=True)
@@ -203,6 +193,22 @@ class PackedTrees:
     value: np.ndarray      # (n_nodes, width) float64
 
     NODE_ARRAYS = ("feature", "threshold", "left", "right", "gain", "n", "value")
+    INT_ARRAYS = ("feature", "left", "right", "n")
+
+    @classmethod
+    def from_nodes(cls, nodes: dict, offsets: list, width: int) -> "PackedTrees":
+        """The trees grown into ``nodes`` with roots at ``offsets[:-1]``, tree
+        ``t`` ending before ``offsets[t + 1]``, and leaves of ``width``
+        values. Nodes before ``offsets[0]`` are left out; the rest are
+        renumbered from 0."""
+        start = offsets[0]
+        arrays = {a: np.asarray(nodes[a][start:], dtype=np.int64
+                                if a in cls.INT_ARRAYS else np.float64)
+                  for a in cls.NODE_ARRAYS}
+        for child in (arrays["left"], arrays["right"]):
+            child[child >= 0] -= start
+        arrays["value"] = arrays["value"].reshape(-1, width)
+        return cls(np.asarray(offsets, dtype=np.int64) - start, **arrays)
 
     @property
     def n_trees(self) -> int:
@@ -234,50 +240,6 @@ class PackedTrees:
         return PackedTrees(self.offsets[:n + 1],
                            *(getattr(self, a)[:end] for a in self.NODE_ARRAYS))
 
-    def roots(self) -> list:
-        """Every tree decoded into ``Node`` objects, for inspection."""
-        feature, threshold, left, right, gain, n, value = (
-            getattr(self, a).tolist() for a in self.NODE_ARRAYS)
-
-        def decode(i):
-            if feature[i] < 0:
-                return Node(value=value[i], n_samples=n[i], gain=gain[i])
-            return Node(feature=feature[i], threshold=threshold[i],
-                        gain=gain[i], n_samples=n[i],
-                        left=decode(left[i]), right=decode(right[i]))
-
-        return [decode(i) for i in self.offsets[:-1].tolist()]
-
-
-def pack(roots, width: int) -> PackedTrees:
-    """The packed form of grown trees whose leaves hold ``width`` values."""
-    cols = {a: [] for a in PackedTrees.NODE_ARRAYS}
-    offsets = [0]
-
-    def visit(node):
-        i = len(cols["feature"])
-        leaf = node.is_leaf
-        cols["feature"].append(-1 if leaf else node.feature)
-        cols["threshold"].append(0.0 if leaf else node.threshold)
-        cols["gain"].append(node.gain)
-        cols["n"].append(node.n_samples)
-        cols["value"].extend(node.value if leaf else [0.0] * width)
-        cols["left"].append(-1)
-        cols["right"].append(-1)
-        if not leaf:
-            cols["left"][i] = visit(node.left)
-            cols["right"][i] = visit(node.right)
-        return i
-
-    for root in roots:
-        visit(root)
-        offsets.append(len(cols["feature"]))
-    ints = {"feature", "left", "right", "n"}
-    arrays = {a: np.asarray(v, dtype=np.int64 if a in ints else np.float64)
-              for a, v in cols.items()}
-    arrays["value"] = arrays["value"].reshape(-1, width)
-    return PackedTrees(np.asarray(offsets, dtype=np.int64), **arrays)
-
 
 def training_matrix(X) -> np.ndarray:
     """``X`` as a float matrix, checked before any tree is grown: a split
@@ -303,9 +265,14 @@ def cart_fit(X, y, cfg: CartConfig = CartConfig()):
         raise ValueError("X and y row counts differ")
     codebook, y_codes = np.unique(y, return_inverse=True)
     k = len(codebook)
+    # impurity-gain splits and class-probability leaves
+    nodes = node_lists()
+    grow_tree(X, y_codes, lambda X_, t: _scan_impurity(X_, t, k, cfg.impurity),
+              lambda t: _class_probabilities(t, k), cfg.max_depth,
+              cfg.min_samples_split, nodes)
     return TreeEnsembleModel(
         kind="CART",
-        packed=pack([grow_classification_tree(X, y_codes, k, cfg)], k),
+        packed=PackedTrees.from_nodes(nodes, [0, len(nodes["feature"])], k),
         codebook=[c.item() if hasattr(c, "item") else c for c in codebook],
         config={
             "max_depth": cfg.max_depth,

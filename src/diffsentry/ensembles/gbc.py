@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NonFiniteLoss, SingleClass
-from .cart import _best_split, _sorted_columns, grow_tree, pack, training_matrix
+from .cart import (PackedTrees, _best_split, _sorted_columns, grow_tree, node_lists,
+                   training_matrix)
 
 #: hyperparameter grids: the full-scale search and a desk-scale one
 GBC_GRID_FULL = {
@@ -131,7 +132,7 @@ def gbc_fit(X, y, cfg: GbcConfig = GbcConfig()):
     def newton_leaf(r):
         return [_newton_leaf(r, k)]
 
-    trees = []  # k per stage, stage by stage
+    nodes, offsets = node_lists(), [0]  # k trees per stage, stage by stage
     deviance: list[float] = []
     n_sub = max(1, int(round(cfg.subsample * n)))
 
@@ -144,14 +145,13 @@ def gbc_fit(X, y, cfg: GbcConfig = GbcConfig()):
             else np.arange(n)
         )
         X_rows = X[rows]
-        stage = [
+        for cls in range(k):
             grow_tree(X_rows, residual[rows, cls], _scan_sse, newton_leaf,
-                      cfg.max_depth, cfg.min_samples_split)
-            for cls in range(k)
-        ]
-        trees.extend(stage)
+                      cfg.max_depth, cfg.min_samples_split, nodes)
+            offsets.append(len(nodes["feature"]))
+        stage = PackedTrees.from_nodes(nodes, offsets[-k - 1:], 1)
         # each class's tree moves only its own column of scores
-        scores += cfg.learning_rate * pack(stage, 1).leaf_values(X)[:, :, 0].T
+        scores += cfg.learning_rate * stage.leaf_values(X)[:, :, 0].T
         dev = multinomial_deviance(y_codes, scores)
         if not np.isfinite(dev):
             raise NonFiniteLoss(
@@ -161,7 +161,7 @@ def gbc_fit(X, y, cfg: GbcConfig = GbcConfig()):
 
     return TreeEnsembleModel(
         kind="GBC",
-        packed=pack(trees, 1),
+        packed=PackedTrees.from_nodes(nodes, offsets, 1),
         codebook=[c.item() if hasattr(c, "item") else c for c in codebook],
         config={
             "n_estimators": cfg.n_estimators,

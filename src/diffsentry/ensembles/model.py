@@ -33,15 +33,10 @@ class TreeEnsembleModel:
 
     @property
     def trees(self) -> list:
-        """Decoded ``Node`` trees: CART [root]; GBC [[root per class] per stage]."""
-        roots = self.packed.roots()
-        if self.kind != "GBC":
-            return roots
-        k = len(self.codebook)
-        return [roots[i:i + k] for i in range(0, len(roots), k)]
-
-    def trees_flat(self):
-        yield from self.packed.roots()
+        """Each stage's tree indices in ``packed``, as a ``range``: one tree
+        per class per GBC stage; CART has one stage of one tree."""
+        width = len(self.codebook) if self.kind == "GBC" else 1
+        return [range(i, i + width) for i in range(0, self.packed.n_trees, width)]
 
     def first_stages(self, n: int) -> "TreeEnsembleModel":
         """The first ``n`` boosting stages of a GBC model. A fit is a stage
@@ -136,7 +131,7 @@ def _array(trees: dict, name: str, integer: bool) -> np.ndarray:
 def _packed_from_dict(trees: dict, n_features: int, width: int) -> PackedTrees:
     """The checked arrays of a file's ``trees`` (see ``model_from_dict``)."""
     offsets = _array(trees, "offsets", True)
-    arrays = {a: _array(trees, a, a in ("feature", "left", "right", "n"))
+    arrays = {a: _array(trees, a, a in PackedTrees.INT_ARRAYS)
               for a in PackedTrees.NODE_ARRAYS}
     feature, threshold = arrays["feature"], arrays["threshold"]
     n_nodes = feature.shape[0]

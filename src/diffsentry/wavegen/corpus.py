@@ -195,6 +195,13 @@ def load_manifest(corpus_dir) -> list[dict]:
         if missing:
             raise IoFailure(
                 f"manifest at {path}: row {idx} lacks {', '.join(missing)}")
+        file, inception = row["file"], row["inception_index"]
+        if not (isinstance(file, str) and file):
+            raise IoFailure(f"manifest at {path}: row {idx} has file {file!r}, "
+                            "not a non-empty string")
+        if not isinstance(inception, int) or isinstance(inception, bool):
+            raise IoFailure(f"manifest at {path}: row {idx} has inception_index "
+                            f"{inception!r}, not an integer")
         try:
             EventLabel.from_dict(row)
         except ValueError as exc:

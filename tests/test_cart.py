@@ -22,9 +22,9 @@ def test_separable_line_gives_depth_one_perfect_tree():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 0, 1, 1])
     model = cart_fit(X, y, CartConfig(max_depth=8))
-    root = model.trees[0]
-    assert not root.is_leaf
-    assert root.left.is_leaf and root.right.is_leaf
+    p = model.packed
+    assert p.feature[0] >= 0
+    assert p.feature[p.left[0]] == p.feature[p.right[0]] == -1
     preds = np.argmax(model.predict_proba(X), axis=1)
     assert np.array_equal(preds, y)
 
@@ -41,9 +41,9 @@ def test_depth_zero_is_majority_leaf():
     X = np.array([[0.0], [1.0], [2.0]])
     y = np.array([1, 1, 0])
     model = cart_fit(X, y, CartConfig(max_depth=0))
-    root = model.trees[0]
-    assert root.is_leaf
-    label, probs = (model.codebook[int(np.argmax(root.value))], root.value)
+    assert model.packed.feature.tolist() == [-1]
+    probs = model.packed.value[0]
+    label = model.codebook[int(np.argmax(probs))]
     assert label == 1
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 

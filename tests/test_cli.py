@@ -162,6 +162,28 @@ def test_classify_malformed_stream_row_is_a_data_error(saved_model, monkeypatch,
     _assert_classify_error(code, capsys)
 
 
+def test_classify_stream_header_is_only_the_first_line(saved_model, monkeypatch,
+                                                        capsys):
+    # a later row that starts with "t" is data, not a second header
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO("\nt_s,ia,ib,ic\n0,0,0,0\ntrue,1,1,1\n0,0,0,0\n"))
+    code = main(["classify", "--model", str(saved_model), "--stdin"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error [classify]: malformed stream row at line 4")
+
+
+def test_classify_failure_removes_the_out_file(tmp_path, saved_model, capsys):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    _steady_csv(good)
+    bad.write_text("t_s,ia_pu,ib_pu,ic_pu\n0,0,0,0\n0,1,2\n")
+    out = tmp_path / "o.jsonl"
+    code = main(["classify", "--model", str(saved_model), "--out", str(out),
+                 str(good), str(bad)])
+    _assert_classify_error(code, capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_classify_non_finite_stream_sample_is_a_data_error(saved_model, monkeypatch,
                                                            capsys, value):
@@ -384,6 +406,13 @@ def test_train_cv_below_two_fails_before_the_corpus_is_read(tmp_path, capsys,
     assert not out.exists()
 
 
+def _manifest_row(**changes) -> str:
+    row = {"file": "w.csv", "kind": "Disturbance", "inception_index": 334,
+           "unit": None, "fault_type": None,
+           "disturbance_type": "CapacitorSwitching"}
+    return json.dumps([{**row, **changes}])
+
+
 @pytest.mark.parametrize("command, text, message", [
     ("train", "[{'file': ", "not valid JSON"),
     ("train", json.dumps({"a": 1}), "list of JSON objects"),
@@ -393,7 +422,11 @@ def test_train_cv_below_two_fails_before_the_corpus_is_read(tmp_path, capsys,
                               "inception_index": 334, "unit": None,
                               "fault_type": None, "disturbance_type": None}]),
      "row 0 has a bad label"),
-], ids=["not_json", "object", "list_of_numbers", "empty_row", "bad_kind"])
+    ("train", _manifest_row(file=5), "row 0 has file 5"),
+    ("evaluate", _manifest_row(inception_index="x"), "row 0 has inception_index 'x'"),
+    ("train", _manifest_row(inception_index=True), "row 0 has inception_index True"),
+], ids=["not_json", "object", "list_of_numbers", "empty_row", "bad_kind",
+        "file_not_a_string", "inception_not_an_int", "inception_a_bool"])
 def test_bad_manifest_is_a_data_error(tmp_path, saved_model, capsys, command,
                                       text, message):
     corpus_dir = tmp_path / "corpus"

@@ -1,5 +1,5 @@
-"""The packed tree arrays: walker parity with a Node walk, the decoded view
-and the file round trip."""
+"""The packed tree arrays: walker parity with a row-by-row walk, the stage
+view and the file round trip."""
 
 import json
 
@@ -10,26 +10,28 @@ from diffsentry.ensembles import CartConfig, GbcConfig, cart_fit, gbc_fit, softm
 from diffsentry.ensembles.model import model_from_dict, model_to_dict
 
 
-def _find_leaf(node, x):
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node
+def _leaf_value(packed, tree, x):
+    """The payload of the leaf row ``x`` reaches in tree ``tree``, one node
+    at a time."""
+    i = packed.offsets[tree]
+    while packed.feature[i] >= 0:
+        go_left = x[packed.feature[i]] <= packed.threshold[i]
+        i = packed.left[i] if go_left else packed.right[i]
+    return packed.value[i]
 
 
 def _node_walk_proba(model, X):
-    """Oracle: the row-by-row Node walk and stage-by-stage score update the
-    model used before its trees were packed."""
+    """Oracle: the row-by-row walk and stage-by-stage score update the model
+    used before its trees were walked all at once."""
+    p = model.packed
     if model.kind == "CART":
-        root = model.trees[0]
-        out = np.empty((X.shape[0], len(model.codebook)))
-        for i, row in enumerate(X):
-            out[i] = _find_leaf(root, row).value
-        return out
+        return np.array([_leaf_value(p, 0, row) for row in X]).reshape(
+            X.shape[0], len(model.codebook))
     scores = np.tile(np.asarray(model.metadata["init_raw"]), (X.shape[0], 1))
     lr = model.config["learning_rate"]
     for stage in model.trees:
         for cls, tree in enumerate(stage):
-            leaf = np.array([_find_leaf(tree, row).value[0] for row in X])
+            leaf = np.array([_leaf_value(p, tree, row)[0] for row in X])
             scores[:, cls] += lr * leaf
     return softmax(scores)
 
@@ -87,5 +89,7 @@ def test_file_round_trip_is_byte_identical(fitted):
 def test_decoded_view_groups_one_root_per_class_per_stage():
     X, y = _blobs()
     model = gbc_fit(X, y, GbcConfig(n_estimators=3, max_depth=2))
-    assert [len(stage) for stage in model.trees] == [4, 4, 4]
-    assert len(list(model.trees_flat())) == model.packed.n_trees == 12
+    assert [list(stage) for stage in model.trees] == [
+        [0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+    assert model.packed.n_trees == 12
+    assert cart_fit(X, y).trees == [range(1)]

@@ -5,7 +5,7 @@ import pytest
 
 from diffsentry.detector import (CLASSIFY_LEN, CYCLE, CdfConfig,
                                  StreamingDetector, detect)
-from diffsentry.ensembles.cart import Node, pack
+from diffsentry.ensembles.cart import PackedTrees
 from diffsentry.ensembles.model import TreeEnsembleModel
 from diffsentry.errors import ClassMissing, IncompleteModel, SchemaMismatch
 from diffsentry.features import Task, schema_hash, task_specs
@@ -42,13 +42,21 @@ _TASK_CLASSES = {
 }
 
 
+def _one_leaf(probs) -> PackedTrees:
+    """One tree that is one leaf holding ``probs``."""
+    return PackedTrees(offsets=np.array([0, 1]), feature=np.array([-1]),
+                       threshold=np.zeros(1), left=np.array([-1]),
+                       right=np.array([-1]), gain=np.zeros(1), n=np.array([1]),
+                       value=np.array([probs], dtype=np.float64))
+
+
 def _stub(task: Task, label: str) -> TreeEnsembleModel:
     classes = _TASK_CLASSES[task]
     probs = [0.0] * len(classes)
     probs[classes.index(label)] = 1.0
     return TreeEnsembleModel(
         kind="CART",
-        packed=pack([Node(value=probs, n_samples=1)], len(classes)),
+        packed=_one_leaf(probs),
         codebook=classes,
         config={},
         n_features=len(task_specs(task)) * 3,
@@ -65,8 +73,7 @@ def _poisoned(task: Task) -> TreeEnsembleModel:
     classes = _TASK_CLASSES[task]
     return _Poisoned(
         kind="CART",
-        packed=pack([Node(value=[1.0] + [0.0] * (len(classes) - 1), n_samples=1)],
-                    len(classes)),
+        packed=_one_leaf([1.0] + [0.0] * (len(classes) - 1)),
         codebook=classes,
         config={},
         n_features=len(task_specs(task)) * 3,

@@ -17,6 +17,7 @@ from diffsentry.ensembles.cart import (
     entropy_impurity,
     gini_impurity,
     grow_tree,
+    node_lists,
 )
 from diffsentry.ensembles.gbc import _scan_sse
 
@@ -216,9 +217,7 @@ def test_grower_scans_once_per_split_node():
         calls.append(X_.shape)
         return _scan_impurity(X_, t, 3, "gini")
 
-    def splits(node):
-        return 0 if node.is_leaf else 1 + splits(node.left) + splits(node.right)
-
-    root = grow_tree(X, y, scan, lambda t: [float(t.size)], None, 2)
-    assert len(calls) == splits(root) > 0
+    nodes = node_lists()
+    grow_tree(X, y, scan, lambda t: [float(t.size)], None, 2, nodes)
+    assert len(calls) == sum(f >= 0 for f in nodes["feature"]) > 0
     assert all(shape[1] == 4 for shape in calls)

@@ -59,21 +59,22 @@ FITS = {
 }
 
 
-def _preorder(node):
-    """Nodes as ``["split", feature, hex threshold, n, gain]`` or
-    ``["leaf", n, payload]``, in pre-order."""
-    if node.is_leaf:
-        return [["leaf", node.n_samples, [float(v) for v in node.value]]]
+def _preorder(p, i):
+    """Node ``i`` of packed trees ``p`` and its subtree as
+    ``["split", feature, hex threshold, n, gain]`` or ``["leaf", n, payload]``,
+    in pre-order."""
+    if p.feature[i] < 0:
+        return [["leaf", int(p.n[i]), p.value[i].tolist()]]
     return (
-        [["split", node.feature, float(node.threshold).hex(), node.n_samples,
-          float(node.gain)]]
-        + _preorder(node.left)
-        + _preorder(node.right)
+        [["split", int(p.feature[i]), float(p.threshold[i]).hex(), int(p.n[i]),
+          float(p.gain[i])]]
+        + _preorder(p, p.left[i])
+        + _preorder(p, p.right[i])
     )
 
 
 def record(model):
-    return [_preorder(tree) for tree in model.trees_flat()]
+    return [_preorder(model.packed, root) for root in model.packed.offsets[:-1]]
 
 
 def _close(a, b):
