@@ -110,7 +110,8 @@ def _parse_snr_list(text: str) -> list:
 
 
 class _Cleanup:
-    """Remove paths this command created if it fails partway."""
+    """Remove the output directories this command created if it fails
+    partway."""
 
     def __init__(self):
         self.paths = []
@@ -120,16 +121,24 @@ class _Cleanup:
             self.paths.append(path)
             os.makedirs(path)
 
-    def track_file(self, path) -> None:
-        if not os.path.exists(path):
-            self.paths.append(path)
-
     def discard(self) -> None:
         for p in reversed(self.paths):
-            if os.path.isdir(p):
-                shutil.rmtree(p, ignore_errors=True)
-            elif os.path.exists(p):
-                os.remove(p)
+            shutil.rmtree(p, ignore_errors=True)
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """Yield a temporary name beside ``path`` to write the output to. It
+    replaces ``path`` when the block succeeds and is removed when it fails,
+    so a failed command leaves an existing ``path`` as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def cmd_generate(args) -> int:
@@ -197,13 +206,8 @@ def cmd_train(args) -> int:
     model.metadata["config_hash"] = _config_hash(
         {"grid": grid, "cv": args.cv, "resample": args.resample}
     )
-    cleanup = _Cleanup()
-    try:
-        cleanup.track_file(args.out)
-        save_pipeline(model, args.out)
-    except Exception:
-        cleanup.discard()
-        raise
+    with _replacing(args.out) as tmp:
+        save_pipeline(model, tmp)
     print(f"pipeline model written to {args.out}")
     for task_name, table in model.metadata["cv_tables"].items():
         print(f"\n[{task_name}] best {table['best_config']} "
@@ -261,9 +265,7 @@ def cmd_evaluate(args) -> int:
             r["file"] for r, _ in all_records if r["file"] not in holdout_files
         ]
         noise_rows = detect_noise_study(
-            all_records, train_files, snr_list, seed=args.seed,
-            detector_cfg=model.detector_cfg,
-        )
+            all_records, train_files, snr_list, seed=args.seed)
     report["noise_sweep"] = noise_rows
 
     failures = []
@@ -338,7 +340,7 @@ def _measure_timing(records, model) -> dict:
     _, samples = records[0]
     from .detector import detect as _detect
 
-    event = _detect(samples, model.detector_cfg)
+    event = _detect(samples)
     stages = {"decide_one": lambda: decide(samples, model)}
     if event.triggered:
         vec = extract(event.detect_window, Task.DETECT_FAULT)
@@ -357,16 +359,11 @@ def _measure_timing(records, model) -> dict:
 
 def cmd_classify(args) -> int:
     model = load_pipeline(args.model)
-    cleanup = _Cleanup()
-    if args.out:
-        cleanup.track_file(args.out)
-    try:
-        with (open(args.out, "w", newline="\n") if args.out
-              else contextlib.nullcontext(sys.stdout)) as sink:
-            _classify(args, model, sink)
-    except Exception:
-        cleanup.discard()
-        raise
+    if not args.out:
+        _classify(args, model, sys.stdout)
+        return 0
+    with _replacing(args.out) as tmp, open(tmp, "w", newline="\n") as sink:
+        _classify(args, model, sink)
     return 0
 
 
@@ -404,6 +401,14 @@ def _classify(args, model, sink) -> None:
             sink.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _seed(text: str) -> int:
+    """A ``--seed``; numpy's generators take only non-negative integers."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diffsentry",
@@ -414,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write a seeded synthetic corpus")
     g.add_argument("--out", required=True)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--cases-per-class", type=int, default=120)
     g.add_argument("--fault-cases", type=int, default=468)
     g.set_defaults(fn=cmd_generate)
@@ -422,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train the six-stage pipeline on a corpus")
     t.add_argument("--corpus", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=_seed, default=0)
     t.add_argument("--grid", choices=("small", "paper"), default="small")
     t.add_argument("--resample", choices=tuple(_RESAMPLE_CHOICES), default="none")
     t.add_argument("--cv", type=int, default=3)
@@ -433,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--corpus", required=True)
     e.add_argument("--model", required=True)
     e.add_argument("--out", required=True)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=_seed, default=0)
     e.add_argument("--snr", default="", help="comma list, e.g. inf,30,10")
     e.add_argument("--config", help="JSON file with threshold overrides")
     e.add_argument("--timing", action="store_true",
@@ -443,9 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("classify", help="decide waveform CSVs or a stdin stream")
     c.add_argument("--model", required=True)
     c.add_argument("--out")
-    c.add_argument("--stdin", action="store_true",
-                   help="stream t,ia,ib,ic rows from standard input")
-    c.add_argument("inputs", nargs="*", help="waveform CSV files")
+    source = c.add_mutually_exclusive_group(required=True)
+    source.add_argument("--stdin", action="store_true",
+                        help="stream t,ia,ib,ic rows from standard input")
+    # the default makes the positional optional, as a group member must be
+    source.add_argument("inputs", nargs="*", default=[],
+                        help="waveform CSV files")
     c.set_defaults(fn=cmd_classify)
     return parser
 

@@ -8,13 +8,11 @@ previous cycle, per phase:
 with exactly n_c samples per window (half-open), so any signal that is
 periodic with the cycle length scores identically zero. An event is
 registered at the first sample whose arrival pushes any phase's index above
-the threshold.
+the fixed pickup ``THRESHOLD``.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,16 +33,9 @@ CLASSIFY_LEN = 3 * CYCLE
 # the earliest trigger, sample 2 * CYCLE - 1, has PRE samples before it, so
 # the registered window never waits for its pre-window
 
-
-@dataclass(frozen=True)
-class CdfConfig:
-    threshold: float = 0.05
-
-    def __post_init__(self):
-        if not (isinstance(self.threshold, numbers.Real)
-                and 0 < self.threshold < math.inf):
-            raise ValueError(
-                f"threshold must be a positive finite number, not {self.threshold!r}")
+#: The relay pickup: an event is registered when any phase's change index
+#: exceeds it. Every trained slot learned the windows this pickup cut.
+THRESHOLD = 0.05
 
 
 @dataclass
@@ -67,7 +58,7 @@ def cdf_series(values, n_c: int) -> np.ndarray:
     return win[n_c:] - win[: n - 2 * n_c + 1]
 
 
-def detect(wave, cfg: CdfConfig = CdfConfig()) -> DetectionEvent:
+def detect(wave) -> DetectionEvent:
     """Run the change filter over all phases and slice the event windows.
 
     ``wave`` may be a Waveform or a bare (N, 3) sample array. Non-detection
@@ -96,7 +87,7 @@ def detect(wave, cfg: CdfConfig = CdfConfig()) -> DetectionEvent:
         )
     n = samples.shape[0]
     series = np.stack([cdf_series(samples[:, p], CYCLE) for p in range(3)], axis=1)
-    over = series > cfg.threshold
+    over = series > THRESHOLD
     hits = np.nonzero(over.any(axis=1))[0]
     if hits.size == 0:
         return DetectionEvent(triggered=False)
@@ -128,8 +119,7 @@ class StreamingDetector:
     stream gives one such pair. A single writer owns a stream.
     """
 
-    def __init__(self, cfg: CdfConfig = CdfConfig()):
-        self.cfg = cfg
+    def __init__(self):
         self._abs = np.zeros((2 * CYCLE, 3))   # ring buffer of |sample|
         self._sum_cur = np.zeros(3)            # last CYCLE samples
         self._sum_prev = np.zeros(3)           # the CYCLE before those
@@ -159,7 +149,7 @@ class StreamingDetector:
         if self._trigger is None:
             if idx >= 2 * n_c - 1:
                 cdf = self._sum_cur - self._sum_prev
-                over = cdf > self.cfg.threshold
+                over = cdf > THRESHOLD
                 if over.any():
                     self._trigger = idx
                     self._trigger_phase = PHASES[int(np.argmax(over))]

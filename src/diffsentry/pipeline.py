@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .detector import (CLASSIFY_LEN, CYCLE, CdfConfig, DetectionEvent,
+from .detector import (CLASSIFY_LEN, CYCLE, THRESHOLD, DetectionEvent,
                        StreamingDetector, detect)
 from .ensembles import GBC_GRID_SMALL, GbcConfig, gbc_fit
 from .ensembles.model import model_from_dict, model_to_dict, predict
@@ -51,6 +51,8 @@ from .sampling import (
 )
 
 PIPELINE_FILE_VERSION = 3
+# the model file's record of the detector its slots were trained behind
+_DETECTOR_CFG = {"threshold": THRESHOLD}
 
 FAULT_CLASS = "fault"
 DISTURBANCE_CLASS = "disturbance"
@@ -73,7 +75,6 @@ _REQUIRED_CLASSES = {
 
 @dataclass
 class PipelineModel:
-    detector_cfg: CdfConfig
     slots: dict                        # Task -> TreeEnsembleModel
     metadata: dict = field(default_factory=dict)
 
@@ -126,7 +127,7 @@ def decide(wave, model: PipelineModel) -> PipelineDecision:
     """Run the full decision scheme over one waveform (a Waveform or a bare
     (N, 3) sample array)."""
     model.require_complete()
-    event = detect(wave, model.detector_cfg)
+    event = detect(wave)
     if not event.triggered:
         return PipelineDecision(detected=False, verdict="NoEvent")
     inception = wave.inception_index if isinstance(wave, Waveform) else None
@@ -177,7 +178,7 @@ class StreamingClassifier:
     def __init__(self, model: PipelineModel):
         model.require_complete()
         self.model = model
-        self.detector = StreamingDetector(model.detector_cfg)
+        self.detector = StreamingDetector()
 
     def push(self, sample) -> list[dict]:
         event = self.detector.push(sample)
@@ -207,8 +208,6 @@ class TrainConfig:
     cv_k: int = 3
     seed: int = 0
     resample: Optional[ResamplePlan] = None
-    holdout_fraction: float = 0.2
-    detector: CdfConfig = CdfConfig()
 
     def resolved_grid(self) -> dict:
         return dict(self.grid) if self.grid else dict(GBC_GRID_SMALL)
@@ -232,13 +231,13 @@ def _record_wave(row: dict, samples) -> Waveform:
     )
 
 
-def _windows_by_task(records, detector_cfg: CdfConfig):
+def _windows_by_task(records):
     """Run detection over corpus records and build per-task datasets."""
     data = {task: {"X": [], "y": [], "files": []} for task in Task}
     undetected = []
     for row, samples in records:
         wave = _record_wave(row, samples)
-        event = detect(wave, detector_cfg)
+        event = detect(wave)
         if not event.triggered:
             undetected.append(row["file"])
             continue
@@ -265,15 +264,9 @@ def train_pipeline(corpus_dir, manifest, config: TrainConfig) -> PipelineModel:
         "/".join(_task_targets(EventLabel.from_dict(row)).values())
         for row, _ in records
     ])
-    train_idx, hold_idx = train_test_split(
-        labels, config.holdout_fraction, config.seed
-    )
-    train_data, undetected = _windows_by_task(
-        [records[i] for i in train_idx], config.detector
-    )
-    hold_data, _ = _windows_by_task(
-        [records[i] for i in hold_idx], config.detector
-    )
+    train_idx, hold_idx = train_test_split(labels, 0.2, config.seed)
+    train_data, undetected = _windows_by_task([records[i] for i in train_idx])
+    hold_data, _ = _windows_by_task([records[i] for i in hold_idx])
 
     for task in Task:
         present = set(train_data[task]["y"])
@@ -319,7 +312,6 @@ def train_pipeline(corpus_dir, manifest, config: TrainConfig) -> PipelineModel:
 
     holdout_metrics = _holdout_metrics(slots, hold_data)
     model = PipelineModel(
-        detector_cfg=config.detector,
         slots=slots,
         metadata={
             "seed": config.seed,
@@ -365,7 +357,6 @@ def _holdout_metrics(slots: dict, hold_data: dict) -> dict:
 
 def detect_noise_study(records, train_files, snr_list, seed,
                        repeats: int = 3,
-                       detector_cfg: CdfConfig = CdfConfig(),
                        gbc: GbcConfig = GbcConfig(n_estimators=100)) -> list[dict]:
     """Fault-detection accuracy per SNR with noise-matched training.
 
@@ -386,7 +377,7 @@ def detect_noise_study(records, train_files, snr_list, seed,
     def window_at(wave, snr, noise_seed):
         if not _math.isinf(snr):
             wave = add_noise(wave, snr, seed=noise_seed)
-        event = detect(wave, detector_cfg)
+        event = detect(wave)
         if not event.triggered:
             return None
         return extract(event.detect_window, Task.DETECT_FAULT).values
@@ -445,7 +436,7 @@ def detect_noise_study(records, train_files, snr_list, seed,
 def save_pipeline(model: PipelineModel, path) -> None:
     bundle = {
         "version": PIPELINE_FILE_VERSION,
-        "detector_cfg": asdict(model.detector_cfg),
+        "detector_cfg": _DETECTOR_CFG,
         "slots": {t.value: model_to_dict(m) for t, m in model.slots.items()},
         "metadata": model.metadata,
     }
@@ -465,6 +456,11 @@ def load_pipeline(path) -> PipelineModel:
             raise SchemaMismatch(
                 f"unsupported pipeline version {bundle.get('version')!r}"
             )
+        if bundle.get("detector_cfg") != _DETECTOR_CFG:
+            raise SchemaMismatch(
+                f"detector_cfg {bundle.get('detector_cfg')!r} is not "
+                f"{_DETECTOR_CFG!r}, the detector this build cuts windows with"
+            )
         slots = {}
         for name, md in bundle["slots"].items():
             task = Task(name)
@@ -477,7 +473,6 @@ def load_pipeline(path) -> PipelineModel:
                 )
             slots[task] = model
         return PipelineModel(
-            detector_cfg=CdfConfig(**bundle["detector_cfg"]),
             slots=slots,
             metadata=bundle.get("metadata", {}),
         )

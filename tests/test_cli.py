@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, stamps, exit codes, streaming."""
 
+import errno
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import pytest
 
 from diffsentry import __version__
 from diffsentry.cli import main
+from diffsentry.pipeline import PipelineModel
 from diffsentry.sampling import SamplingSpec
 
 SPEC = SamplingSpec()
@@ -184,6 +186,69 @@ def test_classify_failure_removes_the_out_file(tmp_path, saved_model, capsys):
     assert not out.exists()
 
 
+def _full_disk(model, path):
+    """A ``save_pipeline`` that fails partway through the file."""
+    with open(path, "w") as fh:
+        fh.write('{"version": ')
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+
+@pytest.mark.parametrize("command", ["classify", "train"])
+def test_failed_out_leaves_an_existing_file_unchanged(tmp_path, saved_model,
+                                                      reference_corpus,
+                                                      monkeypatch, capsys,
+                                                      command):
+    out = tmp_path / "out"
+    out.write_bytes(b'{"earlier": 1}\n')
+    if command == "classify":
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        _steady_csv(good)
+        bad.write_text("t_s,ia_pu,ib_pu,ic_pu\n0,0,0,0\n0,1,2\n")
+        argv = ["classify", "--model", str(saved_model), str(good), str(bad)]
+    else:
+        monkeypatch.setattr("diffsentry.cli.train_pipeline",
+                            lambda corpus, manifest, config: PipelineModel({}))
+        monkeypatch.setattr("diffsentry.cli.save_pipeline", _full_disk)
+        argv = ["train", "--corpus", str(reference_corpus[0])]
+    before = sorted(os.listdir(tmp_path))
+    code = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error [{command}]: ")
+    assert out.read_bytes() == b'{"earlier": 1}\n'
+    assert sorted(os.listdir(tmp_path)) == before   # no temporary file left
+
+
+@pytest.mark.parametrize("sources", [["--stdin", "w.csv"], []],
+                         ids=["stdin_and_files", "neither"])
+def test_classify_takes_files_or_stdin(saved_model, monkeypatch, capsys,
+                                       sources):
+    monkeypatch.setattr("sys.stdin", io.StringIO("t_s,ia,ib,ic\n0,0,0,0\n"))
+    with pytest.raises(SystemExit) as exit_:
+        main(["classify", "--model", str(saved_model)] + sources)
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2
+    assert "--stdin" in err and "inputs" in err
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "evaluate"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    # nothing is read before the refusal: the corpus and model do not exist
+    out = tmp_path / "out"
+    inputs = {
+        "generate": [],
+        "train": ["--corpus", str(tmp_path / "no_corpus")],
+        "evaluate": ["--corpus", str(tmp_path / "no_corpus"), "--model",
+                     str(tmp_path / "no_model.json"), "--snr", "inf,10"],
+    }[command]
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--out", str(out), "--seed", "-1"] + inputs)
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2
+    assert "argument --seed: '-1' is not a non-negative integer" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_classify_non_finite_stream_sample_is_a_data_error(saved_model, monkeypatch,
                                                            capsys, value):
@@ -255,6 +320,7 @@ MODEL_TAMPERS = {
     "version_2": lambda b: b.update(version=2),
     "removed_detector_key": lambda b: b["detector_cfg"].update(
         post_cycles_classify=3),
+    "other_threshold": lambda b: b["detector_cfg"].update(threshold=0.1),
     "gbc_no_learning_rate": lambda b: _detect_config(b).pop("learning_rate"),
 }
 

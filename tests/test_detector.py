@@ -10,7 +10,6 @@ from diffsentry.detector import (
     CYCLE,
     DETECT_LEN,
     PRE,
-    CdfConfig,
     StreamingDetector,
     cdf_series,
     detect,
@@ -67,7 +66,7 @@ def _steady_waveform(amplitude=1.0):
 
 
 def test_steady_sinusoid_never_triggers():
-    event = detect(_steady_waveform(), CdfConfig())
+    event = detect(_steady_waveform())
     assert not event.triggered
     assert event.trigger_index is None
 
@@ -79,7 +78,7 @@ def _step_waveform():
 
 
 def test_step_triggers():
-    assert detect(_step_waveform(), CdfConfig()).triggered
+    assert detect(_step_waveform()).triggered
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -89,13 +88,13 @@ def test_non_finite_sample_before_an_event_is_an_error(value):
     x[2 * SPC] = value
     x[2 * SPC + 5, 2] = value
     with pytest.raises(NonFiniteSample, match=f"sample {2 * SPC} phase a is"):
-        detect(x, CdfConfig())
+        detect(x)
 
 
 @pytest.mark.parametrize("shape", [(8 * SPC, 2), (8 * SPC,), (8 * SPC, 4)])
 def test_samples_not_n_by_3_are_an_error(shape):
     with pytest.raises(WrongShape, match=r"\(N, 3\)"):
-        detect(np.zeros(shape), CdfConfig())
+        detect(np.zeros(shape))
 
 
 def _fault_wave(rf=0.01, pct=80.0, inception=2 * SPC, ft=FaultType.WA_G):
@@ -107,7 +106,7 @@ def _fault_wave(rf=0.01, pct=80.0, inception=2 * SPC, ft=FaultType.WA_G):
 
 def test_fault_triggers_within_one_cycle_of_inception():
     w = _fault_wave()
-    event = detect(w, CdfConfig())
+    event = detect(w)
     assert event.triggered
     assert abs(event.trigger_index - w.inception_index) <= SPC
 
@@ -118,14 +117,14 @@ def test_window_lengths_exact():
     assert (CYCLE, DETECT_LEN, PRE, CLASSIFY_LEN) == (SPC, 250, 83, 501)
     assert task_window_len(Task.DETECT_FAULT) == DETECT_LEN
     assert {task_window_len(t) for t in Task if t is not Task.DETECT_FAULT} == {501}
-    event = detect(_fault_wave(), CdfConfig())
+    event = detect(_fault_wave())
     assert event.detect_window.shape == (250, 3)
     assert event.classify_window.shape == (3 * SPC, 3)
 
 
 def test_window_alignment():
     w = _fault_wave()
-    event = detect(w, CdfConfig())
+    event = detect(w)
     t = event.trigger_index
     assert np.array_equal(event.detect_window, w.samples[t - PRE: t - PRE + 250])
     assert np.array_equal(event.classify_window, w.samples[t: t + 3 * SPC])
@@ -136,38 +135,34 @@ def test_translation_equivariance_arbitrary_shift():
     n = 8 * SPC
     x = np.zeros((n, 3))
     x[3 * SPC:, 1] = np.sin(2 * np.pi * np.arange(n - 3 * SPC) / SPC)
-    cfg = CdfConfig()
-    base = detect(x, cfg)
+    base = detect(x)
     k = 37
     shifted = np.vstack([np.zeros((k, 3)), x[: n - k]])
-    moved = detect(shifted, cfg)
+    moved = detect(shifted)
     assert moved.trigger_index == base.trigger_index + k
 
 
 def test_translation_equivariance_whole_cycle():
     # moving the inception one full cycle shifts the whole record by one
     # cycle (the pre-event background is cycle-periodic)
-    cfg = CdfConfig()
-    early = detect(_fault_wave(inception=2 * SPC), cfg)
-    late = detect(_fault_wave(inception=3 * SPC), cfg)
+    early = detect(_fault_wave(inception=2 * SPC))
+    late = detect(_fault_wave(inception=3 * SPC))
     assert late.trigger_index == early.trigger_index + SPC
 
 
 def test_never_triggers_before_inception():
-    cfg = CdfConfig()
     for ft in (FaultType.WA_G, FaultType.WB_WC, FaultType.TURN_TO_TURN):
         w = _fault_wave(ft=ft)
-        event = detect(w, cfg)
+        event = detect(w)
         assert event.triggered
         assert event.trigger_index >= w.inception_index - 1
 
 
 def test_detection_deferred_when_pre_window_does_not_fit():
-    cfg = CdfConfig()
     n = 8 * SPC
     x = np.zeros((n, 3))
     x[2 * SPC - 10:, 0] = 1.0  # step very close to the earliest possible window
-    event = detect(x, cfg)
+    event = detect(x)
     assert event.triggered
     # the earliest possible trigger already has the pre-window before it
     assert event.trigger_index == 2 * SPC - 1 >= PRE
@@ -177,9 +172,9 @@ def test_waveform_on_another_grid_is_refused():
     params = {"unit": "PT", "fault_type": "wa-g", "resistance_ohm": 0.01}
     wave = build_case("InternalFault", params, SamplingSpec(sample_rate_hz=20_000.0), 8)
     with pytest.raises(WrongSamplingGrid, match="333 samples per cycle"):
-        detect(wave, CdfConfig())
+        detect(wave)
     # the same record on the detector's grid is decided as before
-    assert detect(build_case("InternalFault", params, SPEC, 8), CdfConfig()).triggered
+    assert detect(build_case("InternalFault", params, SPEC, 8)).triggered
 
 
 def test_weak_turn_to_turn_corner_is_recorded_not_fatal():
@@ -189,7 +184,7 @@ def test_weak_turn_to_turn_corner_is_recorded_not_fatal():
                       resistance_ohm=10.0, pct_winding=20.0, tap=0.5)
     w = simulate_internal_fault(UNIT_PRESETS[Unit.EXCITING], fault, SPEC,
                                 duration_cycles=8, inception_index=2 * SPC)
-    event = detect(w, CdfConfig())
+    event = detect(w)
     assert event.triggered in (True, False)
     if event.triggered:
         assert event.trigger_index >= w.inception_index - 1
@@ -198,8 +193,8 @@ def test_weak_turn_to_turn_corner_is_recorded_not_fatal():
 def _assert_stream_matches_batch(samples):
     """Both stream events carry batch detect's trigger, phase and windows,
     at the samples where the 1.5- and 3-cycle windows close."""
-    batch = detect(samples, CdfConfig())
-    stream = StreamingDetector(CdfConfig())
+    batch = detect(samples)
+    stream = StreamingDetector()
     events = [(i, e) for i, s in enumerate(samples)
               if (e := stream.push(s)) is not None]
     t = batch.trigger_index
@@ -225,13 +220,13 @@ def test_streaming_matches_batch_on_every_class(reference_corpus):
         if name in checked:
             continue
         samples = read_waveform_csv(os.path.join(corpus_dir, row["file"]))
-        if detect(samples, CdfConfig()).triggered:
+        if detect(samples).triggered:
             _assert_stream_matches_batch(samples)
             checked.add(name)
     assert len(checked) == 7
 
 
 def test_streaming_no_event_on_steady_stream():
-    stream = StreamingDetector(CdfConfig())
+    stream = StreamingDetector()
     for s in _steady_waveform():
         assert stream.push(s) is None

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from diffsentry.errors import ParameterOutOfRange, UnknownDisturbance
-from diffsentry.detector import CdfConfig, detect
+from diffsentry.detector import detect
 from diffsentry.sampling import DisturbanceType, SamplingSpec
 from diffsentry.wavegen.corpus import enumerate_plan, reference_plan, build_case
 from diffsentry.wavegen.disturbances import (
@@ -163,13 +163,12 @@ def test_signature_oracle_reidentifies_detected_disturbances():
     """Scripted harmonic/polarity oracle recovers >= 99% of the noise-free
     disturbances the change detector registers."""
     plan = reference_plan(cases_per_class=60, fault_cases=1)
-    cfg = CdfConfig()
     total, correct = 0, 0
     for _, name, _, params, _ in enumerate_plan(plan, seed=3):
         if name == "InternalFault":
             continue
         wave = build_case(name, params, SPEC, 8)
-        if not detect(wave, cfg).triggered:
+        if not detect(wave).triggered:
             continue  # no registered signature to identify
         total += 1
         if classify_by_signature(wave) == name:

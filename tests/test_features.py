@@ -473,7 +473,7 @@ def test_extract_tasks_equals_each_task_alone(window):
 
 
 def test_extract_tasks_equals_each_task_alone_on_corpus(reference_corpus):
-    from diffsentry.detector import CdfConfig, detect
+    from diffsentry.detector import detect
     from diffsentry.sampling import read_waveform_csv
 
     corpus_dir, manifest, _ = reference_corpus
@@ -482,7 +482,7 @@ def test_extract_tasks_equals_each_task_alone_on_corpus(reference_corpus):
         key = (row["kind"], row.get("unit"), row.get("disturbance_type"))
         if key in seen:
             continue
-        event = detect(read_waveform_csv(corpus_dir / row["file"]), CdfConfig())
+        event = detect(read_waveform_csv(corpus_dir / row["file"]))
         if not event.triggered:
             continue
         _assert_shared_window_matches(event.detect_window)

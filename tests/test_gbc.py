@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from diffsentry.detector import CdfConfig
 from diffsentry.ensembles import (
     GbcConfig,
     gbc_fit,
@@ -113,10 +112,10 @@ def test_schema_hash_checked_on_load(tmp_path):
     expected = schema_hash(Task.DETECT_FAULT)
     model.schema_hash = expected
     path = tmp_path / "pipeline.json"
-    save_pipeline(PipelineModel(CdfConfig(), {Task.DETECT_FAULT: model}), path)
+    save_pipeline(PipelineModel({Task.DETECT_FAULT: model}), path)
     assert load_pipeline(path).slots[Task.DETECT_FAULT].schema_hash == expected
     model.schema_hash = "something-else"
-    save_pipeline(PipelineModel(CdfConfig(), {Task.DETECT_FAULT: model}), path)
+    save_pipeline(PipelineModel({Task.DETECT_FAULT: model}), path)
     with pytest.raises(SchemaMismatch):
         load_pipeline(path)
 

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from diffsentry.detector import (CLASSIFY_LEN, CYCLE, CdfConfig,
-                                 StreamingDetector, detect)
+from diffsentry.detector import CLASSIFY_LEN, CYCLE, StreamingDetector, detect
 from diffsentry.ensembles.cart import PackedTrees
 from diffsentry.ensembles.model import TreeEnsembleModel
 from diffsentry.errors import ClassMissing, IncompleteModel, SchemaMismatch
@@ -84,7 +83,7 @@ def _poisoned(task: Task) -> TreeEnsembleModel:
 def _stub_pipeline(overrides) -> PipelineModel:
     slots = {task: _poisoned(task) for task in Task}
     slots.update(overrides)
-    return PipelineModel(detector_cfg=CdfConfig(), slots=slots)
+    return PipelineModel(slots=slots)
 
 
 def _steady():
@@ -159,7 +158,7 @@ def test_unit_routing_truth_table():
 def test_incomplete_model_rejected():
     slots = {task: _stub(task, _TASK_CLASSES[task][0]) for task in Task}
     del slots[Task.LOCATE_UNIT]
-    model = PipelineModel(detector_cfg=CdfConfig(), slots=slots)
+    model = PipelineModel(slots=slots)
     with pytest.raises(IncompleteModel):
         decide(_steady(), model)
 
@@ -210,13 +209,12 @@ def test_every_feature_finite_on_corpus(small_corpus):
     from diffsentry.pipeline import load_corpus_waveforms
 
     corpus_dir, manifest = small_corpus
-    cfg = CdfConfig()
     checked = 0
     # DetectFault covers all five families on the 1.5-cycle window;
     # the other two cover both window lengths for every family
     tasks = (Task.DETECT_FAULT, Task.IDENTIFY_SERIES, Task.IDENTIFY_DISTURBANCE)
     for row, samples in load_corpus_waveforms(corpus_dir, manifest):
-        event = detect(samples, cfg)
+        event = detect(samples)
         if not event.triggered:
             continue
         for task in tasks:
@@ -284,9 +282,9 @@ def test_stream_ending_between_the_windows_gives_only_the_verdict():
     model = _stub_pipeline(
         {Task.DETECT_FAULT: _stub(Task.DETECT_FAULT, FAULT_CLASS)})
     samples = _fault_wave().samples
-    trigger = detect(samples, model.detector_cfg).trigger_index
+    trigger = detect(samples).trigger_index
     cut = samples[: trigger + CLASSIFY_LEN - 1]   # stops one short of 3 cycles
-    detector = StreamingDetector(model.detector_cfg)
+    detector = StreamingDetector()
     events = [e for s in cut if (e := detector.push(s)) is not None]
     assert len(events) == 1
     assert events[0].classify_window is None
@@ -329,7 +327,6 @@ def test_model_file_stores_only_the_threshold(tmp_path):
     bundle = json.loads(path.read_text())
     assert bundle["version"] == 3
     assert bundle["detector_cfg"] == {"threshold": 0.05}
-    assert load_pipeline(path).detector_cfg == CdfConfig()
 
 
 @pytest.mark.parametrize("tamper,message", [
@@ -339,7 +336,10 @@ def test_model_file_stores_only_the_threshold(tmp_path):
      "post_cycles_classify"),
     (lambda b: b["detector_cfg"].update(threshold=float("nan")), "threshold"),
     (lambda b: b["detector_cfg"].update(threshold="0.05"), "threshold"),
-], ids=["version_2", "removed_key", "nan_threshold", "string_threshold"])
+    # a pickup the build's detector does not cut windows with
+    (lambda b: b["detector_cfg"].update(threshold=0.1), "0.1"),
+], ids=["version_2", "removed_key", "nan_threshold", "string_threshold",
+        "other_threshold"])
 def test_load_rejects_an_old_or_bad_detector_config(tmp_path, tamper, message):
     import json
 
@@ -378,7 +378,7 @@ def _noise_study_per_repeat(records, train_files, snr_list, seed, repeats,
                         inception_index=row["inception_index"])
         if not math.isinf(snr):
             wave = add_noise(wave, snr, seed=noise_seed)
-        event = detect(wave, CdfConfig())
+        event = detect(wave)
         if not event.triggered:
             return None
         return extract(event.detect_window, Task.DETECT_FAULT).values
