@@ -99,14 +99,22 @@ def detect(wave) -> DetectionEvent:
         raise TooShort(
             "waveform too short for the classification window after the trigger"
         )
-    start = trigger - PRE
+    detect_window, classify_window = event_windows(samples, trigger)
     return DetectionEvent(
         triggered=True,
         trigger_index=trigger,
         trigger_phase=PHASES[phase_idx],
-        detect_window=samples[start: start + DETECT_LEN].copy(),
-        classify_window=samples[trigger: trigger + CLASSIFY_LEN].copy(),
+        detect_window=detect_window.copy(),
+        classify_window=classify_window.copy(),
     )
+
+
+def event_windows(samples: np.ndarray, trigger_index: int):
+    """(detect window, classify window) of the event registered at
+    ``trigger_index``, as views of the (N, 3) ``samples``."""
+    start = trigger_index - PRE
+    return (samples[start: start + DETECT_LEN],
+            samples[trigger_index: trigger_index + CLASSIFY_LEN])
 
 
 class StreamingDetector:

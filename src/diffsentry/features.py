@@ -9,8 +9,15 @@ Five families are implemented, each per phase:
   (Hann window, 50% overlap, no detrending)
 * autoregressive coefficients: conditional least squares with intercept
 
+Every op reads its series along the last axis: it takes one series (n,)
+or a stack (..., n) and returns a value per series, with one
+implementation for both. Row r of a stack gets the same bits as series r
+on its own.
+
 Task vectors apply a frozen parameter list identically to each phase and
-concatenate phase a, then b, then c.
+concatenate phase a, then b, then c. ``extract`` cuts one window's vector;
+``extract_many`` runs the same spec loop over a stack of windows (m, n, 3),
+one op call per spec and phase for the whole stack.
 """
 
 from __future__ import annotations
@@ -49,87 +56,93 @@ class FeatureSpec:
 
 
 # -- feature operations --------------------------------------------------------
+#
+# ``values`` is one series (n,) or a stack (..., n); the result has the
+# leading shape, a float for one series.
 
-def change_quantile(values, ql: float, qh: float) -> float:
+def change_quantile(values, ql: float, qh: float):
     """Mean |x[t+1] - x[t]| over pairs whose both samples lie in the
     [quantile(ql), quantile(qh)] band; 0 when no pair qualifies."""
     x = np.asarray(values, dtype=np.float64)
-    if x.shape[0] < 2:
+    if x.shape[-1] < 2:
         raise TooShort("change_quantile needs at least 2 samples")
     if not 0.0 <= ql < qh <= 1.0:
         raise ValueError(f"need 0 <= ql < qh <= 1, got ({ql}, {qh})")
-    lo = np.quantile(x, ql)
-    hi = np.quantile(x, qh)
+    lo = np.quantile(x, ql, axis=-1)[..., None]
+    hi = np.quantile(x, qh, axis=-1)[..., None]
     inside = (x >= lo) & (x <= hi)
-    both = inside[:-1] & inside[1:]
-    if not both.any():
-        return 0.0
-    return float(np.mean(np.abs(np.diff(x))[both]))
+    both = (inside[..., :-1] & inside[..., 1:]).reshape(-1, x.shape[-1] - 1)
+    steps = np.abs(np.diff(x, axis=-1)).reshape(both.shape)
+    # compress each row before its mean: a masked sum adds in another order
+    out = np.array([np.mean(s[b]) if b.any() else 0.0
+                    for s, b in zip(steps, both)])
+    return out.reshape(x.shape[:-1])[()]
 
 
-def dft_coefficient(values, k: int, part: str = "abs") -> float:
+_DFT_PARTS = {"abs": np.abs, "real": np.real, "imag": np.imag}
+
+
+def dft_coefficient(values, k: int, part: str = "abs"):
     """Requested part of X_k = sum_t x_t exp(-j 2 pi k t / n)."""
     x = np.asarray(values, dtype=np.float64)
-    n = x.shape[0]
+    n = x.shape[-1]
     if not 0 <= k <= n // 2:
         raise IndexOutOfRange(f"coefficient {k} outside [0, {n // 2}]")
-    coef = np.fft.rfft(x)[k]
-    if part == "abs":
-        return float(np.abs(coef))
-    if part == "real":
-        return float(coef.real)
-    if part == "imag":
-        return float(coef.imag)
-    raise ValueError(f"part must be abs, real or imag, got {part!r}")
+    if part not in _DFT_PARTS:
+        raise ValueError(f"part must be abs, real or imag, got {part!r}")
+    return _DFT_PARTS[part](np.fft.rfft(x, axis=-1)[..., k])[()]
 
 
 def _ols_line(y: np.ndarray):
-    """Least-squares y = a + b t on t = 0..len-1; returns (slope, intercept,
-    stderr of the slope). Exact two-point fits have zero stderr."""
-    w = y.shape[0]
+    """Least-squares y = a + b t on t = 0..w-1 along the last axis of y
+    (..., w); returns (slope, intercept, stderr of the slope), each of the
+    leading shape. Exact two-point fits have zero stderr."""
+    w = y.shape[-1]
     t = np.arange(w, dtype=np.float64)
     t_mean = t.mean()
-    y_mean = y.mean()
-    sxx = np.sum((t - t_mean) ** 2)
-    b = np.sum((t - t_mean) * (y - y_mean)) / sxx
+    t_dev = t - t_mean
+    y_mean = y.mean(axis=-1)
+    sxx = np.sum(t_dev ** 2)
+    b = np.sum(t_dev * (y - y_mean[..., None]), axis=-1) / sxx
     a = y_mean - b * t_mean
     if w == 2:
-        return b, a, 0.0
-    resid = y - (a + b * t)
-    s2 = np.sum(resid * resid) / (w - 2)
-    return b, a, float(np.sqrt(s2 / sxx))
+        return b, a, np.zeros_like(b)
+    resid = y - (a[..., None] + b[..., None] * t)
+    s2 = np.sum(resid * resid, axis=-1) / (w - 2)
+    return b, a, np.sqrt(s2 / sxx)
 
 
 _TREND_STATS = ("slope", "intercept", "stderr")
 _TREND_AGGS = {"mean": np.mean, "min": np.min, "max": np.max, "var": np.var}
 
 
-def agg_linear_trend(values, window_len: int, statistic: str, aggregator: str) -> float:
+def agg_linear_trend(values, window_len: int, statistic: str, aggregator: str):
     """Aggregate a per-window regression statistic over consecutive
     non-overlapping windows (trailing partial window discarded)."""
     x = np.asarray(values, dtype=np.float64)
     if window_len < 2:
         raise ValueError("window_len must be at least 2")
-    if x.shape[0] < window_len:
-        raise TooShort(f"need at least {window_len} samples, got {x.shape[0]}")
+    if x.shape[-1] < window_len:
+        raise TooShort(f"need at least {window_len} samples, got {x.shape[-1]}")
     if statistic not in _TREND_STATS:
         raise ValueError(f"statistic must be one of {_TREND_STATS}")
     if aggregator not in _TREND_AGGS:
         raise ValueError(f"aggregator must be one of {tuple(_TREND_AGGS)}")
-    n_win = x.shape[0] // window_len
-    stats = np.empty(n_win)
+    n_win = x.shape[-1] // window_len
+    pick = _TREND_STATS.index(statistic)
+    stats = np.empty(x.shape[:-1] + (n_win,))
     for i in range(n_win):
-        slope, intercept, stderr = _ols_line(x[i * window_len:(i + 1) * window_len])
-        stats[i] = {"slope": slope, "intercept": intercept, "stderr": stderr}[statistic]
-    return float(_TREND_AGGS[aggregator](stats))
+        block = x[..., i * window_len:(i + 1) * window_len]
+        stats[..., i] = _ols_line(block)[pick]
+    return _TREND_AGGS[aggregator](stats, axis=-1)[()]
 
 
-def welch_density(values, bin_index: int, segment_len: int = 64) -> float:
+def welch_density(values, bin_index: int, segment_len: int = 64):
     """Welch power spectral density at one bin: Hann-windowed segments with
     50% overlap, periodogram averaging, one-sided, unit sample rate, no
     detrending."""
     x = np.asarray(values, dtype=np.float64)
-    n = x.shape[0]
+    n = x.shape[-1]
     if segment_len > n:
         raise TooShort(f"segment_len {segment_len} exceeds signal length {n}")
     if segment_len & (segment_len - 1):
@@ -139,21 +152,22 @@ def welch_density(values, bin_index: int, segment_len: int = 64) -> float:
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
     norm = np.sum(window * window)
     step = segment_len // 2
-    psd = np.zeros(segment_len // 2 + 1)
+    psd = np.zeros(x.shape[:-1] + (segment_len // 2 + 1,))
     count = 0
     for start in range(0, n - segment_len + 1, step):
-        seg = x[start: start + segment_len] * window
-        spec = np.abs(np.fft.rfft(seg)) ** 2
+        seg = x[..., start: start + segment_len] * window
+        spec = np.abs(np.fft.rfft(seg, axis=-1)) ** 2
         psd += spec
         count += 1
     psd /= count * norm
-    psd[1: segment_len // 2] *= 2.0  # one-sided, DC and Nyquist unscaled
-    return float(psd[bin_index])
+    psd[..., 1: segment_len // 2] *= 2.0  # one-sided, DC and Nyquist unscaled
+    return psd[..., bin_index][()]
 
 
 def ar_coefficients(values, order: int) -> np.ndarray:
-    """(phi_0 .. phi_P) minimizing the conditional least-squares criterion
-    sum_t (x_t - phi_0 - sum_i phi_i x_{t-i})^2 via the normal equations."""
+    """(phi_0 .. phi_P) of one series (n,) minimizing the conditional
+    least-squares criterion sum_t (x_t - phi_0 - sum_i phi_i x_{t-i})^2 via
+    the normal equations."""
     x = np.asarray(values, dtype=np.float64)
     n = x.shape[0]
     if order < 1:
@@ -270,67 +284,81 @@ class FeatureVector:
         return [f"{ph}_{spec.key()}" for ph, spec in self.spec_list]
 
 
-def _eval_spec(spec: FeatureSpec, x: np.ndarray):
-    p = spec.params
-    if spec.family == "change_quantile":
-        return change_quantile(x, p["ql"], p["qh"]), False
-    if spec.family == "dft_coefficient":
-        return dft_coefficient(x, p["k"], p["part"]), False
-    if spec.family == "agg_linear_trend":
-        return agg_linear_trend(x, p["window_len"], p["statistic"], p["aggregator"]), False
-    if spec.family == "welch_density":
-        return welch_density(x, p["bin_index"], p["segment_len"]), False
-    if spec.family == "ar_coefficients":
+def _ar_feature(x: np.ndarray, order: int, coeff: int):
+    """One AR coefficient per series of x (..., n), and per series whether
+    its design was singular and the value replaced by 0 (degenerate windows
+    must not abort a decision)."""
+    # each row is a view of x, so the normal equations see the same strides
+    # (and so the same BLAS products) as the series on its own
+    rows = x.reshape(-1, x.shape[-1])
+    values = np.empty(rows.shape[0])
+    fallback = np.zeros(rows.shape[0], dtype=bool)
+    for r, row in enumerate(rows):
         try:
-            return float(ar_coefficients(x, p["order"])[p["coeff"]]), False
+            values[r] = ar_coefficients(row, order)[coeff]
         except SingularDesign:
-            return 0.0, True  # degenerate windows must not abort a decision
-    raise ValueError(f"unknown feature family {spec.family!r}")
+            values[r], fallback[r] = 0.0, True
+    return values.reshape(x.shape[:-1])[()], fallback.reshape(x.shape[:-1])[()]
 
 
-def extract_tasks(window: np.ndarray, tasks) -> dict:
-    """{task: FeatureVector} for several tasks over one shared 3-phase window.
+#: family -> op(x (..., n), params) -> (values (...), AR fallback)
+_OPS = {
+    "change_quantile": lambda x, p: (change_quantile(x, p["ql"], p["qh"]), False),
+    "dft_coefficient": lambda x, p: (dft_coefficient(x, p["k"], p["part"]), False),
+    "agg_linear_trend": lambda x, p: (agg_linear_trend(
+        x, p["window_len"], p["statistic"], p["aggregator"]), False),
+    "welch_density": lambda x, p: (
+        welch_density(x, p["bin_index"], p["segment_len"]), False),
+    "ar_coefficients": lambda x, p: _ar_feature(x, p["order"], p["coeff"]),
+}
 
-    The union of the tasks' specs (first-seen order, by ``FeatureSpec``
-    equality) is evaluated once per phase; each task's vector is then cut
-    out in its own frozen order, so it is bit-identical to evaluating that
-    task alone. Every task must take the window's length.
-    """
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2 or window.shape[1] != 3:
-        raise WrongWindowLength("window must have shape (n, 3)")
-    for task in tasks:
-        expected = task_window_len(task)
-        if window.shape[0] != expected:
-            raise WrongWindowLength(
-                f"{task.value} needs a {expected}-sample window, got {window.shape[0]}"
-            )
-    per_task = [task_specs(task) for task in tasks]
-    if len(per_task) == 1:
-        union, columns = per_task[0], [range(len(per_task[0]))]
-    else:
-        union, columns = [], []
-        for specs in per_task:
-            for spec in specs:
-                if spec not in union:
-                    union.append(spec)
-            columns.append([union.index(spec) for spec in specs])
-    evaluated = []  # (value, fallback) per phase and union spec
-    for ph_idx in range(len(PHASES)):
-        x = window[:, ph_idx]
-        evaluated.append([_eval_spec(spec, x) for spec in union])
-    out = {}
-    for task, specs, cols in zip(tasks, per_task, columns):
-        picked = [row[j] for row in evaluated for j in cols]
-        out[task] = FeatureVector(
-            task=task,
-            values=np.asarray([val for val, _ in picked], dtype=np.float64),
-            spec_list=[(ph, spec) for ph in PHASES for spec in specs],
-            ar_fallback=any(fb for _, fb in picked),
+
+def _eval_spec(spec: FeatureSpec, x: np.ndarray):
+    """(values, fallback) of one spec over the series x (..., n)."""
+    op = _OPS.get(spec.family)
+    if op is None:
+        raise ValueError(f"unknown feature family {spec.family!r}")
+    return op(x, spec.params)
+
+
+_WINDOW_SHAPES = {2: "(n, 3)", 3: "(m, n, 3)"}
+
+
+def _task_values(windows: np.ndarray, task: Task, ndim: int):
+    """(values (..., k), ar_fallback (...)) of one task over windows
+    (..., n, 3) of ``ndim`` dimensions: every spec on phase a, then b,
+    then c."""
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != ndim or windows.shape[-1] != 3:
+        raise WrongWindowLength(f"window must have shape {_WINDOW_SHAPES[ndim]}")
+    expected = task_window_len(task)
+    if windows.shape[-2] != expected:
+        raise WrongWindowLength(
+            f"{task.value} needs a {expected}-sample window, got {windows.shape[-2]}"
         )
-    return out
+    specs = task_specs(task)
+    values = np.empty(windows.shape[:-2] + (len(PHASES) * len(specs),))
+    fallback = np.zeros(windows.shape[:-2], dtype=bool)
+    for ph_idx in range(len(PHASES)):
+        x = windows[..., ph_idx]
+        for j, spec in enumerate(specs):
+            values[..., ph_idx * len(specs) + j], fb = _eval_spec(spec, x)
+            fallback |= fb
+    return values, fallback
 
 
 def extract(window: np.ndarray, task: Task) -> FeatureVector:
     """Fixed per-task feature vector over a 3-phase window (shape (n, 3))."""
-    return extract_tasks(window, (task,))[task]
+    values, fallback = _task_values(window, task, 2)
+    return FeatureVector(
+        task=task,
+        values=values,
+        spec_list=[(ph, spec) for ph in PHASES for spec in task_specs(task)],
+        ar_fallback=bool(fallback),
+    )
+
+
+def extract_many(windows: np.ndarray, task: Task):
+    """(values (m, k), ar_fallback (m,)) of one task over a stack of m
+    windows (m, n, 3). Row r is bit for bit ``extract(windows[r], task)``."""
+    return _task_values(windows, task, 3)

@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .detector import (CLASSIFY_LEN, CYCLE, THRESHOLD, DetectionEvent,
-                       StreamingDetector, detect)
+from .detector import (CLASSIFY_LEN, CYCLE, DETECT_LEN, THRESHOLD,
+                       DetectionEvent, StreamingDetector, detect, event_windows)
 from .ensembles import GBC_GRID_SMALL, GbcConfig, gbc_fit
 from .ensembles.model import model_from_dict, model_to_dict, predict
 from .errors import (
@@ -37,7 +37,7 @@ from .evaluation import (
     grid_search,
     train_test_split,
 )
-from .features import Task, extract, extract_tasks, schema_hash
+from .features import Task, extract, extract_many, schema_hash, task_window_len
 from .resampling import ResamplePlan, apply_plan
 from .sampling import (
     DisturbanceType,
@@ -232,8 +232,10 @@ def _record_wave(row: dict, samples) -> Waveform:
 
 
 def _windows_by_task(records):
-    """Run detection over corpus records and build per-task datasets."""
-    data = {task: {"X": [], "y": [], "files": []} for task in Task}
+    """Run detection over corpus records and build per-task datasets: each
+    task's windows in record order, featurized in one batch."""
+    windows = {task: [] for task in Task}
+    data = {task: {"y": [], "files": []} for task in Task}
     undetected = []
     for row, samples in records:
         wave = _record_wave(row, samples)
@@ -241,14 +243,18 @@ def _windows_by_task(records):
         if not event.triggered:
             undetected.append(row["file"])
             continue
-        targets = _task_targets(wave.label)
-        vecs = {Task.DETECT_FAULT: extract(event.detect_window, Task.DETECT_FAULT)}
-        vecs.update(extract_tasks(event.classify_window,
-                                  [t for t in targets if t is not Task.DETECT_FAULT]))
-        for task, cls in targets.items():
-            data[task]["X"].append(vecs[task].values)
+        # views of the record's samples, which the caller holds anyway, so
+        # collecting every window costs no copy before the stacks
+        detect_window, classify_window = event_windows(samples, event.trigger_index)
+        for task, cls in _task_targets(wave.label).items():
+            windows[task].append(detect_window if task is Task.DETECT_FAULT
+                                 else classify_window)
             data[task]["y"].append(cls)
             data[task]["files"].append(row["file"])
+    for task in Task:
+        stack = (np.stack(windows[task]) if windows[task]
+                 else np.empty((0, task_window_len(task), 3)))
+        data[task]["X"] = extract_many(stack, task)[0]
     return data, undetected
 
 
@@ -295,7 +301,7 @@ def train_pipeline(corpus_dir, manifest, config: TrainConfig) -> PipelineModel:
         )
 
     for task in Task:
-        X = np.vstack(train_data[task]["X"])
+        X = train_data[task]["X"]
         y = np.asarray(train_data[task]["y"])
         if config.resample is not None:
             X, y = apply_plan(X, y, config.resample, config.seed)
@@ -343,7 +349,7 @@ def _holdout_metrics(slots: dict, hold_data: dict) -> dict:
         ys = hold_data[task]["y"]
         if not ys:
             continue
-        X = np.vstack(hold_data[task]["X"])
+        X = hold_data[task]["X"]
         y = np.asarray(ys)
         counts = ConfusionCounts.from_predictions(y, slots[task].predict_labels(X))
         entry = {"n": int(y.shape[0]), "accuracy": accuracy(counts)}
@@ -363,9 +369,10 @@ def detect_noise_study(records, train_files, snr_list, seed,
     One detect-stage model is trained on noise-augmented training windows
     (clean plus every requested SNR), then each held-out waveform is
     evaluated ``repeats`` times per SNR with fresh seeded noise draws (at
-    infinite SNR the one clean window counts ``repeats`` times). Each SNR's
-    windows are predicted in one batch. Rows are keyed by SNR and report
-    overall accuracy and per-kind recall.
+    infinite SNR the one clean window counts ``repeats`` times). The training
+    windows, and each SNR's holdout windows, are featurized and predicted in
+    one batch. Rows are keyed by SNR and report overall accuracy and
+    per-kind recall.
     """
     import math as _math
 
@@ -373,49 +380,54 @@ def detect_noise_study(records, train_files, snr_list, seed,
 
     train_files = set(train_files)
     levels = [s for s in snr_list if not _math.isinf(s)]
+    # noise seeds: training draw j of record i is seed + 100 i + j and
+    # holdout repeat r is hold_base + 100 i + r, past every training seed
+    hold_base = seed + 100 * max(500, len(records))
 
-    def window_at(wave, snr, noise_seed):
-        if not _math.isinf(snr):
-            wave = add_noise(wave, snr, seed=noise_seed)
-        event = detect(wave)
-        if not event.triggered:
-            return None
-        return extract(event.detect_window, Task.DETECT_FAULT).values
+    def detect_rows(draws, capacity):
+        """(DetectFault rows, truths) of the draws (wave, snr, noise seed,
+        truth) whose detect window registers an event. Each window goes
+        into one stack as it is cut, so no noisy waveform outlives it."""
+        stack = np.empty((capacity, DETECT_LEN, 3))
+        truths = []
+        for wave, snr, noise_seed, truth in draws:
+            if not _math.isinf(snr):
+                wave = add_noise(wave, snr, seed=noise_seed)
+            event = detect(wave)
+            if event.triggered:
+                stack[len(truths)] = event.detect_window
+                truths.append(truth)
+        return extract_many(stack[:len(truths)], Task.DETECT_FAULT)[0], truths
 
-    x_train, y_train = [], []
-    hold = []
+    train, hold = [], []
     for i, (row, samples) in enumerate(records):
         wave = _record_wave(row, samples)
         truth = _task_targets(wave.label)[Task.DETECT_FAULT]
         if row["file"] in train_files:
-            for j, snr in enumerate([_math.inf] + levels):
-                vec = window_at(wave, snr, noise_seed=seed + 100 * i + j)
-                if vec is not None:
-                    x_train.append(vec)
-                    y_train.append(truth)
+            train += [(wave, snr, seed + 100 * i + j, truth)
+                      for j, snr in enumerate([_math.inf] + levels)]
         else:
             hold.append((i, wave, truth))
 
-    model = gbc_fit(np.vstack(x_train), np.asarray(y_train), gbc)
+    x_train, y_train = detect_rows(train, len(train))
+    model = gbc_fit(x_train, np.asarray(y_train), gbc)
 
-    clean = {}  # hold index -> its clean detect-window vector (or None)
+    clean = None  # (rows, truths) of every holdout record's clean window
     rows_out = []
     for snr in snr_list:
-        x_hold, y_true = [], []
-        for i, wave, truth in hold:
-            if _math.isinf(snr):
-                if i not in clean:
-                    clean[i] = window_at(wave, snr, noise_seed=None)
-                vecs = [clean[i]] * repeats
-            else:
-                vecs = [window_at(wave, snr,
-                                  noise_seed=seed + 50_000 + 100 * i + r)
-                        for r in range(repeats)]
-            for vec in vecs:
-                if vec is not None:
-                    x_hold.append(vec)
-                    y_true.append(truth)
-        y_pred = model.predict_labels(np.vstack(x_hold)) if x_hold else []
+        if _math.isinf(snr):
+            # one clean window per record, counted once per repeat
+            if clean is None:
+                clean = detect_rows([(wave, snr, None, truth)
+                                     for _, wave, truth in hold], len(hold))
+            x_hold = np.repeat(clean[0], repeats, axis=0)
+            y_true = [truth for truth in clean[1] for _ in range(repeats)]
+        else:
+            x_hold, y_true = detect_rows(
+                [(wave, snr, hold_base + 100 * i + r, truth)
+                 for i, wave, truth in hold for r in range(repeats)],
+                len(hold) * repeats)
+        y_pred = model.predict_labels(x_hold) if y_true else []
         counts = ConfusionCounts.from_predictions(y_true, y_pred)
         fc = counts.per_class[FAULT_CLASS]
         dc = counts.per_class[DISTURBANCE_CLASS]
@@ -476,6 +488,8 @@ def load_pipeline(path) -> PipelineModel:
             slots=slots,
             metadata=bundle.get("metadata", {}),
         )
+    except SchemaMismatch as exc:
+        raise SchemaMismatch(f"model file {path}: {exc}") from exc
     except DiffsentryError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

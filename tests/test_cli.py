@@ -326,14 +326,23 @@ MODEL_TAMPERS = {
 
 
 @pytest.mark.parametrize("tamper", sorted(MODEL_TAMPERS))
-def test_classify_tampered_model_is_a_data_error(tmp_path, saved_model, capsys,
+def test_classify_tampered_model_is_a_data_error(tmp_path, saved_model,
+                                                 reference_corpus, capsys,
                                                  tamper):
+    """The loader refuses each tamper: classifying a real fault waveform
+    (one every slot of a fault decision reads) fails on the model file."""
+    corpus_dir, manifest, _ = reference_corpus
+    fault = next(r for r in manifest if r["kind"] == "InternalFault")
     bundle = json.loads(saved_model.read_text())
     MODEL_TAMPERS[tamper](bundle)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(bundle))
-    code = main(["classify", "--model", str(path), str(path)])
-    _assert_classify_error(code, capsys)
+    code = main(["classify", "--model", str(path),
+                 os.path.join(corpus_dir, fault["file"])])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error [classify]: model file {path}")
+    assert "Traceback" not in err
 
 
 def test_classify_non_json_model_is_a_data_error(tmp_path, capsys):

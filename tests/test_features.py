@@ -1,7 +1,5 @@
 """Feature ops against independent brute-force oracles, plus task vectors."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +19,7 @@ from diffsentry.features import (
     change_quantile,
     dft_coefficient,
     extract,
-    extract_tasks,
+    extract_many,
     schema_hash,
     task_specs,
     task_window_len,
@@ -399,14 +397,7 @@ def test_feature_names_carry_phase_and_family():
     assert len(set(names)) == len(names)
 
 
-# -- several tasks over one shared window ------------------------------------------
-
-#: ordered task pairs that take the same window length
-SHARED_PAIRS = [
-    (a, b) for a, b in itertools.product(Task, repeat=2)
-    if task_window_len(a) == task_window_len(b)
-]
-
+# -- a stack of windows at once ----------------------------------------------------
 
 def _per_spec_loop(window, task):
     """Values and fallback flag of one task, one spec at a time."""
@@ -419,35 +410,24 @@ def _per_spec_loop(window, task):
     return np.asarray(values, dtype=np.float64), fallback
 
 
-def _assert_shared_window_matches(window):
-    for task in {t for pair in SHARED_PAIRS for t in pair}:
-        if window.shape[0] != task_window_len(task):
+def _assert_rows_match(windows, tasks):
+    """extract_many over the stacked windows equals extract on each window,
+    bit for bit, for every task that takes their length."""
+    stack = np.stack(windows)
+    for task in tasks:
+        if stack.shape[1] != task_window_len(task):
             continue
-        alone = extract(window, task)
-        values, fallback = _per_spec_loop(window, task)
-        assert alone.values.tobytes() == values.tobytes()
-        assert alone.ar_fallback == fallback
-    for a, b in SHARED_PAIRS:
-        if window.shape[0] != task_window_len(a):
-            continue
-        both = extract_tasks(window, (a, b))
-        for task in (a, b):
+        values, fallback = extract_many(stack, task)
+        assert values.shape == (len(windows), 3 * len(task_specs(task)))
+        assert fallback.dtype == bool and fallback.shape == (len(windows),)
+        for row, flag, window in zip(values, fallback, windows):
             alone = extract(window, task)
-            assert both[task].task is task
-            assert both[task].values.tobytes() == alone.values.tobytes()
-            assert both[task].spec_list == alone.spec_list
-            assert both[task].ar_fallback == alone.ar_fallback
-
-
-def test_shared_pairs_cover_every_classify_task():
-    assert len(SHARED_PAIRS) == 1 + 5 * 5
-    assert (Task.LOCATE_UNIT, Task.IDENTIFY_SERIES) in SHARED_PAIRS
+            assert row.tobytes() == alone.values.tobytes()
+            assert bool(flag) is alone.ar_fallback
 
 
 @st.composite
-def _windows(draw):
-    task = draw(st.sampled_from([Task.DETECT_FAULT, Task.LOCATE_UNIT]))
-    n = task_window_len(task)
+def _windows(draw, n):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-5, 5))
     kind = draw(st.sampled_from(["noise", "sine", "sine_dc", "steps", "zeros"]))
@@ -466,32 +446,72 @@ def _windows(draw):
     return scale * w
 
 
+@st.composite
+def _window_stacks(draw):
+    """Several windows of one task's length, of mixed kinds."""
+    n = task_window_len(draw(st.sampled_from([Task.DETECT_FAULT, Task.LOCATE_UNIT])))
+    return draw(st.lists(_windows(n), min_size=1, max_size=6))
+
+
 @settings(deadline=None, max_examples=25)
-@given(window=_windows())
-def test_extract_tasks_equals_each_task_alone(window):
-    _assert_shared_window_matches(window)
+@given(windows=_window_stacks())
+def test_extract_many_rows_equal_extract(windows):
+    for window in windows:
+        for task in Task:
+            if window.shape[0] == task_window_len(task):
+                values, fallback = _per_spec_loop(window, task)
+                alone = extract(window, task)
+                assert alone.values.tobytes() == values.tobytes()
+                assert alone.ar_fallback is bool(fallback)
+    _assert_rows_match(windows, list(Task))
 
 
-def test_extract_tasks_equals_each_task_alone_on_corpus(reference_corpus):
+def test_extract_many_equals_extract_on_corpus(reference_corpus):
+    """Every detect and classify window of the reference corpus, clean and
+    at 10 dB: DetectFault on the detect windows, and on the classify windows
+    tasks that hold every classify spec (row r of a stack is checked against
+    extract on window r, and a task's row is its specs' values)."""
     from diffsentry.detector import detect
-    from diffsentry.sampling import read_waveform_csv
+    from diffsentry.pipeline import _record_wave, load_corpus_waveforms
+    from diffsentry.wavegen.noise import add_noise
 
+    cover = (Task.IDENTIFY_SERIES, Task.IDENTIFY_EXCITING,
+             Task.IDENTIFY_DISTURBANCE)
+    classify_tasks = [t for t in Task if t is not Task.DETECT_FAULT]
+    assert ({spec.key() for t in cover for spec in task_specs(t)}
+            == {spec.key() for t in classify_tasks for spec in task_specs(t)})
     corpus_dir, manifest, _ = reference_corpus
-    seen = set()  # the first detected record of every unit and disturbance
-    for row in manifest:
-        key = (row["kind"], row.get("unit"), row.get("disturbance_type"))
-        if key in seen:
-            continue
-        event = detect(read_waveform_csv(corpus_dir / row["file"]))
-        if not event.triggered:
-            continue
-        _assert_shared_window_matches(event.detect_window)
-        _assert_shared_window_matches(event.classify_window)
-        seen.add(key)
-    assert len(seen) == 3 + 6
+    detect_windows, classify_windows = [], []
+    for i, (row, samples) in enumerate(load_corpus_waveforms(corpus_dir, manifest)):
+        wave = _record_wave(row, samples)
+        for copy in (wave, add_noise(wave, 10.0, seed=i)):
+            event = detect(copy)
+            if event.triggered:
+                detect_windows.append(event.detect_window)
+                classify_windows.append(event.classify_window)
+    assert len(detect_windows) > len(manifest)
+    _assert_rows_match(detect_windows, [Task.DETECT_FAULT])
+    _assert_rows_match(classify_windows, cover)
 
 
-def test_extract_tasks_rejects_a_mismatched_task():
+def test_extract_many_rejects_a_wrong_stack():
     n = task_window_len(Task.LOCATE_UNIT)
     with pytest.raises(WrongWindowLength):
-        extract_tasks(np.zeros((n, 3)), (Task.LOCATE_UNIT, Task.DETECT_FAULT))
+        extract_many(np.zeros((2, n, 3)), Task.DETECT_FAULT)
+    with pytest.raises(WrongWindowLength):
+        extract_many(np.zeros((n, 3)), Task.LOCATE_UNIT)
+    with pytest.raises(WrongWindowLength):
+        extract_many(np.zeros((2, n, 2)), Task.LOCATE_UNIT)
+
+
+def test_extract_many_of_no_windows_is_empty():
+    n = task_window_len(Task.IDENTIFY_DISTURBANCE)
+    values, fallback = extract_many(np.zeros((0, n, 3)), Task.IDENTIFY_DISTURBANCE)
+    assert values.shape == (0, 15) and fallback.shape == (0,)
+
+
+def test_unknown_family_is_a_value_error():
+    from diffsentry.features import FeatureSpec
+
+    with pytest.raises(ValueError, match="unknown feature family"):
+        _eval_spec(FeatureSpec("wavelet", {}), np.zeros(10))

@@ -384,6 +384,7 @@ def _noise_study_per_repeat(records, train_files, snr_list, seed, repeats,
         return extract(event.detect_window, Task.DETECT_FAULT).values
 
     levels = [s for s in snr_list if not math.isinf(s)]
+    hold_base = seed + 100 * max(500, len(records))
     x_train, y_train, hold = [], [], []
     for i, (row, samples) in enumerate(records):
         truth = FAULT_CLASS if row["kind"] == "InternalFault" else DISTURBANCE_CLASS
@@ -401,7 +402,8 @@ def _noise_study_per_repeat(records, train_files, snr_list, seed, repeats,
         y_true, y_pred = [], []
         for i, row, samples, truth in hold:
             for r in range(repeats):
-                vec = window_at(row, samples, snr, seed + 50_000 + 100 * i + r)
+                vec = window_at(row, samples, snr,
+                                hold_base + 100 * i + r)
                 if vec is None:
                     continue
                 probs = model.predict_proba(vec[None, :])[0]
@@ -495,3 +497,68 @@ def test_joined_targets_stratify_like_the_old_full_label():
         a = train_test_split(np.asarray(old)[picks], 0.2, seed)
         b = train_test_split(np.asarray(new)[picks], 0.2, seed)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_noise_study_seeds_never_collide(small_corpus, monkeypatch):
+    """On a 1,188-record corpus no holdout noise draw reuses a training
+    draw's seed."""
+    import itertools
+
+    from diffsentry import pipeline
+    from diffsentry.ensembles import GbcConfig
+    from diffsentry.wavegen import noise
+
+    corpus_dir, manifest = small_corpus
+    base = pipeline.load_corpus_waveforms(corpus_dir, manifest)
+    records = [(dict(row, file=f"r{i:04d}.csv"), samples) for i, (row, samples)
+               in enumerate(itertools.islice(itertools.cycle(base), 1188))]
+    train_files = [row["file"] for i, (row, _) in enumerate(records) if i % 3]
+    seeds = {"train": [], "hold": []}
+    stage = ["train"]
+    fit = pipeline.gbc_fit
+
+    def fit_then_hold(*args, **kwargs):
+        stage[0] = "hold"  # training draws are all made before the fit
+        return fit(*args, **kwargs)
+
+    def record_seed(wave, snr_db, seed):
+        seeds[stage[0]].append(seed)
+        return wave
+
+    monkeypatch.setattr(pipeline, "gbc_fit", fit_then_hold)
+    monkeypatch.setattr(noise, "add_noise", record_seed)
+    pipeline.detect_noise_study(records, train_files, [10.0], seed=0,
+                                repeats=2, gbc=GbcConfig(n_estimators=1))
+    assert len(seeds["train"]) == 792 and len(seeds["hold"]) == 2 * 396
+    assert not set(seeds["train"]) & set(seeds["hold"])
+
+
+def test_windows_by_task_equals_a_per_window_oracle(small_corpus):
+    """Every task's X rows, classes and files equal one extract call per
+    window, record by record."""
+    from diffsentry.features import extract
+    from diffsentry.pipeline import (_task_targets, _windows_by_task,
+                                     load_corpus_waveforms)
+    from diffsentry.sampling import EventLabel
+
+    corpus_dir, manifest = small_corpus
+    records = load_corpus_waveforms(corpus_dir, manifest)
+    data, undetected = _windows_by_task(records)
+    want = {task: {"X": [], "y": [], "files": []} for task in Task}
+    missed = []
+    for row, samples in records:
+        event = detect(samples)
+        if not event.triggered:
+            missed.append(row["file"])
+            continue
+        for task, cls in _task_targets(EventLabel.from_dict(row)).items():
+            window = (event.detect_window if task is Task.DETECT_FAULT
+                      else event.classify_window)
+            want[task]["X"].append(extract(window, task).values)
+            want[task]["y"].append(cls)
+            want[task]["files"].append(row["file"])
+    assert undetected == missed
+    for task in Task:
+        assert data[task]["X"].tobytes() == np.vstack(want[task]["X"]).tobytes()
+        assert data[task]["y"] == want[task]["y"]
+        assert data[task]["files"] == want[task]["files"]
