@@ -235,8 +235,13 @@ def cmd_evaluate(args) -> int:
     thresholds = dict(_DEFAULT_THRESHOLDS)
     thresholds.update(_config_section(
         args.config, _load_json_config(args.config), "thresholds",
-        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-        "numbers"))
+        lambda v: not isinstance(v, bool) and (
+            isinstance(v, int) or isinstance(v, float) and math.isfinite(v)),
+        "finite numbers"))
+    unknown = sorted(set(thresholds) - {task.value for task in Task})
+    if unknown:
+        raise IoFailure(f"config file {args.config}: 'thresholds' names unknown "
+                        f"tasks {unknown}; known: {[task.value for task in Task]}")
 
     holdout_files = set(model.metadata.get("holdout_files", []))
     holdout_rows = [r for r in manifest if r["file"] in holdout_files]

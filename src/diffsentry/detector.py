@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteSample, TooShort, WrongSamplingGrid, WrongShape
+from .errors import NonFiniteSample, TooShort, WrongShape
 from .sampling import PHASES, SamplingSpec, Waveform
 
 
@@ -64,19 +64,11 @@ def detect(wave) -> DetectionEvent:
     ``wave`` may be a Waveform or a bare (N, 3) sample array. Non-detection
     is a value, not an error; an array of another shape raises
     ``WrongShape`` and a NaN or infinite sample ``NonFiniteSample``, since
-    either would otherwise hide an event, and so does a Waveform on a grid
-    other than ``CYCLE`` samples per cycle (``WrongSamplingGrid``). The
-    trigger index is the sample whose arrival completed the first
-    above-threshold window.
+    either would otherwise hide an event. The trigger index is the sample
+    whose arrival completed the first above-threshold window.
     """
-    if isinstance(wave, Waveform):
-        if wave.spec.samples_per_cycle != CYCLE:
-            raise WrongSamplingGrid(
-                f"waveform has {wave.spec.samples_per_cycle} samples per cycle; "
-                f"the detector and features are fixed to {CYCLE}")
-        samples = wave.samples
-    else:
-        samples = np.asarray(wave, dtype=np.float64)
+    samples = (wave.samples if isinstance(wave, Waveform)
+               else np.asarray(wave, dtype=np.float64))
     if samples.ndim != 2 or samples.shape[1] != 3:
         raise WrongShape(f"samples must have shape (N, 3), got {samples.shape}")
     bad = ~np.isfinite(samples)

@@ -4,7 +4,6 @@ from .cart import (
     CartConfig,
     PackedTrees,
     cart_fit,
-    entropy_impurity,
     gini_impurity,
 )
 from .gbc import GBC_GRID_FULL, GBC_GRID_SMALL, GbcConfig, gbc_fit, multinomial_deviance, softmax
@@ -14,7 +13,6 @@ __all__ = [
     "CartConfig",
     "PackedTrees",
     "cart_fit",
-    "entropy_impurity",
     "gini_impurity",
     "GbcConfig",
     "gbc_fit",

@@ -10,7 +10,7 @@ of the node's matrix in one array pass (a stable column-wise argsort,
 column-wise cumulative sums, then ``_best_split``) and returns the best
 (gain, column, threshold). Split candidates are midpoints between
 consecutive sorted unique feature values; for classification the split
-maximizing information gain wins, with ties broken by (lower feature index,
+maximizing the Gini impurity decrease wins, with ties broken by (lower feature index,
 lower threshold). Nodes keep splitting while any valid split exists, so
 zero-gain splits are taken when descendants can still purify the
 partition (required for XOR-like data).
@@ -35,29 +35,12 @@ def gini_impurity(counts) -> float:
     return float(1.0 - np.sum(p * p))
 
 
-def entropy_impurity(counts) -> float:
-    """Shannon entropy in bits."""
-    counts = np.asarray(counts, dtype=np.float64)
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    nz = p[p > 0]
-    return float(-np.sum(nz * np.log2(nz)))
-
-
-_IMPURITY = {"gini": gini_impurity, "entropy": entropy_impurity}
-
-
 @dataclass(frozen=True)
 class CartConfig:
     max_depth: Optional[int] = None
-    impurity: str = "gini"
     min_samples_split: int = 2
 
     def __post_init__(self):
-        if self.impurity not in _IMPURITY:
-            raise ValueError(f"impurity must be one of {tuple(_IMPURITY)}")
         if self.min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
         if self.max_depth is not None and self.max_depth < 0:
@@ -90,8 +73,8 @@ def _best_split(xs: np.ndarray, gains: np.ndarray):
     return float(col_gains[col]), col, float(0.5 * (xs[b, col] + xs[b + 1, col]))
 
 
-def _scan_impurity(X: np.ndarray, y_codes: np.ndarray, k: int, kind: str):
-    """Best impurity-gain split over all columns of X (see ``_best_split``)."""
+def _scan_impurity(X: np.ndarray, y_codes: np.ndarray, k: int):
+    """Best Gini-gain split over all columns of X (see ``_best_split``)."""
     order, xs = _sorted_columns(X)
     n = X.shape[0]
     cum = np.cumsum(y_codes[order][..., None] == np.arange(k), axis=0,
@@ -104,11 +87,9 @@ def _scan_impurity(X: np.ndarray, y_codes: np.ndarray, k: int, kind: str):
 
     def imp(counts, sizes):
         p = counts / sizes[..., None]
-        if kind == "gini":
-            return 1.0 - np.sum(p * p, axis=-1)
-        return -np.sum(np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0), axis=-1)
+        return 1.0 - np.sum(p * p, axis=-1)
 
-    parent = _IMPURITY[kind](total)
+    parent = gini_impurity(total)
     gains = parent - (nl / n) * imp(left, nl) - (nr / n) * imp(right, nr)
     return _best_split(xs, gains)
 
@@ -265,9 +246,9 @@ def cart_fit(X, y, cfg: CartConfig = CartConfig()):
         raise ValueError("X and y row counts differ")
     codebook, y_codes = np.unique(y, return_inverse=True)
     k = len(codebook)
-    # impurity-gain splits and class-probability leaves
+    # Gini-gain splits and class-probability leaves
     nodes = node_lists()
-    grow_tree(X, y_codes, lambda X_, t: _scan_impurity(X_, t, k, cfg.impurity),
+    grow_tree(X, y_codes, lambda X_, t: _scan_impurity(X_, t, k),
               lambda t: _class_probabilities(t, k), cfg.max_depth,
               cfg.min_samples_split, nodes)
     return TreeEnsembleModel(
@@ -276,7 +257,6 @@ def cart_fit(X, y, cfg: CartConfig = CartConfig()):
         codebook=[c.item() if hasattr(c, "item") else c for c in codebook],
         config={
             "max_depth": cfg.max_depth,
-            "impurity": cfg.impurity,
             "min_samples_split": cfg.min_samples_split,
         },
         n_features=X.shape[1],

@@ -49,10 +49,6 @@ class NonFiniteSample(DiffsentryError, ValueError):
     """A waveform sample is NaN or infinite."""
 
 
-class WrongSamplingGrid(DiffsentryError, ValueError):
-    """A waveform is sampled on a grid other than the detector's."""
-
-
 class WrongWindowLength(DiffsentryError, ValueError):
     """A feature window does not have the length its task requires."""
 

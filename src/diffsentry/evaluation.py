@@ -127,7 +127,7 @@ def _tie_key(config: dict, score: float):
     # trees, larger learning rate, so grid order cannot matter
     return (
         -score,
-        config.get("n_estimators", 0),
+        config["n_estimators"],
         config.get("max_depth") if config.get("max_depth") is not None else float("inf"),
         -config.get("learning_rate", 0.0),
     )
@@ -144,35 +144,34 @@ def grid_search(
     """Mean-CV balanced accuracy over the grid cross-product.
 
     ``fit_fn(X, y, **config, seed=...)`` must return a model exposing
-    predict_labels; the winning config is refit on all rows. Grid points
-    that differ only in ``n_estimators`` share one fit per fold at their
-    largest ``n_estimators``, and each smaller value is scored on that
-    model's ``first_stages(n)``, which equals the fit at ``n``.
+    predict_labels and ``first_stages(n)``; the winning config is refit on
+    all rows. The grid must hold ``n_estimators``: grid points that differ
+    only in it share one fit per fold at their largest ``n_estimators``,
+    and each smaller value is scored on that model's ``first_stages(n)``,
+    which equals the fit at ``n``.
     """
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ValueError("grid must be non-empty")
+    if "n_estimators" not in grid:
+        raise ValueError("grid must hold n_estimators")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     folds = stratified_kfold(y, cv_k, seed)
     keys = list(grid.keys())
     configs = [dict(zip(keys, combo))
                for combo in itertools.product(*(grid[k] for k in keys))]
-    staged = "n_estimators" in grid
     groups = {}  # the config without n_estimators -> indices into configs
     for i, config in enumerate(configs):
         rest = tuple((k, v) for k, v in config.items() if k != "n_estimators")
         groups.setdefault(rest, []).append(i)
     scores = [[] for _ in configs]
     for members in groups.values():
-        fit_config = dict(configs[members[0]])
-        if staged:
-            fit_config["n_estimators"] = max(
-                configs[i]["n_estimators"] for i in members)
+        fit_config = {**configs[members[0]], "n_estimators": max(
+            configs[i]["n_estimators"] for i in members)}
         for train_idx, test_idx in folds:
             model = fit_fn(X[train_idx], y[train_idx], seed=seed, **fit_config)
             for i in members:
-                scored = (model.first_stages(configs[i]["n_estimators"])
-                          if staged else model)
+                scored = model.first_stages(configs[i]["n_estimators"])
                 counts = ConfusionCounts.from_predictions(
                     y[test_idx], scored.predict_labels(X[test_idx]))
                 scores[i].append(balanced_accuracy(counts))

@@ -210,7 +210,10 @@ class TrainConfig:
     resample: Optional[ResamplePlan] = None
 
     def resolved_grid(self) -> dict:
-        return dict(self.grid) if self.grid else dict(GBC_GRID_SMALL)
+        """``grid`` in its own key order, completed by the values of
+        ``GBC_GRID_SMALL`` for every key it lacks."""
+        grid = self.grid or {}
+        return {**grid, **{k: v for k, v in GBC_GRID_SMALL.items() if k not in grid}}
 
 
 def load_corpus_waveforms(corpus_dir, manifest):
@@ -223,12 +226,17 @@ def load_corpus_waveforms(corpus_dir, manifest):
 
 
 def _record_wave(row: dict, samples) -> Waveform:
-    """The checked, labelled Waveform of one manifest row's samples."""
-    return Waveform(
-        spec=SamplingSpec(), samples=samples,
-        label=EventLabel.from_dict(row), inception_index=row["inception_index"],
-        provenance=row.get("provenance", {}),
-    )
+    """The checked, labelled Waveform of one manifest row's samples; a
+    record too short for its inception is an ``IoFailure`` naming its file."""
+    label = EventLabel.from_dict(row)
+    try:
+        return Waveform(
+            spec=SamplingSpec(), samples=samples, label=label,
+            inception_index=row["inception_index"],
+            provenance=row.get("provenance", {}),
+        )
+    except ValueError as exc:
+        raise IoFailure(f"corpus record {row['file']}: {exc}") from exc
 
 
 def _windows_by_task(records):

@@ -53,30 +53,20 @@ class DisturbanceType(enum.Enum):
 
 @dataclass(frozen=True)
 class SamplingSpec:
-    """Uniform sampling grid tied to the power-system fundamental.
+    """The one sampling grid: 10 kHz tied to a 60 Hz fundamental.
 
-    One electrical cycle is pinned to exactly ``samples_per_cycle`` samples
-    (the generator's effective fundamental is ``sample_rate_hz /
-    samples_per_cycle``), so periodic steady state is periodic in an integer
-    number of samples.
+    One electrical cycle is pinned to exactly ``samples_per_cycle`` = 167
+    samples (the generator's effective fundamental is 10 kHz / 167), so
+    periodic steady state is periodic in an integer number of samples.
     """
-
-    sample_rate_hz: float = 10_000.0
-    fundamental_hz: float = 60.0
-
-    def __post_init__(self):
-        if self.sample_rate_hz <= 0 or self.fundamental_hz <= 0:
-            raise ValueError("sample_rate_hz and fundamental_hz must be positive")
-        if self.sample_rate_hz < 2 * self.fundamental_hz:
-            raise ValueError("sample rate below Nyquist for the fundamental")
 
     @property
     def samples_per_cycle(self) -> int:
-        return int(round(self.sample_rate_hz / self.fundamental_hz))
+        return 167
 
     @property
     def dt(self) -> float:
-        return 1.0 / self.sample_rate_hz
+        return 1e-4
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from diffsentry.ensembles import CartConfig, cart_fit
-from diffsentry.ensembles.cart import entropy_impurity, gini_impurity
+from diffsentry.ensembles.cart import gini_impurity
 from diffsentry.ensembles.model import model_from_dict, model_to_dict
 from diffsentry.errors import EmptyDataset, SchemaMismatch
 
@@ -14,8 +14,6 @@ from diffsentry.errors import EmptyDataset, SchemaMismatch
 def test_impurity_functions():
     assert gini_impurity([2, 2]) == pytest.approx(0.5)
     assert gini_impurity([4, 0]) == 0.0
-    assert entropy_impurity([2, 2]) == pytest.approx(1.0)
-    assert entropy_impurity([3, 1]) == pytest.approx(0.8112781244591328)
 
 
 def test_separable_line_gives_depth_one_perfect_tree():

@@ -27,8 +27,8 @@ def _tree_bytes(root):
     return out
 
 
-def _steady_csv(path):
-    n = 8 * SPC
+def _steady_csv(path, cycles=8):
+    n = cycles * SPC
     theta = 2 * np.pi * np.arange(n) / SPC
     with open(path, "w", newline="\n") as fh:
         fh.write("t_s,ia_pu,ib_pu,ic_pu\n")
@@ -424,8 +424,10 @@ def test_config_that_is_not_an_object_is_a_data_error(tmp_path, saved_model,
     ("train", {"grid": {"max_depth": 3}}),
     ("train", {"grid": {"max_depth": []}}),
     ("evaluate", {"thresholds": {"DetectFault": "high"}}),
+    ("evaluate", {"thresholds": {"DetectFalt": 0.9}}),
+    ("evaluate", {"thresholds": {"DetectFault": float("nan")}}),
 ], ids=["grid_not_object", "grid_value_not_list", "grid_value_empty",
-        "threshold_not_number"])
+        "threshold_not_number", "threshold_unknown_task", "threshold_not_finite"])
 def test_config_section_of_wrong_type_is_a_data_error(tmp_path, saved_model,
                                                       reference_corpus, capsys,
                                                       command, config):
@@ -513,6 +515,28 @@ def test_bad_manifest_is_a_data_error(tmp_path, saved_model, capsys, command,
     assert code == 1
     assert err.startswith(f"error [{command}]: ")
     assert str(corpus_dir / "manifest.json") in err and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cycles, inception, message", [
+    (8, 5000, "3 post-event cycles"),
+    (4, 0, "at least 5 cycles"),
+], ids=["inception_too_late", "record_too_short"])
+def test_record_too_short_for_its_inception_is_a_data_error(tmp_path, capsys,
+                                                            cycles, inception,
+                                                            message):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    _steady_csv(corpus_dir / "w.csv", cycles)
+    (corpus_dir / "manifest.json").write_text(
+        _manifest_row(inception_index=inception))
+    out = tmp_path / "pipeline.json"
+    code = main(["train", "--corpus", str(corpus_dir), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error [train]: ")
+    assert "w.csv" in err and message in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from diffsentry.ensembles import CartConfig, GbcConfig, cart_fit, gbc_fit
+from diffsentry.ensembles import GbcConfig, gbc_fit
 from diffsentry.ensembles.model import model_to_dict
 from diffsentry.errors import ClassTooSmall, EmptyCounts, ZeroSupportClass
 from diffsentry.evaluation import (
@@ -228,17 +228,16 @@ def test_staged_grid_search_equals_one_fit_per_point(grid):
     assert fits[:-1] == [max(grid["n_estimators"])] * (groups * 3)
 
 
-def test_grid_search_without_n_estimators_fits_every_point():
+def test_grid_search_without_n_estimators_is_refused():
+    # every grid point is scored on a stage prefix of a boosting fit, so a
+    # grid without n_estimators is refused before any fit
     X, y = _three_class_task(7)
 
     def fit(X, y, seed, max_depth):
-        return cart_fit(X, y, CartConfig(max_depth=max_depth))
+        raise AssertionError("no fit expected")
 
-    grid = {"max_depth": [1, 3]}
-    result = grid_search(X, y, fit, grid, cv_k=3, seed=0)
-    table, config, score, _ = _grid_search_per_point(X, y, fit, grid, 3, 0)
-    assert (result.table, result.best_config, result.best_score) == (
-        table, config, score)
+    with pytest.raises(ValueError, match="n_estimators"):
+        grid_search(X, y, fit, {"max_depth": [1, 3]}, cv_k=3, seed=0)
 
 
 def test_time_report_noop_stage():

@@ -45,7 +45,7 @@ def _blobs(n=150, k=4, d=5, seed=3):
 
 FITS = {
     "cart_depth3": lambda X, y: cart_fit(X, y, CartConfig(max_depth=3)),
-    "cart_unbounded": lambda X, y: cart_fit(X, y, CartConfig(impurity="entropy")),
+    "cart_unbounded": lambda X, y: cart_fit(X, y, CartConfig()),
     "gbc": lambda X, y: gbc_fit(X, y, GbcConfig(n_estimators=12, max_depth=3,
                                                 learning_rate=0.3, seed=2)),
     "gbc_subsample": lambda X, y: gbc_fit(X, y, GbcConfig(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diffsentry.detector import CLASSIFY_LEN, CYCLE, StreamingDetector, detect
+from diffsentry.ensembles import GBC_GRID_SMALL
 from diffsentry.ensembles.cart import PackedTrees
 from diffsentry.ensembles.model import TreeEnsembleModel
 from diffsentry.errors import ClassMissing, IncompleteModel, SchemaMismatch
@@ -188,6 +189,21 @@ def test_class_missing_reported(small_corpus):
         train_pipeline(corpus_dir, rows, TrainConfig(seed=0))
     assert err.value.task == Task.IDENTIFY_DISTURBANCE.value
     assert "Ferroresonance" in err.value.missing
+
+
+def test_partial_grid_is_completed_from_the_small_grid(small_corpus):
+    # a full grid keeps its key order, so its search table keeps its order
+    full = {"learning_rate": [0.3], "max_depth": [1, 2], "n_estimators": [4]}
+    assert list(TrainConfig(grid=full).resolved_grid().items()) == list(full.items())
+    assert TrainConfig().resolved_grid() == GBC_GRID_SMALL
+    corpus_dir, manifest = small_corpus
+    model = train_pipeline(corpus_dir, manifest,
+                           TrainConfig(grid={"n_estimators": [2]}, cv_k=2))
+    assert model.metadata["grid"] == {"n_estimators": [2], "max_depth": [3],
+                                      "learning_rate": [0.1]}
+    for table in model.metadata["cv_tables"].values():
+        assert table["best_config"] == {"n_estimators": 2, "max_depth": 3,
+                                        "learning_rate": 0.1}
 
 
 def test_trained_pipeline_metadata_and_holdout(trained_pipeline):

@@ -14,19 +14,15 @@ from hypothesis.extra import numpy as hnp
 
 from diffsentry.ensembles.cart import (
     _scan_impurity,
-    entropy_impurity,
     gini_impurity,
     grow_tree,
     node_lists,
 )
 from diffsentry.ensembles.gbc import _scan_sse
 
-_IMPURITY = {"gini": gini_impurity, "entropy": entropy_impurity}
-
-
 # -- oracles: the per-column scanners -----------------------------------------
 
-def _scan_feature(x, y_codes, k, kind):
+def _scan_feature(x, y_codes, k):
     """Best (gain, threshold) over this feature's midpoint candidates."""
     order = np.argsort(x, kind="stable")
     xs = x[order]
@@ -46,11 +42,9 @@ def _scan_feature(x, y_codes, k, kind):
 
     def imp(counts, sizes):
         p = counts / sizes[:, None]
-        if kind == "gini":
-            return 1.0 - np.sum(p * p, axis=1)
-        return -np.sum(np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0), axis=1)
+        return 1.0 - np.sum(p * p, axis=1)
 
-    parent = _IMPURITY[kind](total)
+    parent = gini_impurity(total)
     gains = parent - (nl / n) * imp(left, nl) - (nr / n) * imp(right, nr)
     best = int(np.argmax(gains))  # first max: lowest threshold on ties
     thr = 0.5 * (xs[bounds[best]] + xs[bounds[best] + 1])
@@ -143,10 +137,10 @@ def _check(kind, X, y, k, r, feats):
         one, batch, target = _scan_feature_sse, _scan_sse, r
     else:
         def one(x, t):
-            return _scan_feature(x, t, k, kind)
+            return _scan_feature(x, t, k)
 
         def batch(X_, t):
-            return _scan_impurity(X_, t, k, kind)
+            return _scan_impurity(X_, t, k)
 
         target = y
     everything = np.arange(X.shape[1])
@@ -157,14 +151,14 @@ def _check(kind, X, y, k, r, feats):
             _oracle(one, X, target, feats))
 
 
-@pytest.mark.parametrize("kind", ["gini", "entropy", "sse"])
+@pytest.mark.parametrize("kind", ["gini", "sse"])
 @settings(max_examples=150, deadline=None)
 @given(node=nodes())
 def test_batched_scan_matches_per_column_scan(kind, node):
     _check(kind, *node)
 
 
-@pytest.mark.parametrize("kind", ["gini", "entropy", "sse"])
+@pytest.mark.parametrize("kind", ["gini", "sse"])
 @pytest.mark.parametrize("seed", range(4))
 def test_many_rows_and_thirteen_classes(kind, seed):
     # long sorts with many ties, and impurity sums over 13 class counts:
@@ -176,7 +170,7 @@ def test_many_rows_and_thirteen_classes(kind, seed):
     _check(kind, X, y, 13, rng.uniform(-1.0, 1.0, size=300), np.array([0, 3, 4]))
 
 
-@pytest.mark.parametrize("kind", ["gini", "entropy", "sse"])
+@pytest.mark.parametrize("kind", ["gini", "sse"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_one_or_two_rows(kind, n):
     X = np.array([[_LO, 5.0, 0.0], [_HI, 5.0, -1.0]])[:n]
@@ -184,13 +178,13 @@ def test_one_or_two_rows(kind, n):
            np.array([1, 2]))
 
 
-@pytest.mark.parametrize("kind", ["gini", "entropy", "sse"])
+@pytest.mark.parametrize("kind", ["gini", "sse"])
 def test_constant_columns_never_win(kind):
     X = np.column_stack([np.full(6, 2.0), np.arange(6.0), np.full(6, -1.0)])
     y = np.array([0, 0, 1, 1, 2, 2])
     r = np.array([-1.0, -1.0, 0.0, 0.0, 1.0, 1.0])
     scan = _scan_sse if kind == "sse" else (
-        lambda X_, t: _scan_impurity(X_, t, 3, kind))
+        lambda X_, t: _scan_impurity(X_, t, 3))
     target = r if kind == "sse" else y
     assert scan(X, target)[1] == 1
     assert scan(X[:, [0, 2]], target) is None
@@ -202,7 +196,7 @@ def test_ties_keep_the_lowest_column_and_threshold():
     X = np.array([[9.0, 0.0, 0.0], [9.0, 1.0, 1.0], [8.0, 2.0, 2.0],
                   [8.0, 3.0, 3.0]])
     y = np.array([0, 1, 1, 0])
-    gain, col, thr = _scan_impurity(X, y, 2, "gini")
+    gain, col, thr = _scan_impurity(X, y, 2)
     assert (col, thr) == (1, 0.5)
     _check("gini", X, y, 2, y - 0.5, np.array([1, 2]))
 
@@ -215,7 +209,7 @@ def test_grower_scans_once_per_split_node():
 
     def scan(X_, t):
         calls.append(X_.shape)
-        return _scan_impurity(X_, t, 3, "gini")
+        return _scan_impurity(X_, t, 3)
 
     nodes = node_lists()
     grow_tree(X, y, scan, lambda t: [float(t.size)], None, 2, nodes)

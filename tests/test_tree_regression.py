@@ -48,8 +48,6 @@ def _adjacent_floats():
 
 
 FITS = {
-    "cart_entropy_unbounded": (_data, lambda X, y: cart_fit(
-        X, y, CartConfig(impurity="entropy"))),
     "cart_gini_depth3": (_data, lambda X, y: cart_fit(
         X, y, CartConfig(max_depth=3, min_samples_split=4))),
     "gbc_subsample": (_data, lambda X, y: gbc_fit(
