@@ -74,7 +74,10 @@ class TreeEnsembleModel:
         steps = self.config["learning_rate"] * values[:, :, 0]
         steps = steps.reshape(self.packed.n_trees // k, k, n_rows).transpose(0, 2, 1)
         init = np.broadcast_to(np.asarray(self.metadata["init_raw"]), (1, n_rows, k))
-        return softmax(np.cumsum(np.concatenate([init, steps]), axis=0)[-1])
+        raw = np.cumsum(np.concatenate([init, steps]), axis=0)[-1]
+        # softmax sums each row in memory order: row-major scores give a
+        # row of a batch the bits the same row gets on its own
+        return softmax(np.ascontiguousarray(raw))
 
     def predict_labels(self, X) -> list:
         """The codebook label of each row's most probable class."""

@@ -252,3 +252,27 @@ def test_predict_labels_equals_argmax_over_codebook(kind, names, rows):
     assert got == want
     assert [type(v) for v in got] == [type(v) for v in want]
     assert len(got) == rows
+
+
+@pytest.fixture(scope="module")
+def thirteen_class_model():
+    X, y = _blobs(n=260, k=13, seed=5)
+    model = gbc_fit(X, y, GbcConfig(n_estimators=6, max_depth=3, seed=2))
+    probe = np.random.default_rng(6).normal(scale=3.0, size=(14, 4))
+    return model, probe
+
+
+@pytest.mark.parametrize("layout", ["c", "every_other_row", "fortran"])
+@pytest.mark.parametrize("rows", range(1, 8))
+def test_batch_row_probabilities_equal_the_single_row(thirteen_class_model,
+                                                      layout, rows):
+    # a 13-class softmax sums each row; a batch row must add in the order
+    # the row alone does, whatever the layout of the rows
+    model, probe = thirteen_class_model
+    X = {"c": probe[:rows],
+         "every_other_row": probe[: 2 * rows: 2],
+         "fortran": np.asfortranarray(probe[:rows])}[layout]
+    batch = model.predict_proba(X)
+    for i in range(rows):
+        alone = model.predict_proba(np.ascontiguousarray(X[i: i + 1]))[0]
+        assert batch[i].tobytes() == alone.tobytes(), i
