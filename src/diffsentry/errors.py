@@ -130,5 +130,10 @@ class ClassMissing(DiffsentryError, ValueError):
         self.missing = tuple(missing or ())
 
 
+class InvalidGrid(DiffsentryError, ValueError):
+    """A training grid names an unknown key or holds a point that is not a
+    valid ``GbcConfig``."""
+
+
 class IncompleteModel(DiffsentryError, ValueError):
     """A pipeline decision was requested before all model slots were set."""

@@ -11,6 +11,7 @@ labels follow at 3 cycles.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -21,11 +22,12 @@ import numpy as np
 from .detector import (CLASSIFY_LEN, CYCLE, DETECT_LEN, THRESHOLD,
                        DetectionEvent, StreamingDetector, detect, event_windows)
 from .ensembles import GBC_GRID_SMALL, GbcConfig, gbc_fit
-from .ensembles.model import model_from_dict, model_to_dict, predict
+from .ensembles.model import model_from_dict, model_to_dict
 from .errors import (
     ClassMissing,
     DiffsentryError,
     IncompleteModel,
+    InvalidGrid,
     IoFailure,
     SchemaMismatch,
     ZeroSupportClass,
@@ -116,26 +118,42 @@ def _task_targets(label: EventLabel) -> dict:
     }
 
 
-def _ask(model: PipelineModel, task: Task, window) -> tuple:
-    """(label, {class: probability}) from the task's slot on one window."""
+def _ask(model: PipelineModel, task: Task, windows: list) -> list:
+    """(label, {class: probability}) from the task's slot on each window,
+    featurized and predicted in one call. One window goes through
+    ``extract``: a stack of one costs more than the series on its own."""
+    if not windows:
+        return []
     slot = model.slots[task]
-    label, probs = predict(slot, extract(window, task))
-    return label, {str(c): float(p) for c, p in zip(slot.codebook, probs)}
+    if slot.schema_hash not in (None, schema_hash(task)):
+        raise SchemaMismatch(
+            f"feature schema {schema_hash(task)} does not match model schema "
+            f"{slot.schema_hash}")
+    rows = (extract(windows[0], task).values[None, :] if len(windows) == 1
+            else extract_many(np.stack(windows), task)[0])
+    probs = slot.predict_proba(rows)
+    return [(slot.codebook[int(np.argmax(p))],
+             {str(c): float(v) for c, v in zip(slot.codebook, p)})
+            for p in probs]
 
 
 def decide(wave, model: PipelineModel) -> PipelineDecision:
     """Run the full decision scheme over one waveform (a Waveform or a bare
-    (N, 3) sample array)."""
+    (N, 3) sample array); ``decide_many`` on a batch of one."""
+    return decide_many([wave], model)[0]
+
+
+def decide_many(waves, model: PipelineModel) -> list[PipelineDecision]:
+    """``decide`` on each waveform, in order, with one feature extraction
+    and one prediction per task over all the windows routed to it."""
     model.require_complete()
-    event = detect(wave)
-    if not event.triggered:
-        return PipelineDecision(detected=False, verdict="NoEvent")
-    inception = wave.inception_index if isinstance(wave, Waveform) else None
-    return _decide_from_event(event, model, inception)
+    events = [detect(wave) for wave in waves]
+    inceptions = [wave.inception_index if isinstance(wave, Waveform) else None
+                  for wave in waves]
+    return _decide_events(events, model, inceptions)
 
 
-def _decide_from_event(event: DetectionEvent, model: PipelineModel,
-                       inception_index: Optional[int]) -> PipelineDecision:
+def _latency(event: DetectionEvent, inception_index: Optional[int]) -> dict:
     # the verdict window closes one cycle after the trigger, the drill-down
     # window three
     latency = {
@@ -147,24 +165,51 @@ def _decide_from_event(event: DetectionEvent, model: PipelineModel,
         lag = event.trigger_index - inception_index
         latency["trigger_from_inception_samples"] = lag
         latency["verdict_from_inception_samples"] = lag + CYCLE
+    return latency
 
-    stage_probs = {}
-    common = dict(detected=True, stage_probabilities=stage_probs,
-                  trigger_index=event.trigger_index,
-                  trigger_phase=event.trigger_phase, latency=latency)
-    window = event.classify_window
-    label, stage_probs["detect"] = _ask(
-        model, Task.DETECT_FAULT, event.detect_window)
-    if label == FAULT_CLASS:
-        unit, stage_probs["locate"] = _ask(model, Task.LOCATE_UNIT, window)
-        fault_type, stage_probs["fault_type"] = _ask(
-            model, TASK_FOR_UNIT[Unit(unit)], window)
-        return PipelineDecision(verdict="Trip", fault_unit=unit,
-                                fault_type=fault_type, **common)
-    disturbance, stage_probs["disturbance"] = _ask(
-        model, Task.IDENTIFY_DISTURBANCE, window)
-    return PipelineDecision(verdict="Restrain", disturbance_type=disturbance,
-                            **common)
+
+def _decide_events(events: list, model: PipelineModel,
+                   inceptions: list) -> list[PipelineDecision]:
+    """The decision on each detection event. DetectFault reads every
+    triggered event's detect window; LocateUnit and then the located unit's
+    Identify slot read the Trip events' classify windows, IdentifyDisturbance
+    the Restrain events'. Each task is asked once, on all its windows."""
+    decisions = [PipelineDecision(detected=False, verdict="NoEvent")
+                 for _ in events]
+    hit = [i for i, event in enumerate(events) if event.triggered]
+    detected = _ask(model, Task.DETECT_FAULT,
+                    [events[i].detect_window for i in hit])
+    for i, (label, probs) in zip(hit, detected):
+        decisions[i] = PipelineDecision(
+            detected=True,
+            verdict="Trip" if label == FAULT_CLASS else "Restrain",
+            stage_probabilities={"detect": probs},
+            trigger_index=events[i].trigger_index,
+            trigger_phase=events[i].trigger_phase,
+            latency=_latency(events[i], inceptions[i]),
+        )
+
+    def drill(task, picked, stage):
+        """``task``'s labels on the picked events' classify windows, their
+        probabilities recorded as the decisions' ``stage``."""
+        answers = _ask(model, task, [events[i].classify_window for i in picked])
+        for i, (_, probs) in zip(picked, answers):
+            decisions[i].stage_probabilities[stage] = probs
+        return [label for label, _ in answers]
+
+    trip = [i for i in hit if decisions[i].verdict == "Trip"]
+    restrain = [i for i in hit if decisions[i].verdict == "Restrain"]
+    by_unit_task = {}
+    for i, unit in zip(trip, drill(Task.LOCATE_UNIT, trip, "locate")):
+        decisions[i].fault_unit = unit
+        by_unit_task.setdefault(TASK_FOR_UNIT[Unit(unit)], []).append(i)
+    for task, picked in by_unit_task.items():
+        for i, fault_type in zip(picked, drill(task, picked, "fault_type")):
+            decisions[i].fault_type = fault_type
+    for i, disturbance in zip(restrain, drill(Task.IDENTIFY_DISTURBANCE,
+                                              restrain, "disturbance")):
+        decisions[i].disturbance_type = disturbance
+    return decisions
 
 
 class StreamingClassifier:
@@ -186,7 +231,8 @@ class StreamingClassifier:
             return []
         emitted_at = self.detector.samples_seen - 1
         if event.classify_window is None:
-            label, probs = _ask(self.model, Task.DETECT_FAULT, event.detect_window)
+            [(label, probs)] = _ask(self.model, Task.DETECT_FAULT,
+                                    [event.detect_window])
             return [{
                 "stage": "verdict",
                 "verdict": "Trip" if label == FAULT_CLASS else "Restrain",
@@ -194,7 +240,7 @@ class StreamingClassifier:
                 "emitted_at_sample": emitted_at,
                 "probabilities": probs,
             }]
-        rec = _decide_from_event(event, self.model, None).to_dict()
+        rec = _decide_events([event], self.model, [None])[0].to_dict()
         rec["stage"] = "full"
         rec["emitted_at_sample"] = emitted_at
         return [rec]
@@ -208,6 +254,24 @@ class TrainConfig:
     cv_k: int = 3
     seed: int = 0
     resample: Optional[ResamplePlan] = None
+
+    def __post_init__(self):
+        # a bad grid fails here, not after the corpus is read and featurized
+        grid = self.resolved_grid()
+        unknown = sorted(set(grid) - set(GBC_GRID_SMALL))
+        if unknown:
+            raise InvalidGrid(f"unknown grid keys {unknown}; "
+                              f"known: {sorted(GBC_GRID_SMALL)}")
+        bad = sorted(k for k, v in grid.items()
+                     if not (isinstance(v, (list, tuple)) and v))
+        if bad:
+            raise InvalidGrid(f"grid values of {bad} are not non-empty lists")
+        for values in itertools.product(*grid.values()):
+            point = dict(zip(grid, values))
+            try:
+                GbcConfig(**point)
+            except (TypeError, ValueError) as exc:
+                raise InvalidGrid(f"grid point {point}: {exc}") from exc
 
     def resolved_grid(self) -> dict:
         """``grid`` in its own key order, completed by the values of

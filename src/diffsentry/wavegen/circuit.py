@@ -146,29 +146,3 @@ def run_piecewise(
         out[start : stop + 1, : sys.size] = rows
         state = rows[-1]
     return out
-
-
-def step_lti(L, R, v_fn, i0, h, n_steps) -> np.ndarray:
-    """Plain trapezoidal integration of L di/dt = v(t) - R i; returns states.
-
-    Small generic entry point used for conservation checks and one-off
-    circuits; v_fn maps a time in seconds to the forcing vector.
-    """
-    L = np.asarray(L, dtype=np.float64)
-    R = np.asarray(R, dtype=np.float64)
-    sys = MeshSystem(L=L, R=R, source_cols=np.zeros((L.shape[0], 3)))
-    a_d, b_d = _step_matrices(sys, h)
-    out = np.empty((n_steps + 1, L.shape[0]))
-    out[0] = i0
-    state = np.asarray(i0, dtype=np.float64)
-    for k in range(n_steps):
-        v_sum = np.asarray(v_fn(k * h)) + np.asarray(v_fn((k + 1) * h))
-        state = a_d @ state + b_d @ v_sum
-        out[k + 1] = state
-    return out
-
-
-def magnetic_energy(L, i) -> float:
-    """0.5 i^T L i for a state vector."""
-    i = np.asarray(i, dtype=np.float64)
-    return 0.5 * float(i @ (np.asarray(L) @ i))

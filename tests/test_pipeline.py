@@ -1,5 +1,7 @@
 """Hierarchical decision scheme: routing, gating, training, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from diffsentry.detector import CLASSIFY_LEN, CYCLE, StreamingDetector, detect
 from diffsentry.ensembles import GBC_GRID_SMALL
 from diffsentry.ensembles.cart import PackedTrees
 from diffsentry.ensembles.model import TreeEnsembleModel
-from diffsentry.errors import ClassMissing, IncompleteModel, SchemaMismatch
+from diffsentry.errors import (ClassMissing, IncompleteModel, InvalidGrid,
+                               SchemaMismatch)
 from diffsentry.features import Task, schema_hash, task_specs
 from diffsentry.pipeline import (
     DISTURBANCE_CLASS,
@@ -16,6 +19,7 @@ from diffsentry.pipeline import (
     StreamingClassifier,
     TrainConfig,
     decide,
+    decide_many,
     load_pipeline,
     save_pipeline,
     train_pipeline,
@@ -206,6 +210,24 @@ def test_partial_grid_is_completed_from_the_small_grid(small_corpus):
                                         "learning_rate": 0.1}
 
 
+@pytest.mark.parametrize("grid, names", [
+    ({"foo": [1]}, "'foo'"),
+    ({"n_estimators": [-1]}, "n_estimators"),
+    ({"max_depth": 3}, "max_depth"),
+    ({"learning_rate": []}, "learning_rate"),
+], ids=["unknown_key", "negative_estimators", "value_not_a_list",
+        "empty_values"])
+def test_bad_grid_fails_before_any_record_is_read(monkeypatch, grid, names):
+    from diffsentry import pipeline
+
+    def no_reading(*args):
+        raise AssertionError("the corpus must not be read")
+
+    monkeypatch.setattr(pipeline, "read_waveform_csv", no_reading)
+    with pytest.raises(InvalidGrid, match=names):
+        train_pipeline("no_corpus", [{"file": "a.csv"}], TrainConfig(grid=grid))
+
+
 def test_trained_pipeline_metadata_and_holdout(trained_pipeline):
     model, _ = trained_pipeline
     metrics = model.metadata["holdout_metrics"]
@@ -291,6 +313,44 @@ def test_streaming_matches_batch(trained_pipeline):
     assert full["verdict"] == batch.verdict
     assert full["fault_unit"] == batch.fault_unit
     assert full["fault_type"] == batch.fault_type
+
+
+def _decision_json(decision) -> str:
+    return json.dumps(decision.to_dict(), sort_keys=True)
+
+
+def test_decide_many_equals_decide_per_record(trained_pipeline,
+                                              reference_corpus, monkeypatch):
+    """Every holdout record of the reference corpus, a steady record
+    (NoEvent), bare sample arrays and Waveforms: decide_many in batches of
+    1, 2, 7 and all gives each record decide's sorted JSON."""
+    from diffsentry import pipeline
+    from diffsentry.pipeline import _record_wave, load_corpus_waveforms
+
+    model, _ = trained_pipeline
+    corpus_dir, manifest, _ = reference_corpus
+    hold = set(model.metadata["holdout_files"])
+    records = load_corpus_waveforms(
+        corpus_dir, [row for row in manifest if row["file"] in hold])
+    xs = [_steady()] + [_record_wave(row, samples) if i % 2 else samples
+                        for i, (row, samples) in enumerate(records)]
+    want = [_decision_json(decide(x, model)) for x in xs]
+    assert {json.loads(w)["verdict"] for w in want} == {
+        "NoEvent", "Trip", "Restrain"}
+    assert decide_many([], model) == []
+    for size in (1, 2, 7, len(xs)):
+        got = [_decision_json(d) for start in range(0, len(xs), size)
+               for d in decide_many(xs[start: start + size], model)]
+        assert got == want, size
+
+    # the whole batch asks each task once
+    calls = []
+    for name in ("extract", "extract_many"):
+        op = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda w, task, op=op: (
+            calls.append(task), op(w, task))[1])
+    decide_many(xs, model)
+    assert sorted(calls, key=list(Task).index) == list(Task)
 
 
 def test_stream_ending_between_the_windows_gives_only_the_verdict():
