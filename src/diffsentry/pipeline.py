@@ -147,6 +147,7 @@ def decide_many(waves, model: PipelineModel) -> list[PipelineDecision]:
     """``decide`` on each waveform, in order, with one feature extraction
     and one prediction per task over all the windows routed to it."""
     model.require_complete()
+    waves = list(waves)
     events = [detect(wave) for wave in waves]
     inceptions = [wave.inception_index if isinstance(wave, Waveform) else None
                   for wave in waves]

@@ -342,6 +342,8 @@ def test_decide_many_equals_decide_per_record(trained_pipeline,
         got = [_decision_json(d) for start in range(0, len(xs), size)
                for d in decide_many(xs[start: start + size], model)]
         assert got == want, size
+    assert [_decision_json(d) for d in decide_many(iter(xs[:7]), model)] \
+        == want[:7]
 
     # the whole batch asks each task once
     calls = []
