@@ -45,10 +45,6 @@ _DEFAULT_THRESHOLDS = {
     "IdentifyDisturbance": 0.90,
 }
 
-#: ``classify FILE...`` reads and decides this many files at a time, so its
-#: memory does not grow with the number of files
-_CLASSIFY_CHUNK = 64
-
 _RESAMPLE_CHOICES = {
     "none": None,
     "smote": Strategy.SMOTE_ONLY,
@@ -179,14 +175,15 @@ def cmd_train(args) -> int:
     strategy = _RESAMPLE_CHOICES[args.resample]
     plan = ResamplePlan(strategy=strategy) if strategy else None
     grid = dict(GBC_GRID_FULL if args.grid == "paper" else GBC_GRID_SMALL)
+    # the values are TrainConfig's to check
     grid.update(_config_section(
         args.config, _load_json_config(args.config), "grid",
-        lambda v: isinstance(v, list) and len(v) > 0, "non-empty lists"))
+        lambda _: True, "value lists"))
     try:
         config = TrainConfig(grid=grid, cv_k=args.cv, seed=args.seed,
                              resample=plan)
     except InvalidGrid as exc:
-        raise IoFailure(f"config file {args.config}: {exc}") from exc
+        raise IoFailure(f"config file {args.config}: 'grid': {exc}") from exc
     manifest = load_manifest(args.corpus)
     model = train_pipeline(args.corpus, manifest, config)
     model.metadata["tool_version"] = __version__
@@ -385,13 +382,12 @@ def _classify(args, model, sink) -> None:
             for rec in classifier.push(sample):
                 sink.write(json.dumps(rec, sort_keys=True) + "\n")
     else:
-        for start in range(0, len(args.inputs), _CLASSIFY_CHUNK):
-            paths = args.inputs[start: start + _CLASSIFY_CHUNK]
-            decisions = decide_many([read_waveform_csv(p) for p in paths], model)
-            for path, decision in zip(paths, decisions):
-                rec = decision.to_dict()
-                rec["file"] = os.path.basename(path)
-                sink.write(json.dumps(rec, sort_keys=True) + "\n")
+        for path in args.inputs:
+            samples = read_waveform_csv(path)
+            decision = decide(samples, model)
+            rec = decision.to_dict()
+            rec["file"] = os.path.basename(path)
+            sink.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def _seed(text: str) -> int:

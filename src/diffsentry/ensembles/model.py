@@ -81,28 +81,31 @@ class TreeEnsembleModel:
 
     def predict_labels(self, X) -> list:
         """The codebook label of each row's most probable class."""
-        codes = np.argmax(self.predict_proba(X), axis=1)
-        return [self.codebook[int(c)] for c in codes]
+        return predict_many(self, X)[0]
+
+
+def predict_many(model: TreeEnsembleModel, X, schema: Optional[str] = None):
+    """(the codebook label of each row's most probable class, the
+    probability rows) for a feature matrix. ``schema`` is the hash of the
+    matrix's feature layout, checked against the model's; without it the
+    matrix is checked by width only."""
+    if schema is not None and model.schema_hash is not None \
+            and schema != model.schema_hash:
+        raise SchemaMismatch(
+            f"feature schema {schema} does not match model schema "
+            f"{model.schema_hash}"
+        )
+    probs = model.predict_proba(X)
+    return [model.codebook[int(c)] for c in np.argmax(probs, axis=1)], probs
 
 
 def predict(model: TreeEnsembleModel, features):
-    """(predicted label, probability vector) for one feature vector."""
-    probs = model.predict_proba(_coerce(model, features))[0]
-    return model.codebook[int(np.argmax(probs))], probs
-
-
-def _coerce(model: TreeEnsembleModel, features):
-    # FeatureVector instances carry their own schema hash; raw arrays are
-    # checked by width only
+    """(predicted label, probability vector) for one feature vector; a
+    ``FeatureVector`` carries its own schema hash."""
     schema = getattr(features, "schema", None)
-    if schema is not None:
-        if model.schema_hash is not None and schema != model.schema_hash:
-            raise SchemaMismatch(
-                f"feature schema {schema} does not match model schema "
-                f"{model.schema_hash}"
-            )
-        return np.asarray(features.values, dtype=np.float64)
-    return np.asarray(features, dtype=np.float64)
+    values = features.values if schema is not None else features
+    [label], [probs] = predict_many(model, values, schema)
+    return label, probs
 
 
 def model_to_dict(model: TreeEnsembleModel) -> dict:

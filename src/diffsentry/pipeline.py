@@ -22,7 +22,7 @@ import numpy as np
 from .detector import (CLASSIFY_LEN, CYCLE, DETECT_LEN, THRESHOLD,
                        DetectionEvent, StreamingDetector, detect, event_windows)
 from .ensembles import GBC_GRID_SMALL, GbcConfig, gbc_fit
-from .ensembles.model import model_from_dict, model_to_dict
+from .ensembles.model import model_from_dict, model_to_dict, predict_many
 from .errors import (
     ClassMissing,
     DiffsentryError,
@@ -125,16 +125,11 @@ def _ask(model: PipelineModel, task: Task, windows: list) -> list:
     if not windows:
         return []
     slot = model.slots[task]
-    if slot.schema_hash not in (None, schema_hash(task)):
-        raise SchemaMismatch(
-            f"feature schema {schema_hash(task)} does not match model schema "
-            f"{slot.schema_hash}")
     rows = (extract(windows[0], task).values[None, :] if len(windows) == 1
             else extract_many(np.stack(windows), task)[0])
-    probs = slot.predict_proba(rows)
-    return [(slot.codebook[int(np.argmax(p))],
-             {str(c): float(v) for c, v in zip(slot.codebook, p)})
-            for p in probs]
+    labels, probs = predict_many(slot, rows, schema_hash(task))
+    return [(label, {str(c): float(v) for c, v in zip(slot.codebook, p)})
+            for label, p in zip(labels, probs)]
 
 
 def decide(wave, model: PipelineModel) -> PipelineDecision:

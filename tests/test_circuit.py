@@ -47,7 +47,9 @@ def test_energy_conserved_without_dissipation():
     R = np.zeros((4, 4))
     i0 = np.array([0.8, -0.3, 0.5, 0.1])
     h = 1e-4
-    states = step_lti(L, R, lambda t: np.zeros(4), i0, h, n_steps=167)
+    sys = MeshSystem(L=L, R=R, source_cols=np.zeros((4, 3)))
+    states = run_piecewise([(0, sys)], h, np.zeros(3, dtype=complex),
+                           2 * np.pi * 60 * h, 168, i0)
     e0 = magnetic_energy(L, states[0])
     energies = [magnetic_energy(L, s) for s in states]
     assert max(abs(e - e0) for e in energies) <= 1e-6 * abs(e0)

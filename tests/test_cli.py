@@ -85,29 +85,6 @@ def test_classify_fault_csv_trips(tmp_path, saved_model, reference_corpus, capsy
     assert rec["fault_unit"] is not None
 
 
-def test_classify_many_files_equals_one_decide_per_file(
-        tmp_path, saved_model, reference_corpus, monkeypatch, capsys):
-    # chunks of 3 over 9 files: the records of every chunk, in input order
-    from diffsentry import cli
-    from diffsentry.pipeline import decide, load_pipeline
-    from diffsentry.sampling import read_waveform_csv
-
-    corpus_dir, manifest, _ = reference_corpus
-    steady = tmp_path / "steady.csv"
-    _steady_csv(steady)
-    paths = [str(steady)] + [os.path.join(corpus_dir, row["file"])
-                             for row in manifest[::150]]
-    monkeypatch.setattr(cli, "_CLASSIFY_CHUNK", 3)
-    assert main(["classify", "--model", str(saved_model)] + paths) == 0
-    model = load_pipeline(saved_model)
-    want = "".join(
-        json.dumps({**decide(read_waveform_csv(p), model).to_dict(),
-                    "file": os.path.basename(p)}, sort_keys=True) + "\n"
-        for p in paths)
-    assert len(paths) == 9
-    assert capsys.readouterr().out == want
-
-
 def test_classify_stdin_stream(tmp_path, saved_model, reference_corpus,
                                monkeypatch, capsys):
     corpus_dir, manifest, _ = reference_corpus

@@ -12,7 +12,8 @@ from diffsentry.ensembles import (
     predict,
     softmax,
 )
-from diffsentry.ensembles.model import model_from_dict, model_to_dict
+from diffsentry.ensembles.model import (model_from_dict, model_to_dict,
+                                        predict_many)
 from diffsentry.errors import SchemaMismatch, SingleClass
 from diffsentry.features import Task, schema_hash
 from diffsentry.pipeline import PipelineModel, load_pipeline, save_pipeline
@@ -190,6 +191,21 @@ def test_predict_returns_label_and_probabilities():
     assert label in model.codebook
     assert probs.shape == (3,)
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_predict_many_is_predict_on_each_row_and_checks_the_schema():
+    X, y = _blobs(90, 3, seed=13)
+    model = gbc_fit(X, y, GbcConfig(n_estimators=20, max_depth=2, seed=1))
+    model.schema_hash = "layout-a"
+    labels, probs = predict_many(model, X[:5], "layout-a")
+    assert labels == model.predict_labels(X[:5])
+    for i in range(5):
+        label, row = predict(model, X[i])
+        assert label == labels[i]
+        assert np.array_equal(row, probs[i])
+    assert predict_many(model, X[:5])[0] == labels  # width check only
+    with pytest.raises(SchemaMismatch, match="layout-b"):
+        predict_many(model, X[:5], "layout-b")
 
 
 def test_deviance_definition():
