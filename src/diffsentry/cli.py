@@ -384,7 +384,10 @@ def _classify(args, model, sink) -> None:
     else:
         for path in args.inputs:
             samples = read_waveform_csv(path)
-            decision = decide(samples, model)
+            try:
+                decision = decide(samples, model)
+            except DiffsentryError as exc:
+                raise IoFailure(f"cannot classify {path}: {exc}") from exc
             rec = decision.to_dict()
             rec["file"] = os.path.basename(path)
             sink.write(json.dumps(rec, sort_keys=True) + "\n")

@@ -72,6 +72,25 @@ def test_classify_steady_csv_reports_no_event(tmp_path, saved_model, capsys):
     assert lines[0]["file"] == "steady.csv"
 
 
+def test_classify_names_a_file_it_cannot_decide(tmp_path, saved_model, capsys):
+    # the late file reads cleanly but triggers too near its end for the
+    # classification window; the file before it is still reported
+    good, late = tmp_path / "good.csv", tmp_path / "late.csv"
+    _steady_csv(good)
+    _steady_csv(late)
+    lines = late.read_text().splitlines()
+    for k in range(len(lines) - 200, len(lines)):
+        t, a, b, c = lines[k].split(",")
+        lines[k] = f"{t},{3 * float(a):.10g},{b},{c}"
+    late.write_text("\n".join(lines) + "\n")
+    code = main(["classify", "--model", str(saved_model), str(good), str(late)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error [classify]: ")
+    assert str(late) in err and "too short" in err
+    assert [json.loads(l)["file"] for l in out.splitlines()] == ["good.csv"]
+
+
 def test_classify_fault_csv_trips(tmp_path, saved_model, reference_corpus, capsys):
     corpus_dir, manifest, _ = reference_corpus
     fault_row = next(r for r in manifest if r["kind"] == "InternalFault"
