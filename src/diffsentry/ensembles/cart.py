@@ -5,9 +5,13 @@ gradient-boosting regression trees of ``gbc.py`` straight into flat node
 lists, in pre-order; ``PackedTrees.from_nodes`` turns the lists into one
 array set, whose ``leaf_index`` walks all of a model's trees at once.
 
-At each node the grower makes one ``scan`` call, which scores every column
-of the node's matrix in one array pass (a stable column-wise argsort,
-column-wise cumulative sums, then ``_best_split``) and returns the best
+A fit sorts each column of its matrix once (a stable argsort). A node is
+its rows and their order in each sorted column; a split hands each child
+the stable compress of that order under the split's predicate, which is
+the order a stable argsort of the child's own rows would give, ties
+included. At each node the grower makes one ``scan`` call on the node's
+presorted columns and targets, which scores every column in one array pass
+(column-wise cumulative sums, then ``_best_split``) and returns the best
 (gain, column, threshold). Split candidates are midpoints between
 consecutive sorted unique feature values; for classification the split
 maximizing the Gini impurity decrease wins, with ties broken by (lower feature index,
@@ -47,12 +51,6 @@ class CartConfig:
             raise ValueError("max_depth must be >= 0")
 
 
-def _sorted_columns(X: np.ndarray):
-    """Stable sort order of every column of X and the sorted values."""
-    order = np.argsort(X, axis=0, kind="stable")
-    return order, X[order, np.arange(X.shape[1])]
-
-
 def _best_split(xs: np.ndarray, gains: np.ndarray):
     """Best (gain, column, threshold) of one node, or None.
 
@@ -73,12 +71,11 @@ def _best_split(xs: np.ndarray, gains: np.ndarray):
     return float(col_gains[col]), col, float(0.5 * (xs[b, col] + xs[b + 1, col]))
 
 
-def _scan_impurity(X: np.ndarray, y_codes: np.ndarray, k: int):
-    """Best Gini-gain split over all columns of X (see ``_best_split``)."""
-    order, xs = _sorted_columns(X)
-    n = X.shape[0]
-    cum = np.cumsum(y_codes[order][..., None] == np.arange(k), axis=0,
-                    dtype=np.float64)
+def _scan_impurity(xs: np.ndarray, ys: np.ndarray, k: int):
+    """Best Gini-gain split over the columns ``xs``, each sorted, with
+    ``ys`` the class codes in each column's order (see ``_best_split``)."""
+    n = xs.shape[0]
+    cum = np.cumsum(ys[..., None] == np.arange(k), axis=0, dtype=np.float64)
     left = cum[:-1]
     total = cum[-1, 0]
     right = total - left
@@ -108,43 +105,62 @@ def node_lists() -> dict:
     return {a: [] for a in PackedTrees.NODE_ARRAYS}
 
 
-def grow_tree(X, target, scan, leaf, max_depth, min_samples_split, nodes,
-              depth=0) -> int:
+def compress_order(order: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The rows of ``order`` where ``keep`` is true, column by column, each
+    column's kept rows in the order they had. ``keep`` must be true on the
+    same number of rows in every column."""
+    return order.T[keep.T].reshape(order.shape[1], -1).T
+
+
+def grow_tree(X, rows, order, target, scan, leaf, max_depth, min_samples_split,
+              nodes) -> int:
     """The one recursive best-split grower behind CART and GBC trees.
 
-    Appends the tree's nodes in pre-order to ``nodes`` (see ``node_lists``),
-    in the ``PackedTrees`` layout, and returns the root's index in them.
-    ``scan(X, target)`` returns the best (gain, column, threshold) over all
-    columns of the node's matrix, or None when no column has two distinct
-    values; it is called once per node that is not made a leaf first.
-    ``leaf(target)`` returns a leaf payload list. ``max_depth``, fewer than
+    Grows a tree on ``rows`` of ``X`` (ascending); ``order[:, j]`` holds the
+    same rows in stable ascending order of column ``j``. Appends the tree's
+    nodes in pre-order to ``nodes`` (see ``node_lists``), in the
+    ``PackedTrees`` layout, and returns the root's index in them.
+    ``scan(xs, ts)`` gets a node's columns each sorted ascending
+    (``xs[:, j] = X[order[:, j], j]``) and its targets in each column's order
+    (``ts = target[order]``), and returns the best (gain, column, threshold),
+    or None when no column has two distinct values; it is called once per
+    node that is not made a leaf first. ``leaf(t)`` gets the node's targets
+    in row order and returns a leaf payload list. ``max_depth``, fewer than
     ``min_samples_split`` rows or a constant target make a leaf, checked in
     that order: a child can be empty when a midpoint threshold rounds onto
-    the upper of two adjacent floats.
+    the upper of two adjacent floats. A split hands each child the compress
+    of its node's order under ``X[order, f] <= thr``, or None when the
+    child's depth or size already makes it a leaf.
     """
-    n = target.shape[0]
-    best = None
-    if not (
-        (max_depth is not None and depth >= max_depth)
-        or n < min_samples_split
-        or np.all(target == target[0])
-    ):
-        best = scan(X, target)
-    i = len(nodes["feature"])
-    if best is None:
-        _append(nodes, -1, 0.0, 0.0, n, leaf(target))
+    cols = np.arange(X.shape[1])
+
+    def may_split(n, depth):
+        return (max_depth is None or depth < max_depth) and n >= min_samples_split
+
+    def grow(rows, order, depth):
+        t = target[rows]
+        best = None
+        if may_split(rows.shape[0], depth) and not np.all(t == t[0]):
+            best = scan(X[order, cols], target[order])
+        i = len(nodes["feature"])
+        if best is None:
+            _append(nodes, -1, 0.0, 0.0, rows.shape[0], leaf(t))
+            return i
+
+        gain, f, thr = best
+        _append(nodes, f, thr, gain, rows.shape[0], None)
+        left = X[rows, f] <= thr
+        goes_left = X[order, f] <= thr
+        for side, child, keep in (("left", rows[left], goes_left),
+                                  ("right", rows[~left], ~goes_left)):
+            nodes[side][i] = grow(child, compress_order(order, keep) if
+                                  may_split(child.shape[0], depth + 1) else None,
+                                  depth + 1)
+        # a split's zero row is as wide as its left child's, the next node
+        nodes["value"][i] = [0.0] * len(nodes["value"][i + 1])
         return i
 
-    gain, f, thr = best
-    mask = X[:, f] <= thr
-    _append(nodes, f, thr, gain, n, None)
-    nodes["left"][i] = grow_tree(X[mask], target[mask], scan, leaf, max_depth,
-                                 min_samples_split, nodes, depth + 1)
-    nodes["right"][i] = grow_tree(X[~mask], target[~mask], scan, leaf,
-                                  max_depth, min_samples_split, nodes, depth + 1)
-    # a split's zero row is as wide as its left child's, the next node
-    nodes["value"][i] = [0.0] * len(nodes["value"][i + 1])
-    return i
+    return grow(rows, order, 0)
 
 
 def _append(nodes, feature, threshold, gain, n, value) -> None:
@@ -248,7 +264,8 @@ def cart_fit(X, y, cfg: CartConfig = CartConfig()):
     k = len(codebook)
     # Gini-gain splits and class-probability leaves
     nodes = node_lists()
-    grow_tree(X, y_codes, lambda X_, t: _scan_impurity(X_, t, k),
+    grow_tree(X, np.arange(X.shape[0]), np.argsort(X, axis=0, kind="stable"),
+              y_codes, lambda xs, ys: _scan_impurity(xs, ys, k),
               lambda t: _class_probabilities(t, k), cfg.max_depth,
               cfg.min_samples_split, nodes)
     return TreeEnsembleModel(

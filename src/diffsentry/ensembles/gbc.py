@@ -10,7 +10,9 @@ The trees come from ``cart.grow_tree`` with ``_scan_sse`` as the scan: per
 node, one array pass over all columns computes the residual's running sum
 and sum of squares in each column's sorted order and returns the split
 (sse reduction, column, threshold) of largest reduction, ties going to the
-lower threshold and then the lower column.
+lower threshold and then the lower column. A fit sorts each column once; a
+subsampled stage compresses that order to its own rows, and the K trees of
+a stage share it.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NonFiniteLoss, SingleClass
-from .cart import (PackedTrees, _best_split, _sorted_columns, grow_tree, node_lists,
-                   training_matrix)
+from .cart import (PackedTrees, _best_split, compress_order, grow_tree,
+                   node_lists, training_matrix)
 
 #: hyperparameter grids: the full-scale search and a desk-scale one
 GBC_GRID_FULL = {
@@ -55,6 +57,9 @@ class GbcConfig:
                 f"n_estimators must be an integer, not {self.n_estimators!r}")
         if not (self.max_depth is None or integer(self.max_depth)):
             raise TypeError(f"max_depth must be an integer, not {self.max_depth!r}")
+        if not integer(self.min_samples_split):
+            raise TypeError("min_samples_split must be an integer, not "
+                            f"{self.min_samples_split!r}")
         if not (isinstance(self.learning_rate, numbers.Real)
                 and not isinstance(self.learning_rate, bool)):
             raise TypeError(
@@ -67,6 +72,8 @@ class GbcConfig:
             raise ValueError("learning_rate must be in (0, 1]")
         if not 0.0 < self.subsample <= 1.0:
             raise ValueError("subsample must be in (0, 1]")
+        if self.min_samples_split < 2:
+            raise ValueError("min_samples_split must be >= 2")
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -82,12 +89,11 @@ def multinomial_deviance(y_codes: np.ndarray, scores: np.ndarray) -> float:
     return float(-np.mean(np.log(np.clip(picked, 1e-300, None))))
 
 
-def _scan_sse(X: np.ndarray, r: np.ndarray):
-    """Best (sse_reduction, column, threshold) of a least-squares split on r
-    over all columns of X (see ``cart._best_split``)."""
-    order, xs = _sorted_columns(X)
-    rs = r[order]
-    n = X.shape[0]
+def _scan_sse(xs: np.ndarray, rs: np.ndarray):
+    """Best (sse_reduction, column, threshold) of a least-squares split over
+    the columns ``xs``, each sorted, with ``rs`` the residuals in each
+    column's order (see ``cart._best_split``)."""
+    n = xs.shape[0]
     csum = np.cumsum(rs, axis=0)
     csum2 = np.cumsum(rs * rs, axis=0)
     nl = np.arange(1.0, n)[:, None]
@@ -128,6 +134,7 @@ def gbc_fit(X, y, cfg: GbcConfig = GbcConfig()):
     onehot[np.arange(n), y_codes] = 1.0
 
     rng = np.random.default_rng(cfg.seed)
+    order = np.argsort(X, axis=0, kind="stable")
 
     def newton_leaf(r):
         return [_newton_leaf(r, k)]
@@ -139,15 +146,16 @@ def gbc_fit(X, y, cfg: GbcConfig = GbcConfig()):
     for m in range(cfg.n_estimators):
         p = softmax(scores)
         residual = onehot - p
-        rows = (
-            np.sort(rng.choice(n, size=n_sub, replace=False))
-            if n_sub < n
-            else np.arange(n)
-        )
-        X_rows = X[rows]
+        if n_sub < n:
+            rows = np.sort(rng.choice(n, size=n_sub, replace=False))
+            drawn = np.zeros(n, dtype=bool)
+            drawn[rows] = True
+            stage_order = compress_order(order, drawn[order])
+        else:
+            rows, stage_order = np.arange(n), order
         for cls in range(k):
-            grow_tree(X_rows, residual[rows, cls], _scan_sse, newton_leaf,
-                      cfg.max_depth, cfg.min_samples_split, nodes)
+            grow_tree(X, rows, stage_order, residual[:, cls], _scan_sse,
+                      newton_leaf, cfg.max_depth, cfg.min_samples_split, nodes)
             offsets.append(len(nodes["feature"]))
         stage = PackedTrees.from_nodes(nodes, offsets[-k - 1:], 1)
         # each class's tree moves only its own column of scores

@@ -237,6 +237,19 @@ def test_first_stages_equals_the_shorter_fit(subsample):
     assert _model_bytes(full) == _model_bytes(gbc_fit(X, y, cfg))  # untouched
 
 
+@pytest.mark.parametrize("value", [1, 0, -3])
+def test_min_samples_split_below_two_rejected(value):
+    # below 2 an empty child would be asked for its first target
+    with pytest.raises(ValueError, match="min_samples_split"):
+        GbcConfig(n_estimators=2, max_depth=3, min_samples_split=value)
+
+
+@pytest.mark.parametrize("value", [2.0, "2", True, None])
+def test_min_samples_split_must_be_an_integer(value):
+    with pytest.raises(TypeError, match="min_samples_split"):
+        GbcConfig(min_samples_split=value)
+
+
 @pytest.mark.parametrize("n", [-1, 8])
 def test_first_stages_outside_the_fit_rejected(n):
     X, y = _blobs(60, 3, seed=13)

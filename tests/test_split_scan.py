@@ -1,7 +1,9 @@
 """The batched split scanners against the per-column scanners they replaced.
 
 ``grow_tree`` asks its scanner once per node for the best (gain, column,
-threshold) over every column of the node's matrix. The oracles below are
+threshold) over every column of the node, handing it the node's columns
+each sorted ascending and the targets in each column's order; ``_presorted``
+below makes that input from a node matrix. The oracles below are
 the earlier per-column scanners, run column by column and kept only on a
 strictly greater gain, as the grower used to. Both must agree bit for bit,
 so trees grown by either are identical.
@@ -115,6 +117,21 @@ def nodes(draw):
     return X, y, k, r, np.array(feats)
 
 
+def _presorted(X, target):
+    """A node matrix's columns each sorted stably, and the targets in each
+    column's order: what the grower hands its scanner."""
+    order = np.argsort(X, axis=0, kind="stable")
+    return X[order, np.arange(X.shape[1])], target[order]
+
+
+def _sse(X, r):
+    return _scan_sse(*_presorted(X, r))
+
+
+def _impurity(X, y_codes, k):
+    return _scan_impurity(*_presorted(X, y_codes), k)
+
+
 def _batched(scan, X, target, feats):
     """The grower's use of a batched scanner on a feature subset."""
     found = scan(X[:, feats], target)
@@ -134,13 +151,13 @@ def _bits(found):
 
 def _check(kind, X, y, k, r, feats):
     if kind == "sse":
-        one, batch, target = _scan_feature_sse, _scan_sse, r
+        one, batch, target = _scan_feature_sse, _sse, r
     else:
         def one(x, t):
             return _scan_feature(x, t, k)
 
         def batch(X_, t):
-            return _scan_impurity(X_, t, k)
+            return _impurity(X_, t, k)
 
         target = y
     everything = np.arange(X.shape[1])
@@ -183,8 +200,7 @@ def test_constant_columns_never_win(kind):
     X = np.column_stack([np.full(6, 2.0), np.arange(6.0), np.full(6, -1.0)])
     y = np.array([0, 0, 1, 1, 2, 2])
     r = np.array([-1.0, -1.0, 0.0, 0.0, 1.0, 1.0])
-    scan = _scan_sse if kind == "sse" else (
-        lambda X_, t: _scan_impurity(X_, t, 3))
+    scan = _sse if kind == "sse" else (lambda X_, t: _impurity(X_, t, 3))
     target = r if kind == "sse" else y
     assert scan(X, target)[1] == 1
     assert scan(X[:, [0, 2]], target) is None
@@ -196,7 +212,7 @@ def test_ties_keep_the_lowest_column_and_threshold():
     X = np.array([[9.0, 0.0, 0.0], [9.0, 1.0, 1.0], [8.0, 2.0, 2.0],
                   [8.0, 3.0, 3.0]])
     y = np.array([0, 1, 1, 0])
-    gain, col, thr = _scan_impurity(X, y, 2)
+    gain, col, thr = _impurity(X, y, 2)
     assert (col, thr) == (1, 0.5)
     _check("gini", X, y, 2, y - 0.5, np.array([1, 2]))
 
@@ -207,11 +223,14 @@ def test_grower_scans_once_per_split_node():
     y = (X[:, 0] + X[:, 1] > 0).astype(np.int64) + (X[:, 2] > 0.5)
     calls = []
 
-    def scan(X_, t):
-        calls.append(X_.shape)
-        return _scan_impurity(X_, t, 3)
+    def scan(xs, ys):
+        calls.append(xs.copy())
+        return _scan_impurity(xs, ys, 3)
 
     nodes = node_lists()
-    grow_tree(X, y, scan, lambda t: [float(t.size)], None, 2, nodes)
+    grow_tree(X, np.arange(60), np.argsort(X, axis=0, kind="stable"), y, scan,
+              lambda t: [float(t.size)], None, 2, nodes)
     assert len(calls) == sum(f >= 0 for f in nodes["feature"]) > 0
-    assert all(shape[1] == 4 for shape in calls)
+    assert all(xs.shape[1] == 4 for xs in calls)
+    # the grower sorts nothing itself: each scan gets its columns ascending
+    assert all(np.all(xs[:-1] <= xs[1:]) for xs in calls)

@@ -1,11 +1,12 @@
 """Recorded trees of small seeded CART and GBC fits.
 
 The fixture ``data/tree_regression.json`` holds the trees these fits grew
-before the tree kinds were folded onto one grower and one walker. Split
-structure must match exactly: the pre-order feature index, the threshold as
-``float.hex`` (thresholds are midpoints of data values, so they do not
-depend on the machine) and the node sizes. Split gains and leaf payloads
-must match to 1e-12 relative.
+before the tree kinds were folded onto one grower and one walker, and
+``gbc_thirteen_classes`` as grown before the grower took one presort per
+fit. Split structure must match exactly: the pre-order feature index, the
+threshold as ``float.hex`` (thresholds are midpoints of data values, so
+they do not depend on the machine) and the node sizes. Split gains and leaf
+payloads must match to 1e-12 relative.
 """
 
 import json
@@ -54,6 +55,10 @@ FITS = {
         X, y, GbcConfig(n_estimators=6, max_depth=3, subsample=0.7, seed=5))),
     "gbc_empty_child": (_adjacent_floats, lambda X, y: gbc_fit(
         X, y, GbcConfig(n_estimators=2, max_depth=3, seed=0))),
+    # an Identify slot's shape: 13 classes of 3 rows, no subsample
+    "gbc_thirteen_classes": (lambda: _data(seed=41, n=39, k=13, d=6),
+                             lambda X, y: gbc_fit(X, y, GbcConfig(
+                                 n_estimators=4, max_depth=3, seed=3))),
 }
 
 
