@@ -158,14 +158,12 @@ def cmd_generate(args) -> int:
     except Exception:
         cleanup.discard()
         raise
-    counts = {}
-    for row in manifest:
-        name = row["disturbance_type"] or row["kind"]
-        counts[name] = counts.get(name, 0) + 1
+    counts = plan.class_counts()
     print(f"corpus written to {args.out} ({len(manifest)} waveforms)")
     print(f"{'class':<28}{'cases':>8}")
     for name in sorted(counts):
-        print(f"{name:<28}{counts[name]:>8}")
+        if counts[name]:
+            print(f"{name:<28}{counts[name]:>8}")
     return 0
 
 

@@ -22,6 +22,7 @@ partition (required for XOR-like data).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,12 +40,23 @@ def gini_impurity(counts) -> float:
     return float(1.0 - np.sum(p * p))
 
 
+def _require_integers(config, *names: str) -> None:
+    """TypeError unless each named field is an int, not a bool (or a None max_depth)."""
+    for name in names:
+        value = getattr(config, name)
+        if value is None and name == "max_depth":
+            continue
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class CartConfig:
     max_depth: Optional[int] = None
     min_samples_split: int = 2
 
     def __post_init__(self):
+        _require_integers(self, "max_depth", "min_samples_split")
         if self.min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
         if self.max_depth is not None and self.max_depth < 0:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NonFiniteLoss, SingleClass
-from .cart import (PackedTrees, _best_split, compress_order, grow_tree,
-                   node_lists, training_matrix)
+from .cart import (PackedTrees, _best_split, _require_integers, compress_order,
+                   grow_tree, node_lists, training_matrix)
 
 #: hyperparameter grids: the full-scale search and a desk-scale one
 GBC_GRID_FULL = {
@@ -49,17 +49,7 @@ class GbcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        def integer(v):
-            return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-        if not integer(self.n_estimators):
-            raise TypeError(
-                f"n_estimators must be an integer, not {self.n_estimators!r}")
-        if not (self.max_depth is None or integer(self.max_depth)):
-            raise TypeError(f"max_depth must be an integer, not {self.max_depth!r}")
-        if not integer(self.min_samples_split):
-            raise TypeError("min_samples_split must be an integer, not "
-                            f"{self.min_samples_split!r}")
+        _require_integers(self, "n_estimators", "max_depth", "min_samples_split")
         if not (isinstance(self.learning_rate, numbers.Real)
                 and not isinstance(self.learning_rate, bool)):
             raise TypeError(

@@ -6,7 +6,7 @@ from .transformer import (
     build_two_winding_L,
 )
 from .faults import FaultSpec, UNIT_PRESETS, simulate_internal_fault
-from .disturbances import generate_disturbance, inrush_flux, saturation_current
+from .disturbances import generate_disturbance, saturation_current
 from .noise import add_noise
 from .corpus import (
     ClassPlan,
@@ -24,7 +24,6 @@ __all__ = [
     "UNIT_PRESETS",
     "simulate_internal_fault",
     "generate_disturbance",
-    "inrush_flux",
     "saturation_current",
     "add_noise",
     "ClassPlan",

@@ -12,13 +12,14 @@ import itertools
 import json
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from ..errors import IoFailure, ParameterOutOfRange, PlanEmpty
 from ..sampling import (
+    PHASES,
     DisturbanceType,
     EventKind,
     EventLabel,
@@ -28,8 +29,9 @@ from ..sampling import (
     Waveform,
     write_waveform_csv,
 )
+from . import disturbances as dist
 from .disturbances import generate_disturbance
-from .faults import FaultSpec, UNIT_PRESETS, simulate_internal_fault
+from .faults import SHIFTS, FaultSpec, UNIT_PRESETS, simulate_internal_fault
 
 _INCEPTION_BASE_CYCLES = 2
 _DURATION_CYCLES = 8
@@ -82,27 +84,22 @@ def build_case(class_name: str, params: dict, spec: SamplingSpec,
                duration_cycles: int) -> Waveform:
     """Synthesize the waveform for one enumerated plan case."""
     p = dict(params)
+    step = p.pop("inception_step", 0)
     if class_name == EventKind.INTERNAL_FAULT.value:
-        step = p.pop("inception_step", 0)
-        unit = Unit(p.pop("unit"))
-        fault = FaultSpec(
-            fault_type=FaultType(p.pop("fault_type")),
-            unit=unit,
-            resistance_ohm=p.pop("resistance_ohm", 0.01),
-            pct_winding=p.pop("pct_winding", 50.0),
-            side=p.pop("side", "primary"),
-            phase=p.pop("phase", "a"),
-            tap=p.pop("tap", 1.0),
-            shift=p.pop("shift", "forward"),
-        )
+        accepted = [f.name for f in fields(FaultSpec)]
+        unknown = [key for key in p if key not in accepted]
+        if unknown:
+            raise ParameterOutOfRange(f"{class_name} takes no parameter "
+                                      f"{unknown[0]!r}; it takes {', '.join(accepted)}")
+        p.update(unit=Unit(p["unit"]), fault_type=FaultType(p["fault_type"]))
+        fault = FaultSpec(**p)
         return simulate_internal_fault(
-            UNIT_PRESETS[unit], fault, spec,
+            UNIT_PRESETS[fault.unit], fault, spec,
             duration_cycles=duration_cycles,
             inception_index=_inception(spec, step),
         )
     kind = DisturbanceType(class_name)
     divisions = 24 if kind is DisturbanceType.FERRORESONANCE else 12
-    step = p.pop("inception_step", 0)
     return generate_disturbance(
         kind, p, spec,
         inception_index=_inception(spec, step, divisions),
@@ -212,10 +209,6 @@ def load_manifest(corpus_dir) -> list[dict]:
 
 # -- stock plans ---------------------------------------------------------------
 
-_TAPS_FULL = (0.2, 0.4, 0.6, 0.8, 1.0)
-_RF = (0.01, 0.5, 10.0)
-
-
 def reference_plan(cases_per_class: int = 120, fault_cases: int = 468) -> CorpusPlan:
     """Desk-scale seeded corpus covering all 7 classes and all fault types."""
     fault = ClassPlan(
@@ -223,7 +216,7 @@ def reference_plan(cases_per_class: int = 120, fault_cases: int = 468) -> Corpus
         grid={
             "unit": tuple(u.value for u in Unit),
             "fault_type": tuple(ft.value for ft in FaultType),
-            "resistance_ohm": _RF,
+            "resistance_ohm": dist.FAULT_RESISTANCES_OHM,
             "pct_winding": (20.0, 80.0),
             "inception_step": (0, 6),
             "side": ("primary",),
@@ -235,11 +228,11 @@ def reference_plan(cases_per_class: int = 120, fault_cases: int = 468) -> Corpus
     inrush = ClassPlan(
         name=DisturbanceType.MAGNETIZING_INRUSH.value,
         grid={
-            "residual_flux_pct": (-80.0, -40.0, 0.0, 40.0, 80.0),
-            "pattern": (0, 1, 2),
+            "residual_flux_pct": dist.RESIDUAL_FLUX_PCT,
+            "pattern": dist.RESIDUAL_PATTERNS,
             "inception_step": tuple(range(12)),
             "tap": (0.6, 1.0),
-            "shift": ("forward", "backward"),
+            "shift": SHIFTS,
         },
         cap=cases_per_class,
     )
@@ -251,12 +244,9 @@ def reference_plan(cases_per_class: int = 120, fault_cases: int = 468) -> Corpus
     ctsat = ClassPlan(
         name=DisturbanceType.EXTERNAL_FAULT_CT_SAT.value,
         grid={
-            "resistance_ohm": _RF,
-            "fault_name": (
-                "lg-a", "lg-b", "lg-c", "llg-ab", "llg-ac", "llg-bc",
-                "ll-ab", "ll-ac", "ll-bc", "lll", "lllg",
-            ),
-            "bus_kv": (230.0, 500.0),
+            "resistance_ohm": dist.FAULT_RESISTANCES_OHM,
+            "fault_name": dist.EXT_FAULT_NAMES,
+            "bus_kv": dist.BUSES_KV,
             "inception_step": (0, 3, 6, 9),
             "tap": (1.0,),
             "shift": ("forward",),
@@ -266,27 +256,27 @@ def reference_plan(cases_per_class: int = 120, fault_cases: int = 468) -> Corpus
     capacitor = ClassPlan(
         name=DisturbanceType.CAPACITOR_SWITCHING.value,
         grid={
-            "legs": (1, 2, 3),
+            "legs": dist.CAP_LEGS,
             "inception_step": tuple(range(12)),
-            "shift": ("forward", "backward"),
-            "tap": _TAPS_FULL,
+            "shift": SHIFTS,
+            "tap": dist.TAPS,
         },
         cap=cases_per_class,
     )
     nonlinear = ClassPlan(
         name=DisturbanceType.NONLINEAR_LOAD_SWITCHING.value,
         grid={
-            "firing_angle_deg": (0.0, 10.0, 20.0, 30.0, 40.0, 50.0),
+            "firing_angle_deg": dist.FIRING_DEG,
             "inception_step": tuple(range(12)),
-            "tap": _TAPS_FULL,
+            "tap": dist.TAPS,
         },
         cap=cases_per_class,
     )
     ferro = ClassPlan(
         name=DisturbanceType.FERRORESONANCE.value,
         grid={
-            "grading_uf": tuple(round(0.02 * k, 2) for k in range(1, 11)),
-            "phase": ("a", "b", "c"),
+            "grading_uf": dist.GRADING_UF,
+            "phase": PHASES,
             "inception_step": tuple(range(24)),
         },
         cap=cases_per_class,

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import SingularMatrix
-from ..sampling import EventKind, EventLabel, FaultType, SamplingSpec, Unit, Waveform
+from ..sampling import (PHASES, EventKind, EventLabel, FaultType, SamplingSpec,
+                        Unit, Waveform)
 from .circuit import reduce_meshes, run_piecewise, periodic_state
 from .transformer import TwoWindingParams, build_two_winding_L
 
@@ -31,7 +32,7 @@ _WINDING_R_PU = 0.003
 _LOAD_PU = 0.85
 _GROUND_R_OHM = 0.5
 
-_PHASE_IDX = {"a": 0, "b": 1, "c": 2}
+SHIFTS = ("forward", "backward")   # phase-shift directions
 
 
 @dataclass(frozen=True)
@@ -54,9 +55,9 @@ class FaultSpec:
                 f"resistance_ohm must be >= 0 or inf, got {self.resistance_ohm}")
         if self.side not in ("primary", "secondary"):
             raise ValueError(f"side must be primary or secondary, got {self.side}")
-        if self.phase not in _PHASE_IDX:
+        if self.phase not in PHASES:
             raise ValueError(f"phase must be one of a/b/c, got {self.phase}")
-        if self.shift not in ("forward", "backward"):
+        if self.shift not in SHIFTS:
             raise ValueError(f"shift must be forward or backward, got {self.shift}")
         if not 0.0 < self.tap <= 1.0:
             raise ValueError(f"tap must be in (0, 1], got {self.tap}")
@@ -97,22 +98,22 @@ def _fault_mesh_columns(spec: FaultSpec, n_windings: int):
     cols, resistances = [], []
     for ph in grounded:
         col = np.zeros(n_windings)
-        col[4 * _PHASE_IDX[ph] + tapped] = -1.0
+        col[4 * PHASES.index(ph) + tapped] = -1.0
         cols.append(col)
         resistances.append(spec.resistance_ohm + _GROUND_R_OHM)
     for ph1, ph2 in pairs:
         col = np.zeros(n_windings)
-        col[4 * _PHASE_IDX[ph1] + tapped] = -1.0
-        col[4 * _PHASE_IDX[ph2] + tapped] = 1.0
+        col[4 * PHASES.index(ph1) + tapped] = -1.0
+        col[4 * PHASES.index(ph2) + tapped] = 1.0
         cols.append(col)
         resistances.append(spec.resistance_ohm)
     for ph, kind in local:
         col = np.zeros(n_windings)
         if kind == "turn":
-            col[4 * _PHASE_IDX[ph] + tapped] = -1.0
+            col[4 * PHASES.index(ph) + tapped] = -1.0
         else:  # winding-to-winding: bridge primary tap to secondary tap
-            col[4 * _PHASE_IDX[ph] + 0] = -1.0
-            col[4 * _PHASE_IDX[ph] + 2] = 1.0
+            col[4 * PHASES.index(ph) + 0] = -1.0
+            col[4 * PHASES.index(ph) + 2] = 1.0
         cols.append(col)
         resistances.append(spec.resistance_ohm)
     return cols, resistances

@@ -192,3 +192,13 @@ def test_leaf_width_other_than_class_count_is_a_schema_mismatch():
     trees["value"].pop(3 * leaf)  # the first leaf holds 2 values, not 3
     with pytest.raises(SchemaMismatch):
         model_from_dict(d)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("max_depth", 1.5), ("min_samples_split", 2.5), ("max_depth", True),
+    ("min_samples_split", "2"),
+])
+def test_non_integer_config_rejected(field, value):
+    # a float or bool depth would train and land in the model file
+    with pytest.raises(TypeError, match=field):
+        CartConfig(**{field: value})

@@ -1,14 +1,17 @@
 """Circuit sanity: conservation, singularity reporting, and the closed-form
 segment solution checked against plain trapezoidal stepping."""
 
+import importlib
 import inspect
 import pathlib
+import pkgutil
 import re
 
 import numpy as np
 import pytest
 
 from diffsentry.errors import SingularMatrix
+from diffsentry import wavegen
 from diffsentry.wavegen import circuit
 from diffsentry.wavegen.circuit import MeshSystem, reduce_meshes, run_piecewise
 from diffsentry.wavegen.transformer import TwoWindingParams, build_two_winding_L
@@ -134,14 +137,18 @@ def test_reduce_meshes_projects_winding_quantities():
 
 
 def test_every_public_circuit_name_has_a_caller_in_the_package():
-    # test-only helpers live in the tests: a public name of the circuit
-    # module that nothing under src/ calls is dead code in the package
+    # test-only helpers live in the tests: a public function or class of
+    # any diffsentry.wavegen module (circuit among them) that nothing under
+    # src/ calls is dead code in the package
     src = pathlib.Path(circuit.__file__).parents[1]
     text = "".join(p.read_text() for p in src.rglob("*.py"))
-    names = [name for name, obj in vars(circuit).items()
+    modules = [importlib.import_module(f"diffsentry.wavegen.{m.name}")
+               for m in pkgutil.iter_modules(wavegen.__path__)]
+    names = [name for module in modules for name, obj in vars(module).items()
              if not name.startswith("_")
              and (inspect.isfunction(obj) or inspect.isclass(obj))
-             and obj.__module__ == circuit.__name__]
-    assert {"MeshSystem", "reduce_meshes", "run_piecewise"} <= set(names)
+             and obj.__module__ == module.__name__]
+    assert {"MeshSystem", "reduce_meshes", "run_piecewise",
+            "generate_disturbance", "reference_plan"} <= set(names)
     called = r"(?<!def )(?<!class )\b{}\("
     assert [n for n in names if not re.search(called.format(n), text)] == []

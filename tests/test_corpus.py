@@ -1,14 +1,16 @@
 """Corpus plans: sweep arithmetic, caps, manifest format, determinism."""
 
+import hashlib
 import os
 
 import pytest
 
-from diffsentry.errors import PlanEmpty
-from diffsentry.sampling import read_waveform_csv
+from diffsentry.errors import ParameterOutOfRange, PlanEmpty
+from diffsentry.sampling import SamplingSpec, read_waveform_csv
 from diffsentry.wavegen.corpus import (
     ClassPlan,
     CorpusPlan,
+    build_case,
     enumerate_plan,
     generate_corpus,
     load_manifest,
@@ -111,3 +113,17 @@ def test_fault_class_covers_all_units_and_types():
     types = {c[3]["fault_type"] for c in fault_cases}
     assert len(units) == 3
     assert len(types) == 13
+
+
+def test_manifest_bytes_are_pinned(tmp_path):
+    # the manifest holds only plan-derived values (labels, provenance keys,
+    # values and their types), so its hash does not depend on the LAPACK build
+    generate_corpus(reference_plan(cases_per_class=5, fault_cases=20), 0, tmp_path)
+    digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest()
+    assert digest == "4dae3fdfa944a516250401d8bbf076e89994f1a4140c922352eb4fb5606d6615"
+
+
+def test_misspelt_fault_key_is_refused():
+    params = {"unit": "PT", "fault_type": "wa-g", "resistence_ohm": 10.0}
+    with pytest.raises(ParameterOutOfRange, match="resistence_ohm"):
+        build_case("InternalFault", params, SamplingSpec(), 8)

@@ -1,6 +1,4 @@
-"""Disturbance template contracts: flux law, class signatures, ranges."""
-
-import math
+"""Disturbance template contracts: saturation curve, class signatures, ranges."""
 
 import numpy as np
 import pytest
@@ -9,33 +7,12 @@ from diffsentry.errors import ParameterOutOfRange, UnknownDisturbance
 from diffsentry.detector import detect
 from diffsentry.sampling import DisturbanceType, SamplingSpec
 from diffsentry.wavegen.corpus import enumerate_plan, reference_plan, build_case
-from diffsentry.wavegen.disturbances import (
-    generate_disturbance,
-    inrush_flux,
-    saturation_current,
-)
+from diffsentry.wavegen.disturbances import generate_disturbance, saturation_current
 
 from signature_oracle import classify_by_signature
 
 SPEC = SamplingSpec()
 SPC = SPEC.samples_per_cycle
-OMEGA = 2 * math.pi * 60.0
-
-
-def test_flux_at_switching_instant_is_residual():
-    for t_switch in (0.0, 0.003, 0.007):
-        for phi_r in (-0.8, 0.0, 0.4):
-            assert inrush_flux(0.0, phi_r, 1.0, t_switch, OMEGA) == pytest.approx(
-                phi_r, abs=1e-12
-            )
-
-
-def test_flux_extremum_is_residual_plus_twice_peak():
-    # with cos(w t') = 1, the worst prospective flux term hits -1
-    phi_r, phi_m = 0.8, 1.0
-    t = np.linspace(0, 0.05, 20_001)
-    flux = inrush_flux(t, phi_r, phi_m, t_switch=0.0, omega=OMEGA)
-    assert flux.max() == pytest.approx(phi_r + 2 * phi_m, rel=1e-6)
 
 
 def test_saturation_current_two_slopes():
@@ -153,9 +130,18 @@ def test_unknown_disturbance_rejected():
     (DisturbanceType.FERRORESONANCE, {"grading_uf": 0.3}),
     (DisturbanceType.EXTERNAL_FAULT_CT_SAT, {"resistance_ohm": 2.0}),
     (DisturbanceType.MAGNETIZING_INRUSH, {"tap": 0.3}),
+    (DisturbanceType.MAGNETIZING_INRUSH, {"shift": "sideways"}),
+    # a misspelt key is refused, not replaced by its default
+    (DisturbanceType.MAGNETIZING_INRUSH, {"residual_flux": 80.0}),
+    (DisturbanceType.SYMPATHETIC_INRUSH, {"patern": 1}),
+    (DisturbanceType.EXTERNAL_FAULT_CT_SAT, {"resistence_ohm": 10.0}),
+    (DisturbanceType.CAPACITOR_SWITCHING, {"legz": 3}),
+    (DisturbanceType.NONLINEAR_LOAD_SWITCHING, {"firing_deg": 20.0}),
+    (DisturbanceType.FERRORESONANCE, {"phase_name": "b"}),
 ])
 def test_table_ranges_enforced(kind, params):
-    with pytest.raises(ParameterOutOfRange):
+    # the error names the offending key
+    with pytest.raises(ParameterOutOfRange, match=rf"\b{list(params)[-1]}\b"):
         generate_disturbance(kind, params, SPEC, 2 * SPC)
 
 
