@@ -149,7 +149,6 @@ def cmd_generate(args) -> int:
     }
     try:
         cleanup.track_dir(args.out)
-        os.makedirs(args.out, exist_ok=True)
         plan = reference_plan(
             cases_per_class=args.cases_per_class, fault_cases=args.fault_cases
         )
@@ -268,7 +267,6 @@ def cmd_evaluate(args) -> int:
     cleanup = _Cleanup()
     try:
         cleanup.track_dir(args.out)
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "report.json"), "w", newline="\n") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -311,20 +309,21 @@ def cmd_evaluate(args) -> int:
 
 def _write_predictions_csv(path, records, model) -> None:
     """Per-instance holdout decisions for audit (deterministic)."""
-    decisions = decide_many([samples for _, samples in records], model)
+    decisions = decide_many([wave for _, wave in records], model)
     with open(path, "w", newline="\n") as fh:
         fh.write("file,kind,truth,verdict,fault_unit,fault_type,disturbance_type\n")
-        for (row, _), decision in zip(records, decisions):
-            truth = row["fault_type"] or row["disturbance_type"]
+        for (row, wave), decision in zip(records, decisions):
+            label = wave.label
+            truth = (label.fault_type or label.disturbance_type).value
             fh.write(
-                f"{row['file']},{row['kind']},{truth},{decision.verdict},"
+                f"{row['file']},{label.kind.value},{truth},{decision.verdict},"
                 f"{decision.fault_unit or ''},{decision.fault_type or ''},"
                 f"{decision.disturbance_type or ''}\n"
             )
 
 
 def _measure_timing(records, model) -> dict:
-    _, samples = records[0]
+    samples = records[0][1].samples
     from .detector import detect as _detect
 
     event = _detect(samples)

@@ -1,11 +1,9 @@
-"""Metrics, stratified cross-validation, grid search, and a timing harness."""
+"""Metrics, stratified splits, and a timing harness."""
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -112,80 +110,6 @@ def train_test_split(labels, test_fraction: float, seed: int):
     test = np.sort(np.asarray(test_idx, dtype=int))
     train = np.setdiff1d(np.arange(labels.shape[0]), test)
     return train, test
-
-
-@dataclass
-class GridSearchResult:
-    best_config: dict
-    best_score: float
-    table: list          # [{"config": dict, "mean_balanced_accuracy": float}]
-    model: object = None
-
-
-def _tie_key(config: dict, score: float):
-    # canonical argmax: higher score, then fewer estimators, shallower
-    # trees, larger learning rate, so grid order cannot matter
-    return (
-        -score,
-        config["n_estimators"],
-        config.get("max_depth") if config.get("max_depth") is not None else float("inf"),
-        -config.get("learning_rate", 0.0),
-    )
-
-
-def grid_search(
-    X,
-    y,
-    fit_fn: Callable[..., object],
-    grid: dict,
-    cv_k: int = 3,
-    seed: int = 0,
-) -> GridSearchResult:
-    """Mean-CV balanced accuracy over the grid cross-product.
-
-    ``fit_fn(X, y, **config, seed=...)`` must return a model exposing
-    predict_labels and ``first_stages(n)``; the winning config is refit on
-    all rows. The grid must hold ``n_estimators``: grid points that differ
-    only in it share one fit per fold at their largest ``n_estimators``,
-    and each smaller value is scored on that model's ``first_stages(n)``,
-    which equals the fit at ``n``.
-    """
-    if not grid or any(len(v) == 0 for v in grid.values()):
-        raise ValueError("grid must be non-empty")
-    if "n_estimators" not in grid:
-        raise ValueError("grid must hold n_estimators")
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    folds = stratified_kfold(y, cv_k, seed)
-    keys = list(grid.keys())
-    configs = [dict(zip(keys, combo))
-               for combo in itertools.product(*(grid[k] for k in keys))]
-    groups = {}  # the config without n_estimators -> indices into configs
-    for i, config in enumerate(configs):
-        rest = tuple((k, v) for k, v in config.items() if k != "n_estimators")
-        groups.setdefault(rest, []).append(i)
-    scores = [[] for _ in configs]
-    for members in groups.values():
-        fit_config = {**configs[members[0]], "n_estimators": max(
-            configs[i]["n_estimators"] for i in members)}
-        for train_idx, test_idx in folds:
-            model = fit_fn(X[train_idx], y[train_idx], seed=seed, **fit_config)
-            for i in members:
-                scored = model.first_stages(configs[i]["n_estimators"])
-                counts = ConfusionCounts.from_predictions(
-                    y[test_idx], scored.predict_labels(X[test_idx]))
-                scores[i].append(balanced_accuracy(counts))
-    table = []
-    best = None
-    for config, fold_scores in zip(configs, scores):
-        mean_score = float(np.mean(fold_scores))
-        table.append({"config": config, "mean_balanced_accuracy": mean_score})
-        if best is None or _tie_key(config, mean_score) < _tie_key(best[0], best[1]):
-            best = (config, mean_score)
-    final = fit_fn(X, y, seed=seed, **best[0])
-    return GridSearchResult(
-        best_config=best[0], best_score=best[1], table=table, model=final
-    )
 
 
 def time_report(stages: dict, repeats: int = 10) -> dict:

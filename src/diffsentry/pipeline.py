@@ -36,7 +36,7 @@ from .evaluation import (
     ConfusionCounts,
     balanced_accuracy,
     accuracy,
-    grid_search,
+    stratified_kfold,
     train_test_split,
 )
 from .features import Task, extract, extract_many, schema_hash, task_window_len
@@ -253,6 +253,18 @@ class TrainConfig:
 
     def __post_init__(self):
         # a bad grid fails here, not after the corpus is read and featurized
+        self.points()
+
+    def resolved_grid(self) -> dict:
+        """``grid`` in its own key order, completed by the values of
+        ``GBC_GRID_SMALL`` for every key it lacks."""
+        grid = self.grid or {}
+        return {**grid, **{k: v for k, v in GBC_GRID_SMALL.items() if k not in grid}}
+
+    def points(self) -> list[dict]:
+        """Every point of the resolved grid, in its order. An unknown key, a
+        value that is not a non-empty list or a point that is not a valid
+        ``GbcConfig`` is an ``InvalidGrid``."""
         grid = self.resolved_grid()
         unknown = sorted(set(grid) - set(GBC_GRID_SMALL))
         if unknown:
@@ -262,41 +274,90 @@ class TrainConfig:
                      if not (isinstance(v, (list, tuple)) and v))
         if bad:
             raise InvalidGrid(f"grid values of {bad} are not non-empty lists")
-        for values in itertools.product(*grid.values()):
-            point = dict(zip(grid, values))
+        points = [dict(zip(grid, values))
+                  for values in itertools.product(*grid.values())]
+        for point in points:
             try:
                 GbcConfig(**point)
             except (TypeError, ValueError) as exc:
                 raise InvalidGrid(f"grid point {point}: {exc}") from exc
+        return points
 
-    def resolved_grid(self) -> dict:
-        """``grid`` in its own key order, completed by the values of
-        ``GBC_GRID_SMALL`` for every key it lacks."""
-        grid = self.grid or {}
-        return {**grid, **{k: v for k, v in GBC_GRID_SMALL.items() if k not in grid}}
+
+@dataclass
+class GridSearchResult:
+    best_config: dict
+    best_score: float
+    table: list          # [{"config": dict, "mean_balanced_accuracy": float}]
+    model: object = None
+
+
+def _tie_key(config: dict, score: float):
+    # canonical argmax: higher score, then fewer estimators, shallower
+    # trees, larger learning rate, so grid order cannot matter
+    depth = config["max_depth"]
+    return (-score, config["n_estimators"],
+            float("inf") if depth is None else depth, -config["learning_rate"])
+
+
+def grid_search(X, y, config: TrainConfig) -> GridSearchResult:
+    """Mean-CV balanced accuracy of a boosting fit at each of
+    ``config.points()``; the winning point is refit on all rows.
+
+    Points that differ only in ``n_estimators`` share one fit per fold at
+    their largest ``n_estimators``, and each smaller value is scored on that
+    model's ``first_stages(n)``, which equals the fit at ``n``.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    folds = stratified_kfold(y, config.cv_k, config.seed)
+    points = config.points()
+    groups = {}  # the point without n_estimators -> indices into points
+    for i, point in enumerate(points):
+        rest = tuple((k, v) for k, v in point.items() if k != "n_estimators")
+        groups.setdefault(rest, []).append(i)
+    scores = [[] for _ in points]
+    for members in groups.values():
+        fit_config = GbcConfig(**{**points[members[0]], "n_estimators": max(
+            points[i]["n_estimators"] for i in members)}, seed=config.seed)
+        for train_idx, test_idx in folds:
+            model = gbc_fit(X[train_idx], y[train_idx], fit_config)
+            for i in members:
+                scored = model.first_stages(points[i]["n_estimators"])
+                counts = ConfusionCounts.from_predictions(
+                    y[test_idx], scored.predict_labels(X[test_idx]))
+                scores[i].append(balanced_accuracy(counts))
+    table = []
+    best = None
+    for point, fold_scores in zip(points, scores):
+        mean_score = float(np.mean(fold_scores))
+        table.append({"config": point, "mean_balanced_accuracy": mean_score})
+        if best is None or _tie_key(point, mean_score) < _tie_key(*best):
+            best = (point, mean_score)
+    final = gbc_fit(X, y, GbcConfig(**best[0], seed=config.seed))
+    return GridSearchResult(
+        best_config=best[0], best_score=best[1], table=table, model=final
+    )
 
 
 def load_corpus_waveforms(corpus_dir, manifest):
-    """(manifest row, (N,3) samples) pairs for every corpus record."""
+    """(manifest row, Waveform) pairs for every corpus record: the row's
+    samples under its label and inception. A record too short for its
+    inception is an ``IoFailure`` naming its file."""
     out = []
     for row in manifest:
         samples = read_waveform_csv(os.path.join(corpus_dir, row["file"]))
-        out.append((row, samples))
+        try:
+            wave = Waveform(
+                spec=SamplingSpec(), samples=samples,
+                label=EventLabel.from_dict(row),
+                inception_index=row["inception_index"],
+                provenance=row.get("provenance", {}),
+            )
+        except ValueError as exc:
+            raise IoFailure(f"corpus record {row['file']}: {exc}") from exc
+        out.append((row, wave))
     return out
-
-
-def _record_wave(row: dict, samples) -> Waveform:
-    """The checked, labelled Waveform of one manifest row's samples; a
-    record too short for its inception is an ``IoFailure`` naming its file."""
-    label = EventLabel.from_dict(row)
-    try:
-        return Waveform(
-            spec=SamplingSpec(), samples=samples, label=label,
-            inception_index=row["inception_index"],
-            provenance=row.get("provenance", {}),
-        )
-    except ValueError as exc:
-        raise IoFailure(f"corpus record {row['file']}: {exc}") from exc
 
 
 def _windows_by_task(records):
@@ -305,15 +366,15 @@ def _windows_by_task(records):
     windows = {task: [] for task in Task}
     data = {task: {"y": [], "files": []} for task in Task}
     undetected = []
-    for row, samples in records:
-        wave = _record_wave(row, samples)
+    for row, wave in records:
         event = detect(wave)
         if not event.triggered:
             undetected.append(row["file"])
             continue
         # views of the record's samples, which the caller holds anyway, so
         # collecting every window costs no copy before the stacks
-        detect_window, classify_window = event_windows(samples, event.trigger_index)
+        detect_window, classify_window = event_windows(wave.samples,
+                                                       event.trigger_index)
         for task, cls in _task_targets(wave.label).items():
             windows[task].append(detect_window if task is Task.DETECT_FAULT
                                  else classify_window)
@@ -335,8 +396,7 @@ def train_pipeline(corpus_dir, manifest, config: TrainConfig) -> PipelineModel:
     """
     records = load_corpus_waveforms(corpus_dir, manifest)
     labels = np.asarray([
-        "/".join(_task_targets(EventLabel.from_dict(row)).values())
-        for row, _ in records
+        "/".join(_task_targets(wave.label).values()) for _, wave in records
     ])
     train_idx, hold_idx = train_test_split(labels, 0.2, config.seed)
     train_data, undetected = _windows_by_task([records[i] for i in train_idx])
@@ -355,27 +415,12 @@ def train_pipeline(corpus_dir, manifest, config: TrainConfig) -> PipelineModel:
 
     slots = {}
     cv_tables = {}
-    grid = config.resolved_grid()
-
-    def fit_fn(X, y, seed, n_estimators, max_depth, learning_rate):
-        return gbc_fit(
-            X, y,
-            GbcConfig(
-                n_estimators=n_estimators,
-                max_depth=max_depth,
-                learning_rate=learning_rate,
-                seed=seed,
-            ),
-        )
-
     for task in Task:
         X = train_data[task]["X"]
         y = np.asarray(train_data[task]["y"])
         if config.resample is not None:
             X, y = apply_plan(X, y, config.resample, config.seed)
-        result = grid_search(
-            X, y, fit_fn, grid, cv_k=config.cv_k, seed=config.seed
-        )
+        result = grid_search(X, y, config)
         result.model.schema_hash = schema_hash(task)
         slots[task] = result.model
         cv_tables[task.value] = {
@@ -389,7 +434,7 @@ def train_pipeline(corpus_dir, manifest, config: TrainConfig) -> PipelineModel:
         slots=slots,
         metadata={
             "seed": config.seed,
-            "grid": grid,
+            "grid": config.resolved_grid(),
             "cv_k": config.cv_k,
             "resample": (
                 {
@@ -468,8 +513,7 @@ def detect_noise_study(records, train_files, snr_list, seed,
         return extract_many(stack[:len(truths)], Task.DETECT_FAULT)[0], truths
 
     train, hold = [], []
-    for i, (row, samples) in enumerate(records):
-        wave = _record_wave(row, samples)
+    for i, (row, wave) in enumerate(records):
         truth = _task_targets(wave.label)[Task.DETECT_FAULT]
         if row["file"] in train_files:
             train += [(wave, snr, seed + 100 * i + j, truth)

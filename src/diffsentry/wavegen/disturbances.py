@@ -91,7 +91,8 @@ def ct_saturating_clipper(current: np.ndarray, spc: int,
 
 def _checked(kind: DisturbanceType, params: dict) -> dict:
     """Every parameter of ``kind``, converted to its type or its default. A key
-    outside ``PARAMETERS[kind]`` or a value outside its set (floats within
+    outside ``PARAMETERS[kind]``, a bool, a value its conversion changes (an
+    int is a float, 2.5 is no int) or a value outside its set (floats within
     ``math.isclose``) is a ParameterOutOfRange."""
     table = PARAMETERS[kind]
     for key in params:
@@ -105,7 +106,8 @@ def _checked(kind: DisturbanceType, params: dict) -> dict:
             value = cast(raw)
         except (TypeError, ValueError):
             value = None
-        if value is None or not any(
+        exact = not isinstance(raw, (bool, np.bool_)) and value == raw
+        if value is None or not exact or not any(
                 math.isclose(value, a) if cast is float else value == a
                 for a in allowed):
             raise ParameterOutOfRange(

@@ -542,22 +542,27 @@ def test_bad_manifest_is_a_data_error(tmp_path, saved_model, capsys, command,
     (8, 5000, "3 post-event cycles"),
     (4, 0, "at least 5 cycles"),
 ], ids=["inception_too_late", "record_too_short"])
-def test_record_too_short_for_its_inception_is_a_data_error(tmp_path, capsys,
-                                                            cycles, inception,
-                                                            message):
+def test_record_too_short_for_its_inception_is_a_data_error(tmp_path, saved_model,
+                                                            capsys, cycles,
+                                                            inception, message):
+    # the one record is a holdout file of the model, so evaluate decides it
+    # with or without a noise sweep; each command refuses it by name
+    name = json.loads(saved_model.read_text())["metadata"]["holdout_files"][0]
     corpus_dir = tmp_path / "corpus"
-    corpus_dir.mkdir()
-    _steady_csv(corpus_dir / "w.csv", cycles)
+    (corpus_dir / name).parent.mkdir(parents=True)
+    _steady_csv(corpus_dir / name, cycles)
     (corpus_dir / "manifest.json").write_text(
-        _manifest_row(inception_index=inception))
-    out = tmp_path / "pipeline.json"
-    code = main(["train", "--corpus", str(corpus_dir), "--out", str(out)])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error [train]: ")
-    assert "w.csv" in err and message in err
-    assert "Traceback" not in err
-    assert not out.exists()
+        _manifest_row(file=name, inception_index=inception))
+    for command, extra in [("train", []), ("evaluate", []),
+                           ("evaluate", ["--snr", "inf"])]:
+        out = tmp_path / "out"
+        code = main(_command(command, corpus_dir, saved_model, out) + extra)
+        err = capsys.readouterr().err
+        assert code == 1, (command, extra)
+        assert err.startswith(f"error [{command}]: corpus record {name}: ")
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--cases-per-class", "--fault-cases"])

@@ -138,11 +138,23 @@ def test_unknown_disturbance_rejected():
     (DisturbanceType.CAPACITOR_SWITCHING, {"legz": 3}),
     (DisturbanceType.NONLINEAR_LOAD_SWITCHING, {"firing_deg": 20.0}),
     (DisturbanceType.FERRORESONANCE, {"phase_name": "b"}),
+    # a value is refused, not cast, when its type is wrong
+    (DisturbanceType.CAPACITOR_SWITCHING, {"legs": 2.5}),
+    (DisturbanceType.CAPACITOR_SWITCHING, {"legs": True}),
+    (DisturbanceType.MAGNETIZING_INRUSH, {"tap": "0.6"}),
+    (DisturbanceType.MAGNETIZING_INRUSH, {"pattern": True}),
 ])
 def test_table_ranges_enforced(kind, params):
     # the error names the offending key
     with pytest.raises(ParameterOutOfRange, match=rf"\b{list(params)[-1]}\b"):
         generate_disturbance(kind, params, SPEC, 2 * SPC)
+
+
+def test_an_int_is_taken_for_a_float_parameter():
+    wave = generate_disturbance(DisturbanceType.MAGNETIZING_INRUSH, {"tap": 1},
+                                SPEC, 2 * SPC)
+    assert wave.provenance["tap"] == 1.0
+    assert isinstance(wave.provenance["tap"], float)
 
 
 def test_signature_oracle_reidentifies_detected_disturbances():

@@ -1,4 +1,4 @@
-"""Metrics, stratified folds, grid search, and harness plumbing."""
+"""Metrics, stratified folds, the staged grid search, and harness plumbing."""
 
 import itertools
 import json
@@ -6,19 +6,19 @@ import json
 import numpy as np
 import pytest
 
+from diffsentry import pipeline
 from diffsentry.ensembles import GbcConfig, gbc_fit
 from diffsentry.ensembles.model import model_to_dict
 from diffsentry.errors import ClassTooSmall, EmptyCounts, ZeroSupportClass
 from diffsentry.evaluation import (
     ConfusionCounts,
-    _tie_key,
     accuracy,
     balanced_accuracy,
-    grid_search,
     stratified_kfold,
     time_report,
     train_test_split,
 )
+from diffsentry.pipeline import TrainConfig, _tie_key, grid_search
 
 
 def test_reference_detection_counts():
@@ -137,7 +137,7 @@ def _fit(X, y, seed, n_estimators, max_depth, learning_rate):
 def test_grid_search_runs_every_point():
     X, y = _toy_task()
     grid = {"n_estimators": [5, 10], "max_depth": [1, 2], "learning_rate": [0.1]}
-    result = grid_search(X, y, _fit, grid, cv_k=3, seed=0)
+    result = grid_search(X, y, TrainConfig(grid=grid, cv_k=3, seed=0))
     assert len(result.table) == 4
     assert result.best_config in [row["config"] for row in result.table]
 
@@ -145,7 +145,7 @@ def test_grid_search_runs_every_point():
 def test_grid_search_single_point():
     X, y = _toy_task(1)
     grid = {"n_estimators": [8], "max_depth": [2], "learning_rate": [0.1]}
-    result = grid_search(X, y, _fit, grid, cv_k=3, seed=0)
+    result = grid_search(X, y, TrainConfig(grid=grid, cv_k=3, seed=0))
     assert result.best_config == {"n_estimators": 8, "max_depth": 2,
                                   "learning_rate": 0.1}
 
@@ -153,7 +153,7 @@ def test_grid_search_single_point():
 def test_grid_search_selects_the_argmax():
     X, y = _toy_task(2)
     grid = {"n_estimators": [1, 20], "max_depth": [2], "learning_rate": [0.1]}
-    result = grid_search(X, y, _fit, grid, cv_k=3, seed=0)
+    result = grid_search(X, y, TrainConfig(grid=grid, cv_k=3, seed=0))
     best = max(row["mean_balanced_accuracy"] for row in result.table)
     assert result.best_score == best
     for row in result.table:
@@ -164,16 +164,10 @@ def test_grid_search_order_invariant():
     X, y = _toy_task(3)
     g1 = {"n_estimators": [5, 10, 20], "max_depth": [1, 3], "learning_rate": [0.1]}
     g2 = {"n_estimators": [20, 5, 10], "max_depth": [3, 1], "learning_rate": [0.1]}
-    r1 = grid_search(X, y, _fit, g1, cv_k=3, seed=4)
-    r2 = grid_search(X, y, _fit, g2, cv_k=3, seed=4)
+    r1 = grid_search(X, y, TrainConfig(grid=g1, cv_k=3, seed=4))
+    r2 = grid_search(X, y, TrainConfig(grid=g2, cv_k=3, seed=4))
     assert r1.best_config == r2.best_config
     assert r1.best_score == r2.best_score
-
-
-def test_grid_search_empty_grid_rejected():
-    X, y = _toy_task(4)
-    with pytest.raises(ValueError):
-        grid_search(X, y, _fit, {}, cv_k=2, seed=0)
 
 
 def _grid_search_per_point(X, y, fit_fn, grid, cv_k, seed):
@@ -209,15 +203,16 @@ def _three_class_task(seed):
     {"n_estimators": [6, 0, 3, 9], "max_depth": [2, 1], "learning_rate": [0.1]},
     {"learning_rate": [0.3, 0.1], "n_estimators": [4, 2, 4], "max_depth": [1]},
 ], ids=["unsorted_with_zero", "duplicate_n"])
-def test_staged_grid_search_equals_one_fit_per_point(grid):
+def test_staged_grid_search_equals_one_fit_per_point(grid, monkeypatch):
     X, y = _three_class_task(6)
     fits = []
 
-    def fit(X, y, seed, **config):
-        fits.append(config["n_estimators"])
-        return _fit(X, y, seed, **config)
+    def counted_fit(X, y, config):
+        fits.append(config.n_estimators)
+        return gbc_fit(X, y, config)
 
-    result = grid_search(X, y, fit, grid, cv_k=3, seed=2)
+    monkeypatch.setattr(pipeline, "gbc_fit", counted_fit)
+    result = grid_search(X, y, TrainConfig(grid=grid, cv_k=3, seed=2))
     table, config, score, model = _grid_search_per_point(X, y, _fit, grid, 3, 2)
     assert result.table == table
     assert result.best_config == config
@@ -225,19 +220,8 @@ def test_staged_grid_search_equals_one_fit_per_point(grid):
     assert (json.dumps(model_to_dict(result.model))
             == json.dumps(model_to_dict(model)))
     groups = len(table) // len(grid["n_estimators"])
-    assert fits[:-1] == [max(grid["n_estimators"])] * (groups * 3)
-
-
-def test_grid_search_without_n_estimators_is_refused():
-    # every grid point is scored on a stage prefix of a boosting fit, so a
-    # grid without n_estimators is refused before any fit
-    X, y = _three_class_task(7)
-
-    def fit(X, y, seed, max_depth):
-        raise AssertionError("no fit expected")
-
-    with pytest.raises(ValueError, match="n_estimators"):
-        grid_search(X, y, fit, {"max_depth": [1, 3]}, cv_k=3, seed=0)
+    assert fits == [max(grid["n_estimators"])] * (groups * 3) + [
+        config["n_estimators"]]
 
 
 def test_time_report_noop_stage():

@@ -472,7 +472,7 @@ def test_extract_many_equals_extract_on_corpus(reference_corpus):
     tasks that hold every classify spec (row r of a stack is checked against
     extract on window r, and a task's row is its specs' values)."""
     from diffsentry.detector import detect
-    from diffsentry.pipeline import _record_wave, load_corpus_waveforms
+    from diffsentry.pipeline import load_corpus_waveforms
     from diffsentry.wavegen.noise import add_noise
 
     cover = (Task.IDENTIFY_SERIES, Task.IDENTIFY_EXCITING,
@@ -482,8 +482,7 @@ def test_extract_many_equals_extract_on_corpus(reference_corpus):
             == {spec.key() for t in classify_tasks for spec in task_specs(t)})
     corpus_dir, manifest, _ = reference_corpus
     detect_windows, classify_windows = [], []
-    for i, (row, samples) in enumerate(load_corpus_waveforms(corpus_dir, manifest)):
-        wave = _record_wave(row, samples)
+    for i, (_, wave) in enumerate(load_corpus_waveforms(corpus_dir, manifest)):
         for copy in (wave, add_noise(wave, 10.0, seed=i)):
             event = detect(copy)
             if event.triggered:

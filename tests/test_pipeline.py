@@ -251,8 +251,8 @@ def test_every_feature_finite_on_corpus(small_corpus):
     # DetectFault covers all five families on the 1.5-cycle window;
     # the other two cover both window lengths for every family
     tasks = (Task.DETECT_FAULT, Task.IDENTIFY_SERIES, Task.IDENTIFY_DISTURBANCE)
-    for row, samples in load_corpus_waveforms(corpus_dir, manifest):
-        event = detect(samples)
+    for row, wave in load_corpus_waveforms(corpus_dir, manifest):
+        event = detect(wave)
         if not event.triggered:
             continue
         for task in tasks:
@@ -325,15 +325,15 @@ def test_decide_many_equals_decide_per_record(trained_pipeline,
     (NoEvent), bare sample arrays and Waveforms: decide_many in batches of
     1, 2, 7 and all gives each record decide's sorted JSON."""
     from diffsentry import pipeline
-    from diffsentry.pipeline import _record_wave, load_corpus_waveforms
+    from diffsentry.pipeline import load_corpus_waveforms
 
     model, _ = trained_pipeline
     corpus_dir, manifest, _ = reference_corpus
     hold = set(model.metadata["holdout_files"])
     records = load_corpus_waveforms(
         corpus_dir, [row for row in manifest if row["file"] in hold])
-    xs = [_steady()] + [_record_wave(row, samples) if i % 2 else samples
-                        for i, (row, samples) in enumerate(records)]
+    xs = [_steady()] + [wave if i % 2 else wave.samples
+                        for i, (_, wave) in enumerate(records)]
     want = [_decision_json(decide(x, model)) for x in xs]
     assert {json.loads(w)["verdict"] for w in want} == {
         "NoEvent", "Trip", "Restrain"}
@@ -447,13 +447,9 @@ def _noise_study_per_repeat(records, train_files, snr_list, seed, repeats,
     from diffsentry.ensembles import gbc_fit
     from diffsentry.evaluation import ConfusionCounts, accuracy
     from diffsentry.features import extract
-    from diffsentry.sampling import EventLabel, Waveform
     from diffsentry.wavegen.noise import add_noise
 
-    def window_at(row, samples, snr, noise_seed):
-        wave = Waveform(spec=SPEC, samples=samples,
-                        label=EventLabel.from_dict(row),
-                        inception_index=row["inception_index"])
+    def window_at(wave, snr, noise_seed):
         if not math.isinf(snr):
             wave = add_noise(wave, snr, seed=noise_seed)
         event = detect(wave)
@@ -464,24 +460,23 @@ def _noise_study_per_repeat(records, train_files, snr_list, seed, repeats,
     levels = [s for s in snr_list if not math.isinf(s)]
     hold_base = seed + 100 * max(500, len(records))
     x_train, y_train, hold = [], [], []
-    for i, (row, samples) in enumerate(records):
+    for i, (row, wave) in enumerate(records):
         truth = FAULT_CLASS if row["kind"] == "InternalFault" else DISTURBANCE_CLASS
         if row["file"] in train_files:
             for j, snr in enumerate([math.inf] + levels):
-                vec = window_at(row, samples, snr, seed + 100 * i + j)
+                vec = window_at(wave, snr, seed + 100 * i + j)
                 if vec is not None:
                     x_train.append(vec)
                     y_train.append(truth)
         else:
-            hold.append((i, row, samples, truth))
+            hold.append((i, wave, truth))
     model = gbc_fit(np.vstack(x_train), np.asarray(y_train), gbc)
     out = []
     for snr in snr_list:
         y_true, y_pred = [], []
-        for i, row, samples, truth in hold:
+        for i, wave, truth in hold:
             for r in range(repeats):
-                vec = window_at(row, samples, snr,
-                                hold_base + 100 * i + r)
+                vec = window_at(wave, snr, hold_base + 100 * i + r)
                 if vec is None:
                     continue
                 probs = model.predict_proba(vec[None, :])[0]
@@ -588,7 +583,7 @@ def test_noise_study_seeds_never_collide(small_corpus, monkeypatch):
 
     corpus_dir, manifest = small_corpus
     base = pipeline.load_corpus_waveforms(corpus_dir, manifest)
-    records = [(dict(row, file=f"r{i:04d}.csv"), samples) for i, (row, samples)
+    records = [(dict(row, file=f"r{i:04d}.csv"), wave) for i, (row, wave)
                in enumerate(itertools.islice(itertools.cycle(base), 1188))]
     train_files = [row["file"] for i, (row, _) in enumerate(records) if i % 3]
     seeds = {"train": [], "hold": []}
@@ -624,8 +619,8 @@ def test_windows_by_task_equals_a_per_window_oracle(small_corpus):
     data, undetected = _windows_by_task(records)
     want = {task: {"X": [], "y": [], "files": []} for task in Task}
     missed = []
-    for row, samples in records:
-        event = detect(samples)
+    for row, wave in records:
+        event = detect(wave)
         if not event.triggered:
             missed.append(row["file"])
             continue
