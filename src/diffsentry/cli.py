@@ -261,6 +261,11 @@ def cmd_evaluate(args) -> int:
         ok = score is not None and score >= threshold
         if not ok:
             failures.append(f"{task_name}: {score} < {threshold}")
+    # every corpus record is an event; the stored metrics cannot show a miss
+    decisions = decide_many([wave for _, wave in records], model)
+    missed = [row["file"] for (row, _), d in zip(records, decisions) if not d.detected]
+    if missed:
+        failures.append(f"holdout records decided NoEvent: {missed}")
     report["passed"] = not failures
     report["failures"] = failures
 
@@ -271,7 +276,7 @@ def cmd_evaluate(args) -> int:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         _write_predictions_csv(
-            os.path.join(args.out, "predictions.csv"), records, model
+            os.path.join(args.out, "predictions.csv"), records, decisions
         )
         _write_run_stamp(
             args.out, args.seed,
@@ -301,15 +306,14 @@ def cmd_evaluate(args) -> int:
             f"fault_recall={rowns['fault_recall']:.4f}"
         )
     if failures:
-        print("FAILED thresholds: " + "; ".join(failures))
+        print("FAILED: " + "; ".join(failures))
         return 1
     print("all thresholds met")
     return 0
 
 
-def _write_predictions_csv(path, records, model) -> None:
+def _write_predictions_csv(path, records, decisions) -> None:
     """Per-instance holdout decisions for audit (deterministic)."""
-    decisions = decide_many([wave for _, wave in records], model)
     with open(path, "w", newline="\n") as fh:
         fh.write("file,kind,truth,verdict,fault_unit,fault_type,disturbance_type\n")
         for (row, wave), decision in zip(records, decisions):

@@ -58,6 +58,17 @@ def cdf_series(values, n_c: int) -> np.ndarray:
     return win[n_c:] - win[: n - 2 * n_c + 1]
 
 
+def refuse_non_finite(samples: np.ndarray) -> None:
+    """Raise ``NonFiniteSample`` naming the first NaN or infinite sample of
+    samples (N, 3) or (m, N, 3) by window (in a stack), index and phase."""
+    bad = ~np.isfinite(samples)
+    if bad.any():
+        *window, i, p = np.argwhere(bad)[0]
+        where = f"window {window[0]} " if window else ""
+        raise NonFiniteSample(
+            f"{where}sample {i} phase {PHASES[p]} is {samples[(*window, i, p)]}")
+
+
 def detect(wave) -> DetectionEvent:
     """Run the change filter over all phases and slice the event windows.
 
@@ -71,12 +82,7 @@ def detect(wave) -> DetectionEvent:
                else np.asarray(wave, dtype=np.float64))
     if samples.ndim != 2 or samples.shape[1] != 3:
         raise WrongShape(f"samples must have shape (N, 3), got {samples.shape}")
-    bad = ~np.isfinite(samples)
-    if bad.any():
-        i, p = np.argwhere(bad)[0]
-        raise NonFiniteSample(
-            f"sample {i} phase {PHASES[p]} is {samples[i, p]}"
-        )
+    refuse_non_finite(samples)
     n = samples.shape[0]
     series = np.stack([cdf_series(samples[:, p], CYCLE) for p in range(3)], axis=1)
     over = series > THRESHOLD

@@ -152,9 +152,7 @@ def gbc_fit(X, y, cfg: GbcConfig = GbcConfig()):
         scores += cfg.learning_rate * stage.leaf_values(X)[:, :, 0].T
         dev = multinomial_deviance(y_codes, scores)
         if not np.isfinite(dev):
-            raise NonFiniteLoss(
-                f"training deviance became non-finite at iteration {m}", iteration=m
-            )
+            raise NonFiniteLoss(f"training deviance became non-finite at iteration {m}")
         deviance.append(dev)
 
     return TreeEnsembleModel(

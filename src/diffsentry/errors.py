@@ -60,10 +60,6 @@ class IndexOutOfRange(DiffsentryError, IndexError):
 class SingularDesign(DiffsentryError, ValueError):
     """The autoregressive design matrix is rank-deficient."""
 
-    def __init__(self, message, colliding_lags=None):
-        super().__init__(message)
-        self.colliding_lags = tuple(colliding_lags or ())
-
 
 # -- ensembles ----------------------------------------------------------------
 
@@ -89,10 +85,6 @@ class SingleClass(DiffsentryError, ValueError):
 
 class NonFiniteLoss(DiffsentryError, FloatingPointError):
     """Training loss became NaN or infinite."""
-
-    def __init__(self, message, iteration):
-        super().__init__(message)
-        self.iteration = iteration
 
 
 # -- resampling ----------------------------------------------------------------

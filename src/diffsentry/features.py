@@ -12,7 +12,9 @@ Five families are implemented, each per phase:
 Every op reads its series along the last axis: it takes one series (n,)
 or a stack (..., n) and returns a value per series, with one
 implementation for both. Row r of a stack gets the same bits as series r
-on its own.
+on its own. AR makes one rank test and one solve per stack, on products of
+the input's strided view (``_ar_solve``); a rank-deficient series is a
+``SingularDesign`` error, or 0 and an AR-fallback flag in a task vector.
 
 Task vectors apply a frozen parameter list identically to each phase and
 concatenate phase a, then b, then c. ``extract`` cuts one window's vector;
@@ -30,8 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detector import CLASSIFY_LEN, DETECT_LEN
-from .errors import IndexOutOfRange, SingularDesign, TooShort, WrongWindowLength
+from .detector import CLASSIFY_LEN, DETECT_LEN, refuse_non_finite
+from .errors import (IndexOutOfRange, NonFiniteSample, SingularDesign, TooShort,
+                     WrongWindowLength)
 from .sampling import PHASES
 
 
@@ -165,42 +168,45 @@ def welch_density(values, bin_index: int, segment_len: int = 64):
 
 
 def ar_coefficients(values, order: int) -> np.ndarray:
-    """(phi_0 .. phi_P) of one series (n,) minimizing the conditional
-    least-squares criterion sum_t (x_t - phi_0 - sum_i phi_i x_{t-i})^2 via
-    the normal equations."""
+    """(phi_0 .. phi_P) minimizing the conditional least-squares criterion
+    sum_t (x_t - phi_0 - sum_i phi_i x_{t-i})^2 via the normal equations,
+    per series of x (..., n). A rank-deficient design raises
+    ``SingularDesign``, a NaN or infinite sample ``NonFiniteSample``."""
     x = np.asarray(values, dtype=np.float64)
-    n = x.shape[0]
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        raise NonFiniteSample(f"sample {bad[0].tolist()} is {x[tuple(bad[0])]}")
+    coeffs, singular = _ar_solve(x, order)
+    if singular.any():
+        raise SingularDesign("autoregressive design is rank deficient")
+    return coeffs
+
+
+def _ar_solve(x: np.ndarray, order: int):
+    """Coefficients (..., P+1) of every series of x (..., n), and per series
+    whether its Gram matrix is rank deficient (coefficients then 0). Both
+    products are formed on x's strided view before the singular series are
+    masked out: ``x[full]`` would copy them to contiguous memory, where
+    BLAS's matrix-vector product rounds differently from the series alone."""
     if order < 1:
         raise ValueError("order must be >= 1")
+    n = x.shape[-1]
     if n < 2 * (order + 1):
         raise TooShort(f"need at least {2 * (order + 1)} samples, got {n}")
-    rows = n - order
-    design = np.empty((rows, order + 1))
-    design[:, 0] = 1.0
+    design = np.empty(x.shape[:-1] + (n - order, order + 1))
+    design[..., 0] = 1.0
     for lag in range(1, order + 1):
-        design[:, lag] = x[order - lag: n - lag]
-    target = x[order:]
+        design[..., lag] = x[..., order - lag: n - lag]
+    target = x[..., order:]
 
-    gram = design.T @ design
-    rank = np.linalg.matrix_rank(gram, tol=1e-9 * max(1.0, np.abs(gram).max()))
-    if rank < order + 1:
-        colliding = _colliding_lags(design)
-        raise SingularDesign(
-            f"autoregressive design is rank deficient (collinear lags {colliding})",
-            colliding_lags=colliding,
-        )
-    return np.linalg.solve(gram, design.T @ target)
-
-
-def _colliding_lags(design: np.ndarray):
-    """Columns (by lag index, 0 = intercept) dependent on earlier columns."""
-    out = []
-    for col in range(1, design.shape[1]):
-        if np.linalg.matrix_rank(design[:, : col + 1]) <= np.linalg.matrix_rank(
-            design[:, :col]
-        ):
-            out.append(col)
-    return out
+    gram = design.mT @ design
+    moment = design.mT @ target[..., None]
+    tol = 1e-9 * np.maximum(1.0, np.abs(gram).max(axis=(-2, -1)))
+    singular = np.linalg.matrix_rank(gram, tol=tol) < order + 1
+    coeffs = np.zeros(moment.shape[:-1])
+    full = ~singular
+    coeffs[full] = np.linalg.solve(gram[full], moment[full])[..., 0]
+    return coeffs, singular
 
 
 # -- task vectors ----------------------------------------------------------------
@@ -285,20 +291,10 @@ class FeatureVector:
 
 
 def _ar_feature(x: np.ndarray, order: int, coeff: int):
-    """One AR coefficient per series of x (..., n), and per series whether
-    its design was singular and the value replaced by 0 (degenerate windows
-    must not abort a decision)."""
-    # each row is a view of x, so the normal equations see the same strides
-    # (and so the same BLAS products) as the series on its own
-    rows = x.reshape(-1, x.shape[-1])
-    values = np.empty(rows.shape[0])
-    fallback = np.zeros(rows.shape[0], dtype=bool)
-    for r, row in enumerate(rows):
-        try:
-            values[r] = ar_coefficients(row, order)[coeff]
-        except SingularDesign:
-            values[r], fallback[r] = 0.0, True
-    return values.reshape(x.shape[:-1])[()], fallback.reshape(x.shape[:-1])[()]
+    """One AR coefficient per series of x (..., n), and per series whether a
+    singular design made it 0 (degenerate windows must not abort a decision)."""
+    coeffs, singular = _ar_solve(x, order)
+    return coeffs[..., coeff][()], singular[()]
 
 
 #: family -> op(x (..., n), params) -> (values (...), AR fallback)
@@ -336,6 +332,7 @@ def _task_values(windows: np.ndarray, task: Task, ndim: int):
         raise WrongWindowLength(
             f"{task.value} needs a {expected}-sample window, got {windows.shape[-2]}"
         )
+    refuse_non_finite(windows)
     specs = task_specs(task)
     values = np.empty(windows.shape[:-2] + (len(PHASES) * len(specs),))
     fallback = np.zeros(windows.shape[:-2], dtype=bool)

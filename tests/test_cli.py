@@ -565,6 +565,25 @@ def test_record_too_short_for_its_inception_is_a_data_error(tmp_path, saved_mode
         assert not out.exists()
 
 
+def test_evaluate_fails_on_a_holdout_record_decided_no_event(tmp_path, saved_model,
+                                                            capsys):
+    # a holdout fault record replaced by steady samples: the stored metrics
+    # still pass, the decision written to predictions.csv does not
+    name = json.loads(saved_model.read_text())["metadata"]["holdout_files"][0]
+    corpus_dir = tmp_path / "corpus"
+    (corpus_dir / name).parent.mkdir(parents=True)
+    _steady_csv(corpus_dir / name)
+    (corpus_dir / "manifest.json").write_text(_manifest_row(file=name))
+    out = tmp_path / "out"
+    assert main(_command("evaluate", corpus_dir, saved_model, out)) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is False
+    assert report["failures"] == [f"holdout records decided NoEvent: {[name]}"]
+    audit = (out / "predictions.csv").read_text().splitlines()
+    assert audit[1].startswith(f"{name},Disturbance,CapacitorSwitching,NoEvent,")
+    assert "FAILED: holdout records decided NoEvent" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flag", ["--cases-per-class", "--fault-cases"])
 def test_negative_corpus_count_is_a_usage_error(tmp_path, capsys, flag):
     out = tmp_path / "corpus"

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffsentry.detector import CYCLE
+from diffsentry.detector import CLASSIFY_LEN, CYCLE, DETECT_LEN
 from diffsentry.errors import (
     IndexOutOfRange,
+    NonFiniteSample,
     SingularDesign,
     TooShort,
     WrongWindowLength,
 )
 from diffsentry.features import (
     Task,
+    _ar_feature,
     _eval_spec,
     agg_linear_trend,
     ar_coefficients,
@@ -257,9 +259,8 @@ def test_ar_exact_first_order():
 
 
 def test_ar_constant_is_singular():
-    with pytest.raises(SingularDesign) as err:
+    with pytest.raises(SingularDesign, match="design is rank deficient"):
         ar_coefficients(np.ones(40), 2)
-    assert len(err.value.colliding_lags) >= 1
 
 
 def test_ar_recovers_known_process():
@@ -288,6 +289,150 @@ def test_ar_randomized_against_lstsq_oracle():
 def test_ar_too_short():
     with pytest.raises(TooShort):
         ar_coefficients(np.arange(5.0), 2)
+
+
+def test_ar_of_a_stack_is_each_series():
+    rng = np.random.default_rng(43)
+    stack = rng.normal(size=(2, 3, 60))
+    got = ar_coefficients(stack, 3)
+    assert got.shape == (2, 3, 4)
+    for idx in np.ndindex(stack.shape[:-1]):
+        assert got[idx].tobytes() == ar_coefficients(stack[idx], 3).tobytes()
+    stack[1, 2] = 1.0
+    with pytest.raises(SingularDesign):
+        ar_coefficients(stack, 3)
+
+
+# -- oracle: the per-series AR solve the stacked one replaced ---------------------
+
+def oracle_ar_row(x, order):
+    """Coefficients of one series by its own normal equations, or None when
+    its Gram matrix is rank deficient."""
+    n = x.shape[0]
+    design = np.empty((n - order, order + 1))
+    design[:, 0] = 1.0
+    for lag in range(1, order + 1):
+        design[:, lag] = x[order - lag: n - lag]
+    gram = design.T @ design
+    rank = np.linalg.matrix_rank(gram, tol=1e-9 * max(1.0, np.abs(gram).max()))
+    if rank < order + 1:
+        return None
+    return np.linalg.solve(gram, design.T @ x[order:])
+
+
+def oracle_ar_feature(x, order, coeff):
+    """(values, fallback) of x (..., n), one series (a view of x) at a time."""
+    values = np.empty(x.shape[:-1])
+    fallback = np.zeros(x.shape[:-1], dtype=bool)
+    for idx in np.ndindex(x.shape[:-1]):
+        phi = oracle_ar_row(x[idx], order)
+        values[idx], fallback[idx] = (0.0, True) if phi is None else (phi[coeff], False)
+    return values, fallback
+
+
+def _assert_ar_matches_oracle(x, order, coeff):
+    got, flags = _ar_feature(x, order, coeff)
+    want, want_flags = oracle_ar_feature(x, order, coeff)
+    assert np.asarray(got).tobytes() == want.tobytes()
+    assert np.array_equal(flags, want_flags)
+
+
+_AR_ROW_KINDS = ["noise", "sine", "sine_noise", "sine_dc", "constant"]
+
+
+@st.composite
+def _ar_stacks(draw):
+    """(m, 2n, 3) windows, one kind per window, so singular and full-rank
+    rows share a stack."""
+    m = draw(st.integers(1, 7))
+    n = draw(st.sampled_from([40, DETECT_LEN, CLASSIFY_LEN]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.arange(2 * n)[:, None]
+    offs = np.array([0.0, -2 * np.pi / 3, 2 * np.pi / 3])
+    sine = np.sin(2 * np.pi * t / CYCLE + offs)
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(_AR_ROW_KINDS), min_size=m,
+                              max_size=m)):
+        scale = 10.0 ** draw(st.integers(-5, 5))
+        w = {"noise": lambda: rng.normal(size=(2 * n, 3)),
+             "sine": lambda: sine,
+             "sine_noise": lambda: sine + 10.0 ** -rng.uniform(1, 8)
+             * rng.normal(size=(2 * n, 3)),
+             "sine_dc": lambda: sine + np.exp(-t / 80.0),
+             "constant": lambda: np.full((2 * n, 3), rng.normal())}[kind]()
+        rows.append(scale * w)
+    return np.stack(rows), n
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=_ar_stacks(), order=st.integers(1, 5), data=st.data())
+def test_stacked_ar_equals_per_series_oracle(case, order, data):
+    stack, n = case
+    coeff = data.draw(st.integers(0, order))
+    ph = data.draw(st.integers(0, 2))
+    views = {
+        "phase_column": stack[:, :n, ph],
+        "reversed": stack[::-1, n - 1::-1, ph],
+        "step_sliced": stack[:, ::2, ph],
+        "contiguous": np.ascontiguousarray(stack[:, :n, ph]),
+        "windows": stack[:, :n].swapaxes(1, 2),
+    }
+    for x in views.values():
+        _assert_ar_matches_oracle(x, order, coeff)
+    for r in range(stack.shape[0]):
+        _assert_ar_matches_oracle(stack[r, :n, ph], order, coeff)
+
+
+def _linalg_calls(stack, task):
+    counts = {"matrix_rank": 0, "solve": 0}
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def call(*a, **kw):
+            counts[name] += 1
+            return real(*a, **kw)
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in counts:
+            mp.setattr(np.linalg, name, counting(name))
+        extract_many(stack, task)
+    return counts
+
+
+@pytest.mark.parametrize("m", [1, 40])
+def test_extract_many_solves_ar_once_per_phase(m):
+    rng = np.random.default_rng(47)
+    stack = rng.normal(size=(m, task_window_len(Task.DETECT_FAULT), 3))
+    stack[::2, :, 1] = 2.0  # singular rows in phase b
+    counts = _linalg_calls(stack, Task.DETECT_FAULT)
+    assert all(1 <= c <= len(PHASES) for c in counts.values()), counts
+
+
+# -- non-finite input -----------------------------------------------------------------
+
+def test_ar_refuses_a_non_finite_sample():
+    x = np.random.default_rng(53).normal(size=(2, 40))
+    x[1, 7] = np.nan
+    with pytest.raises(NonFiniteSample, match=r"sample \[7\] is nan"):
+        ar_coefficients(x[1], 2)
+    with pytest.raises(NonFiniteSample, match=r"sample \[1, 7\] is nan"):
+        ar_coefficients(x, 2)
+
+
+def test_extract_refuses_a_non_finite_sample():
+    window = np.ones((task_window_len(Task.DETECT_FAULT), 3))
+    window[12, 2] = -np.inf
+    with pytest.raises(NonFiniteSample, match="sample 12 phase c is -inf"):
+        extract(window, Task.DETECT_FAULT)
+
+
+def test_extract_many_refuses_a_non_finite_sample():
+    stack = np.ones((3, task_window_len(Task.LOCATE_UNIT), 3))
+    stack[2, 40, 1] = np.nan
+    with pytest.raises(NonFiniteSample, match="window 2 sample 40 phase b is nan"):
+        extract_many(stack, Task.LOCATE_UNIT)
 
 
 # -- task vectors ---------------------------------------------------------------------------
@@ -491,6 +636,19 @@ def test_extract_many_equals_extract_on_corpus(reference_corpus):
     assert len(detect_windows) > len(manifest)
     _assert_rows_match(detect_windows, [Task.DETECT_FAULT])
     _assert_rows_match(classify_windows, cover)
+    # the AR columns against the per-series solve, one phase at a time
+    for windows, task in [(detect_windows, Task.DETECT_FAULT),
+                          (classify_windows, Task.IDENTIFY_DISTURBANCE)]:
+        stack = np.stack(windows)
+        specs = task_specs(task)
+        j = next(i for i, s in enumerate(specs) if s.family == "ar_coefficients")
+        values, fallback = extract_many(stack, task)
+        flags = np.zeros(len(windows), dtype=bool)
+        for ph in range(len(PHASES)):
+            want, want_flags = oracle_ar_feature(stack[..., ph], **specs[j].params)
+            assert values[:, ph * len(specs) + j].tobytes() == want.tobytes()
+            flags |= want_flags
+        assert np.array_equal(fallback, flags)
 
 
 def test_extract_many_rejects_a_wrong_stack():
