@@ -1,9 +1,12 @@
-"""Trees grown by one recursive best-split search and read by one walker.
+"""CART trees grown by one recursive best-split search; the packed arrays
+every tree kind is read from.
 
-``grow_tree`` grows the CART classification trees here and the
-gradient-boosting regression trees of ``gbc.py`` straight into flat node
+``grow_tree`` grows a CART classification tree straight into flat node
 lists, in pre-order; ``PackedTrees.from_nodes`` turns the lists into one
 array set, whose ``leaf_index`` walks all of a model's trees at once.
+Gradient boosting grows its regression trees with its own stage grower
+(``gbc._grow_stage``), into the same layout, and ``PackedTrees.join``
+chains its stages.
 
 A fit sorts each column of its matrix once (a stable argsort). A node is
 its rows and their order in each sorted column; a split hands each child
@@ -41,11 +44,9 @@ def gini_impurity(counts) -> float:
 
 
 def _require_integers(config, *names: str) -> None:
-    """TypeError unless each named field is an int, not a bool (or a None max_depth)."""
+    """TypeError unless each named field is an int, not a bool."""
     for name in names:
         value = getattr(config, name)
-        if value is None and name == "max_depth":
-            continue
         if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise TypeError(f"{name} must be an integer, not {value!r}")
 
@@ -56,11 +57,13 @@ class CartConfig:
     min_samples_split: int = 2
 
     def __post_init__(self):
-        _require_integers(self, "max_depth", "min_samples_split")
+        _require_integers(self, "min_samples_split")
         if self.min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
+        if self.max_depth is not None:  # None grows until no split is left
+            _require_integers(self, "max_depth")
+            if self.max_depth < 0:
+                raise ValueError("max_depth must be >= 0")
 
 
 def _best_split(xs: np.ndarray, gains: np.ndarray):
@@ -126,7 +129,7 @@ def compress_order(order: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 def grow_tree(X, rows, order, target, scan, leaf, max_depth, min_samples_split,
               nodes) -> int:
-    """The one recursive best-split grower behind CART and GBC trees.
+    """The recursive best-split grower of a CART tree.
 
     Grows a tree on ``rows`` of ``X`` (ascending); ``order[:, j]`` holds the
     same rows in stable ascending order of column ``j``. Appends the tree's
@@ -218,6 +221,21 @@ class PackedTrees:
             child[child >= 0] -= start
         arrays["value"] = arrays["value"].reshape(-1, width)
         return cls(np.asarray(offsets, dtype=np.int64) - start, **arrays)
+
+    @classmethod
+    def join(cls, parts: list, width: int) -> "PackedTrees":
+        """The trees of ``parts`` one after another, leaves ``width`` wide."""
+        starts = np.cumsum([0] + [p.feature.shape[0] for p in parts])
+        arrays = {}
+        for a in cls.NODE_ARRAYS:
+            chunks = [getattr(p, a) for p in parts]
+            if a in ("left", "right"):
+                chunks = [np.where(c >= 0, c + s, -1) for c, s in zip(chunks, starts)]
+            empty = np.zeros((0, width) if a == "value" else 0, dtype=np.int64
+                             if a in cls.INT_ARRAYS else np.float64)
+            arrays[a] = np.concatenate([empty, *chunks])
+        offsets = [p.offsets[:-1] + s for p, s in zip(parts, starts)]
+        return cls(np.concatenate([*offsets, starts[-1:]]), **arrays)
 
     @property
     def n_trees(self) -> int:

@@ -295,9 +295,8 @@ class GridSearchResult:
 def _tie_key(config: dict, score: float):
     # canonical argmax: higher score, then fewer estimators, shallower
     # trees, larger learning rate, so grid order cannot matter
-    depth = config["max_depth"]
-    return (-score, config["n_estimators"],
-            float("inf") if depth is None else depth, -config["learning_rate"])
+    return (-score, config["n_estimators"], config["max_depth"],
+            -config["learning_rate"])
 
 
 def grid_search(X, y, config: TrainConfig) -> GridSearchResult:
@@ -595,6 +594,11 @@ def load_pipeline(path) -> PipelineModel:
                     f"slot {name}: model schema {model.schema_hash} does not "
                     f"match feature schema {expected}"
                 )
+            # training always writes the task's classes, sorted
+            classes = sorted(_REQUIRED_CLASSES[task])
+            if model.codebook != classes:
+                raise SchemaMismatch(
+                    f"slot {name}: codebook {model.codebook!r} is not {classes!r}")
             slots[task] = model
         return PipelineModel(
             slots=slots,

@@ -109,6 +109,8 @@ def test_serialization_round_trip_bit_identical():
 
 def test_schema_hash_checked_on_load(tmp_path):
     X, y = _blobs(60, 2, seed=11)
+    # a DetectFault slot's classes, which load_pipeline also checks
+    y = np.array(["disturbance", "fault"])[y]
     model = gbc_fit(X, y, GbcConfig(n_estimators=5, seed=0))
     expected = schema_hash(Task.DETECT_FAULT)
     model.schema_hash = expected
@@ -242,6 +244,14 @@ def test_min_samples_split_below_two_rejected(value):
     # below 2 an empty child would be asked for its first target
     with pytest.raises(ValueError, match="min_samples_split"):
         GbcConfig(n_estimators=2, max_depth=3, min_samples_split=value)
+
+
+@pytest.mark.parametrize("value", [None, 3.0])
+def test_max_depth_must_be_an_integer(value):
+    # no unbounded depth: trees grow level by level down to a bound, and an
+    # adjacent-float split could otherwise repeat without end
+    with pytest.raises(TypeError, match="max_depth"):
+        GbcConfig(max_depth=value)
 
 
 @pytest.mark.parametrize("value", [2.0, "2", True, None])

@@ -215,8 +215,10 @@ def test_partial_grid_is_completed_from_the_small_grid(small_corpus):
     ({"n_estimators": [-1]}, "n_estimators"),
     ({"max_depth": 3}, "max_depth"),
     ({"learning_rate": []}, "learning_rate"),
+    # boosting trees grow level by level down to a depth bound
+    ({"max_depth": [None]}, "max_depth"),
 ], ids=["unknown_key", "negative_estimators", "value_not_a_list",
-        "empty_values"])
+        "empty_values", "unbounded_depth"])
 def test_bad_grid_fails_before_any_record_is_read(monkeypatch, grid, names):
     from diffsentry import pipeline
 
@@ -427,6 +429,23 @@ def test_load_rejects_an_old_or_bad_detector_config(tmp_path, tamper, message):
     tamper(bundle)
     path.write_text(json.dumps(bundle))
     with pytest.raises(SchemaMismatch, match=message):
+        load_pipeline(path)
+
+
+@pytest.mark.parametrize("slot, codebook", [
+    # the two labels swapped: every internal fault would read as a disturbance
+    ("DetectFault", [FAULT_CLASS, DISTURBANCE_CLASS]),
+    # a unit with no Identify slot, where a Trip would end in a ValueError
+    ("LocateUnit", sorted(u.value for u in Unit)[:-1] + ["X"]),
+], ids=["swapped_labels", "unknown_unit"])
+def test_load_rejects_a_codebook_training_never_writes(tmp_path, slot, codebook):
+    path = tmp_path / "pipeline.json"
+    save_pipeline(_stub_pipeline({}), path)
+    assert set(load_pipeline(path).slots) == set(Task)
+    bundle = json.loads(path.read_text())
+    bundle["slots"][slot]["codebook"] = codebook
+    path.write_text(json.dumps(bundle))
+    with pytest.raises(SchemaMismatch, match=f"slot {slot}: codebook"):
         load_pipeline(path)
 
 

@@ -1,10 +1,13 @@
 """Tree growth from one presort against the per-node sorts it replaced.
 
-A fit sorts each column of its matrix once and ``grow_tree`` hands every
-node its rows' order in each sorted column. The oracle below is the earlier
-grower, which took each node's own matrix and target and let the scanner
-argsort every column of it again. Every fit must give the same model file,
-byte for byte, and sort exactly once.
+A fit sorts each column of its matrix once. ``cart.grow_tree`` hands every
+node of a CART tree its rows' order in each sorted column; ``gbc._grow_stage``
+grows the K trees of a boosting stage together, level by level, and scans
+small nodes in padded blocks. The oracle below is the earlier grower, which
+grew one tree at a time node by node, took each node's own matrix and target,
+let the scanner argsort every column of it again and gave each leaf its own
+Newton value. Every fit must give the same model file, byte for byte, and
+sort exactly once.
 """
 
 import json
@@ -14,8 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from diffsentry.ensembles import CartConfig, GbcConfig, cart, gbc
-from diffsentry.ensembles.cart import _append, _best_split, gini_impurity
+from diffsentry.ensembles import CartConfig, GbcConfig, PackedTrees, cart, gbc
+from diffsentry.ensembles.cart import (_append, _best_split, gini_impurity,
+                                       node_lists)
 from diffsentry.ensembles.model import model_to_dict
 
 # -- oracle: the per-node-argsort grower and its scanners ----------------------
@@ -61,6 +65,15 @@ def _scan_sse(X, r):
     return _best_split(xs, sse_parent - sse_l - sse_r)
 
 
+def _newton_leaf(r, k):
+    """One-step Newton value for a terminal region of the multinomial loss."""
+    num = r.sum()
+    den = np.sum(np.abs(r) * (1.0 - np.abs(r)))
+    if den < 1e-12:
+        return 0.0
+    return (k - 1.0) / k * num / den
+
+
 def _grow_tree(X, target, scan, leaf, max_depth, min_samples_split, nodes,
                depth=0):
     n = target.shape[0]
@@ -87,13 +100,30 @@ def _grow_tree(X, target, scan, leaf, max_depth, min_samples_split, nodes,
     return i
 
 
-def _oracle_grower(old_scan):
-    """A stand-in for ``grow_tree`` that ignores the presorted order and
+def _oracle_grower(old_scan, ran):
+    """A stand-in for ``cart.grow_tree`` that ignores the presorted order and
     grows the node matrix ``X[rows]`` the old way."""
     def grow(X, rows, order, target, scan, leaf, max_depth, min_samples_split,
              nodes):
+        ran.append(rows.shape[0])
         return _grow_tree(X[rows], target[rows], old_scan, leaf, max_depth,
                           min_samples_split, nodes)
+    return grow
+
+
+def _oracle_stage(ran):
+    """A stand-in for ``gbc._grow_stage`` that grows each class's tree of the
+    stage alone, the old way, on the node matrix ``X[rows]``."""
+    def grow(XT, rows, order, residual, max_depth, min_samples_split):
+        ran.append(rows.shape[0])
+        X, k = XT.T[rows], residual.shape[1]
+        nodes, offsets = node_lists(), [0]
+        for c in range(k):
+            _grow_tree(X, residual[rows, c], _scan_sse,
+                       lambda t: [_newton_leaf(t, k)], max_depth,
+                       min_samples_split, nodes)
+            offsets.append(len(nodes["feature"]))
+        return PackedTrees.from_nodes(nodes, offsets, 1)
     return grow
 
 
@@ -107,19 +137,24 @@ def _file_bytes(fit, *args):
 
 def _gbc_both(X, y, cfg):
     got = _file_bytes(gbc.gbc_fit, X, y, cfg)
+    ran = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gbc, "grow_tree", _oracle_grower(_scan_sse))
+        mp.setattr(gbc, "_grow_stage", _oracle_stage(ran))
         want = _file_bytes(gbc.gbc_fit, X, y, cfg)
+    # one oracle stage per boosting stage, unless the fit failed first
+    assert len(ran) == cfg.n_estimators or want == "SingleClass"
     return got, want
 
 
 def _cart_both(X, y, cfg):
     got = _file_bytes(cart.cart_fit, X, y, cfg)
     k = len(np.unique(y))
+    ran = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cart, "grow_tree", _oracle_grower(
-            lambda X_, t: _scan_impurity(X_, t, k)))
+            lambda X_, t: _scan_impurity(X_, t, k), ran))
         want = _file_bytes(cart.cart_fit, X, y, cfg)
+    assert len(ran) == 1 or want == "EmptyDataset"
     return got, want
 
 
@@ -135,8 +170,9 @@ _VALUES = st.one_of(
 @st.composite
 def fits(draw):
     """A matrix with few distinct values per column (ties, +-0.0, adjacent
-    floats), labels of k in 2..13 classes, and tree settings."""
-    n = draw(st.integers(1, 60))
+    floats), labels of k in 2..13 classes, and tree settings. Up to 300
+    rows, so nodes on both sides of ``gbc._BLOCK_ROWS`` occur."""
+    n = draw(st.integers(1, 300))
     pool = draw(st.lists(_VALUES, min_size=1, max_size=4))
     X = draw(hnp.arrays(np.float64, (n, draw(st.integers(1, 5))),
                         elements=st.sampled_from(pool)))
@@ -222,3 +258,23 @@ def test_cart_fit_sorts_once():
     y = rng.integers(0, 4, size=80)
     calls = _argsort_calls(cart.cart_fit, X, y, CartConfig(max_depth=4))
     assert calls == [X.shape]
+
+
+# -- Newton leaves, a group of equal-size leaves at a time ----------------------
+
+_RESIDUAL = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                      st.floats(-1.0, 1.0, allow_nan=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(2, 13), leaves=st.lists(st.tuples(
+    st.integers(0, 300), st.integers(1, 4)), min_size=1, max_size=5), data=st.data())
+def test_grouped_newton_leaves_equal_each_leaf_alone(k, leaves, data):
+    # each leaf must be summed as its own residual array is: numpy's
+    # pairwise sum, whose order depends on the leaf's length
+    sizes = np.repeat(*np.array(sorted(leaves)).T)
+    r = data.draw(hnp.arrays(np.float64, int(sizes.sum()), elements=_RESIDUAL))
+    got = gbc._newton_leaves(r, sizes, k)
+    ends = np.cumsum(sizes)
+    assert got.tobytes() == np.array([_newton_leaf(r[e - m:e].copy(), k)
+                                      for e, m in zip(ends, sizes)]).tobytes()

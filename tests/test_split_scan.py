@@ -20,7 +20,7 @@ from diffsentry.ensembles.cart import (
     grow_tree,
     node_lists,
 )
-from diffsentry.ensembles.gbc import _scan_sse
+from diffsentry.ensembles.gbc import _BLOCK_ROWS, _scan_block, _scan_sse
 
 # -- oracles: the per-column scanners -----------------------------------------
 
@@ -234,3 +234,50 @@ def test_grower_scans_once_per_split_node():
     assert all(xs.shape[1] == 4 for xs in calls)
     # the grower sorts nothing itself: each scan gets its columns ascending
     assert all(np.all(xs[:-1] <= xs[1:]) for xs in calls)
+
+
+# -- padded blocks: many nodes in one scan -------------------------------------
+
+_FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, _LO, _HI, -2.5, 3.75]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+_RESIDUALS = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def blocks(draw):
+    """Nodes of 2.._BLOCK_ROWS rows (the grower scans no smaller node) over
+    one feature count, presorted, and padded into one (nodes, F, rows) block
+    with finite junk after each node's rows; or, as for a stage's roots, one
+    shared set of sorted columns with a residual column per node."""
+    n_feat = draw(st.integers(1, 5))
+    shared = draw(st.booleans())
+    sizes = draw(st.lists(st.integers(2, _BLOCK_ROWS), min_size=1, max_size=6))
+    if shared:
+        sizes = [sizes[0]] * len(sizes)
+    rows = max(sizes) + draw(st.integers(0, 3))
+    pool = draw(st.lists(_FINITE, min_size=1, max_size=5))
+    xs = draw(hnp.arrays(np.float64, (1 if shared else len(sizes), n_feat, rows),
+                         elements=_FINITE))
+    rs = draw(hnp.arrays(np.float64, (len(sizes), n_feat, rows),
+                         elements=_RESIDUALS))
+    nodes = []
+    for i, m in enumerate(sizes):
+        if not shared or i == 0:
+            X = draw(hnp.arrays(np.float64, (m, n_feat),
+                                elements=st.sampled_from(pool)))
+        r = draw(hnp.arrays(np.float64, m, elements=_RESIDUALS))
+        x_sorted, r_sorted = _presorted(X, r)
+        xs[0 if shared else i, :, :m] = x_sorted.T
+        rs[i, :, :m] = r_sorted.T
+        nodes.append((x_sorted, r_sorted))
+    return xs, rs, np.array(sizes), nodes
+
+
+@settings(max_examples=150, deadline=None)
+@given(block=blocks())
+def test_a_padded_block_scans_each_node_as_alone(block):
+    xs, rs, m, nodes = block
+    got = [None if g == -np.inf else (g, int(f), t)
+           for g, f, t in zip(*_scan_block(xs, rs, m))]
+    assert [_bits(b) for b in got] == [_bits(_scan_sse(x, r)) for x, r in nodes]
