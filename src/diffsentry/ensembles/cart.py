@@ -12,10 +12,10 @@ A fit sorts each column of its matrix once (a stable argsort). A node is
 its rows and their order in each sorted column; a split hands each child
 the stable compress of that order under the split's predicate, which is
 the order a stable argsort of the child's own rows would give, ties
-included. At each node the grower makes one ``scan`` call on the node's
-presorted columns and targets, which scores every column in one array pass
-(column-wise cumulative sums, then ``_best_split``) and returns the best
-(gain, column, threshold). Split candidates are midpoints between
+included. At each node the grower makes one ``_scan_impurity`` call on the
+node's presorted columns and class codes, which scores every column in one
+array pass (column-wise cumulative sums, then ``_best_split``) and returns
+the best (gain, column, threshold). Split candidates are midpoints between
 consecutive sorted unique feature values; for classification the split
 maximizing the Gini impurity decrease wins, with ties broken by (lower feature index,
 lower threshold). Nodes keep splitting while any valid split exists, so
@@ -127,25 +127,22 @@ def compress_order(order: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return order.T[keep.T].reshape(order.shape[1], -1).T
 
 
-def grow_tree(X, rows, order, target, scan, leaf, max_depth, min_samples_split,
+def grow_tree(X, rows, order, y_codes, k, max_depth, min_samples_split,
               nodes) -> int:
-    """The recursive best-split grower of a CART tree.
+    """The recursive best-split grower of a CART tree over ``k`` classes.
 
     Grows a tree on ``rows`` of ``X`` (ascending); ``order[:, j]`` holds the
     same rows in stable ascending order of column ``j``. Appends the tree's
     nodes in pre-order to ``nodes`` (see ``node_lists``), in the
-    ``PackedTrees`` layout, and returns the root's index in them.
-    ``scan(xs, ts)`` gets a node's columns each sorted ascending
-    (``xs[:, j] = X[order[:, j], j]``) and its targets in each column's order
-    (``ts = target[order]``), and returns the best (gain, column, threshold),
-    or None when no column has two distinct values; it is called once per
-    node that is not made a leaf first. ``leaf(t)`` gets the node's targets
-    in row order and returns a leaf payload list. ``max_depth``, fewer than
-    ``min_samples_split`` rows or a constant target make a leaf, checked in
-    that order: a child can be empty when a midpoint threshold rounds onto
-    the upper of two adjacent floats. A split hands each child the compress
-    of its node's order under ``X[order, f] <= thr``, or None when the
-    child's depth or size already makes it a leaf.
+    ``PackedTrees`` layout, and returns the root's index in them. Each node
+    that is not made a leaf first gets one ``_scan_impurity`` call on its
+    columns each sorted ascending (``X[order[:, j], j]``) and its class codes
+    in each column's order; a leaf holds its class probabilities.
+    ``max_depth``, fewer than ``min_samples_split`` rows or a single class
+    make a leaf, checked in that order: a child can be empty when a midpoint
+    threshold rounds onto the upper of two adjacent floats. A split hands
+    each child the compress of its node's order under ``X[order, f] <= thr``,
+    or None when the child's depth or size already makes it a leaf.
     """
     cols = np.arange(X.shape[1])
 
@@ -153,17 +150,18 @@ def grow_tree(X, rows, order, target, scan, leaf, max_depth, min_samples_split,
         return (max_depth is None or depth < max_depth) and n >= min_samples_split
 
     def grow(rows, order, depth):
-        t = target[rows]
+        t = y_codes[rows]
         best = None
         if may_split(rows.shape[0], depth) and not np.all(t == t[0]):
-            best = scan(X[order, cols], target[order])
+            best = _scan_impurity(X[order, cols], y_codes[order], k)
         i = len(nodes["feature"])
         if best is None:
-            _append(nodes, -1, 0.0, 0.0, rows.shape[0], leaf(t))
+            _append(nodes, -1, 0.0, 0.0, rows.shape[0],
+                    _class_probabilities(t, k))
             return i
 
         gain, f, thr = best
-        _append(nodes, f, thr, gain, rows.shape[0], None)
+        _append(nodes, f, thr, gain, rows.shape[0], [0.0] * k)
         left = X[rows, f] <= thr
         goes_left = X[order, f] <= thr
         for side, child, keep in (("left", rows[left], goes_left),
@@ -171,8 +169,6 @@ def grow_tree(X, rows, order, target, scan, leaf, max_depth, min_samples_split,
             nodes[side][i] = grow(child, compress_order(order, keep) if
                                   may_split(child.shape[0], depth + 1) else None,
                                   depth + 1)
-        # a split's zero row is as wide as its left child's, the next node
-        nodes["value"][i] = [0.0] * len(nodes["value"][i + 1])
         return i
 
     return grow(rows, order, 0)
@@ -209,18 +205,14 @@ class PackedTrees:
 
     @classmethod
     def from_nodes(cls, nodes: dict, offsets: list, width: int) -> "PackedTrees":
-        """The trees grown into ``nodes`` with roots at ``offsets[:-1]``, tree
-        ``t`` ending before ``offsets[t + 1]``, and leaves of ``width``
-        values. Nodes before ``offsets[0]`` are left out; the rest are
-        renumbered from 0."""
-        start = offsets[0]
-        arrays = {a: np.asarray(nodes[a][start:], dtype=np.int64
+        """The trees grown into ``nodes`` with roots at ``offsets[:-1]``, the
+        first at 0, tree ``t`` ending before ``offsets[t + 1]``, and leaves of
+        ``width`` values."""
+        arrays = {a: np.asarray(nodes[a], dtype=np.int64
                                 if a in cls.INT_ARRAYS else np.float64)
                   for a in cls.NODE_ARRAYS}
-        for child in (arrays["left"], arrays["right"]):
-            child[child >= 0] -= start
         arrays["value"] = arrays["value"].reshape(-1, width)
-        return cls(np.asarray(offsets, dtype=np.int64) - start, **arrays)
+        return cls(np.asarray(offsets, dtype=np.int64), **arrays)
 
     @classmethod
     def join(cls, parts: list, width: int) -> "PackedTrees":
@@ -292,12 +284,9 @@ def cart_fit(X, y, cfg: CartConfig = CartConfig()):
         raise ValueError("X and y row counts differ")
     codebook, y_codes = np.unique(y, return_inverse=True)
     k = len(codebook)
-    # Gini-gain splits and class-probability leaves
     nodes = node_lists()
     grow_tree(X, np.arange(X.shape[0]), np.argsort(X, axis=0, kind="stable"),
-              y_codes, lambda xs, ys: _scan_impurity(xs, ys, k),
-              lambda t: _class_probabilities(t, k), cfg.max_depth,
-              cfg.min_samples_split, nodes)
+              y_codes, k, cfg.max_depth, cfg.min_samples_split, nodes)
     return TreeEnsembleModel(
         kind="CART",
         packed=PackedTrees.from_nodes(nodes, [0, len(nodes["feature"])], k),

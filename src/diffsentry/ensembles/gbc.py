@@ -14,12 +14,13 @@ hands its children the compress of its node's order. A node's scan
 computes the residual's running sum and sum of squares in each column's
 sorted order and takes the split (sse reduction, column, threshold) of
 largest reduction, ties going to the lower threshold and then the lower
-column. The K roots share their rows and are scanned in one block; below
-them the nodes of a level of at most ``_BLOCK_ROWS`` rows, across all K
-trees, share padded blocks, and larger nodes keep their own ``_scan_sse``
-call. Each lane's cumulative sum runs in the order of the node's own scan,
-so every tree is bit for bit the tree grown node by node. Leaf values are
-computed once per stage, for each group of leaves of one size.
+column. Every scan is a ``_scan_block``: the K roots share their rows and
+are scanned in one block; below them the nodes of a level of at most
+``_BLOCK_ROWS`` rows, across all K trees, share padded blocks, and a larger
+node is a block of its own. Each lane's cumulative sum runs in the order of
+the node's own scan, so every tree is bit for bit the tree grown node by
+node. Leaf values are computed once per stage, for each group of leaves of
+one size.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NonFiniteLoss, SingleClass
-from .cart import PackedTrees, _best_split, _require_integers, training_matrix
+from .cart import PackedTrees, _require_integers, training_matrix
 
 #: hyperparameter grids: the full-scale search and a desk-scale one
 GBC_GRID_FULL = {
@@ -85,55 +86,48 @@ def multinomial_deviance(y_codes: np.ndarray, scores: np.ndarray) -> float:
     return float(-np.mean(np.log(np.clip(picked, 1e-300, None))))
 
 
-def _scan_sse(xs: np.ndarray, rs: np.ndarray):
-    """Best (sse_reduction, column, threshold) of a least-squares split over
-    the columns ``xs``, each sorted, with ``rs`` the residuals in each
-    column's order (see ``cart._best_split``)."""
-    n = xs.shape[0]
-    csum = np.cumsum(rs, axis=0)
-    csum2 = np.cumsum(rs * rs, axis=0)
-    nl = np.arange(1.0, n)[:, None]
-    nr = n - nl
-    sum_l = csum[:-1]
-    sum_r = csum[-1] - sum_l
-    sse_l = csum2[:-1] - sum_l * sum_l / nl
-    sse_r = (csum2[-1] - csum2[:-1]) - sum_r * sum_r / nr
-    sse_parent = csum2[-1] - csum[-1] * csum[-1] / n
-    return _best_split(xs, sse_parent - sse_l - sse_r)
-
-
 def _scan_block(xs: np.ndarray, rs: np.ndarray, m: np.ndarray):
-    """``_scan_sse`` of N nodes side by side, with the same bits.
+    """The best least-squares splits of N nodes side by side (see
+    ``cart._best_split``).
 
     Node ``i`` holds its ``m[i]`` rows of sorted feature ``j`` in
     ``xs[i, j, :m[i]]`` (in ``xs[0, j]`` for every node, when ``xs`` is one
     node wide) and their residuals in ``rs[i, j, :m[i]]``; finite padding
-    follows. Each lane's cumulative sum runs along the rows in the order
-    ``_scan_sse`` sums them and padding only follows a node's rows, so every
-    node gets the split of its own scan. Returns the nodes' gains, columns
-    and thresholds, a gain of -inf where a node has no split."""
+    follows. Each lane's cumulative sum runs along the node's rows in sorted
+    order and padding only follows them, so every node gets the bits of a
+    scan of its own rows alone. Returns the nodes' gains, columns and
+    thresholds, a gain of -inf where a node has no split."""
     nodes, rows = np.arange(rs.shape[0]), rs.shape[2]
     csum = np.cumsum(rs, axis=2)
-    csum2 = np.cumsum(rs * rs, axis=2)
+    csum2 = rs * rs
+    np.cumsum(csum2, axis=2, out=csum2)
     total = csum[nodes, :, m - 1][..., None]
     total2 = csum2[nodes, :, m - 1][..., None]
     n = m[:, None, None].astype(np.float64)
     nl = np.arange(1.0, rows)
-    nr = np.maximum(n - nl, 1.0)  # a padding gap's count only has to be > 0
-    sum_l = csum[..., :-1]
-    sum_r = total - sum_l
-    sse_l = csum2[..., :-1] - sum_l * sum_l / nl
-    sse_r = (total2 - csum2[..., :-1]) - sum_r * sum_r / nr
-    gains = total2 - total * total / n - sse_l
-    gains -= sse_r
+    nr = n - nl
     valid = xs[..., :-1] < xs[..., 1:]
     if m.min() < rows:  # padding gaps are no candidates
         valid = valid & (nl < n)
-    np.copyto(gains, -np.inf, where=~valid)
-    # as _best_split: the first column holding the maximum, and its first row
-    hit = gains == gains.reshape(nodes.shape[0], -1).max(axis=1)[:, None, None]
-    col = hit.any(axis=2).argmax(axis=1)
-    b = hit[nodes, col].argmax(axis=1)
+        nr = np.maximum(nr, 1.0)  # a gap's count only has to be > 0
+    # sse_l = csum2_l - sum_l**2 / nl, sse_r = (total2 - csum2_l) -
+    # sum_r**2 / nr and gains = (total2 - total**2 / n) - sse_l - sse_r, in
+    # place: a block's temporaries are its largest arrays
+    sum_l, csum2_l = csum[..., :-1], csum2[..., :-1]
+    sse_l = sum_l * sum_l
+    sse_l /= nl
+    np.subtract(csum2_l, sse_l, out=sse_l)
+    sum_r = total - sum_l
+    sum_r *= sum_r
+    sum_r /= nr
+    sse_r = total2 - csum2_l
+    sse_r -= sum_r
+    gains = np.subtract(total2 - total * total / n, sse_l, out=sse_l)
+    gains -= sse_r
+    gains = np.where(valid, gains, -np.inf)
+    # as _best_split: the first column holding the maximum, and its first
+    # row, which is the first maximum of the node's gains in C order
+    col, b = np.divmod(gains.reshape(nodes.shape[0], -1).argmax(axis=1), rows - 1)
     at = nodes if xs.shape[0] > 1 else 0
     return (gains[nodes, col, b], col,
             0.5 * (xs[at, col, b] + xs[at, col, b + 1]))
@@ -158,22 +152,25 @@ def _newton_leaves(r: np.ndarray, sizes: np.ndarray, k: int) -> np.ndarray:
     return np.where(flat, 0.0, (k - 1.0) / k * num / np.where(flat, 1.0, den))
 
 
-#: a node of more rows is scanned alone by ``_scan_sse``; up to it, the nodes
-#: of a level share padded blocks, since a small node's own scan is mostly
-#: numpy's cost per call. Measured on the benchmark corpora's gbc_fit calls
-#: (CPU time against this cutoff, median of 7 interleaved rounds): 16 rows
-#: fitted the training sets 11-17% slower; 32 and 128 rows stayed within 7%
-#: either way, and the noise-study fits within 3%.
+#: up to this many rows, the nodes of a level share padded blocks, since a
+#: small node's own scan is mostly numpy's cost per call; a larger node is
+#: scanned alone. Measured on the benchmark corpora's gbc_fit calls (CPU time
+#: against this cutoff, median of 11 interleaved rounds, each the best of
+#: 3): 32 rows fitted the offline training sets 11% slower; 128 rows was
+#: 2-7% faster on each group of fits, inside the rounds' spread.
 _BLOCK_ROWS = 64
-#: a small node is scanned in the block of the first size that holds it:
-#: 32 rows, then steps of at most 12.5% more padding
-_BLOCK_SIZES = np.array([32, 36, 40, 45, 50, 56, 63, _BLOCK_ROWS])
+#: a small node is scanned in the block of the first size that holds it.
+#: On the same fits, size classes of 32, 36, 40, 45, 50, 56, 63 and 64 rows
+#: (steps of at most 12.5% padding) were 3-7% slower than these two.
+_BLOCK_SIZES = np.array([32, _BLOCK_ROWS])
 
 
 def _grow_stage(XT, rows, order, residual, max_depth, min_samples_split):
     """The K least-squares trees of one boosting stage, grown together level
     by level, as ``PackedTrees``: tree ``c`` fits ``residual[:, c]``, and
-    each tree is in pre-order.
+    each tree is in pre-order. Also returns ``step``, where ``step[c, i]``
+    is the value of the leaf of tree ``c`` that holds stage row ``i``, and 0
+    on the rows the stage left out.
 
     ``XT`` is the training matrix transposed (features by rows) and
     contiguous, ``rows`` the stage's rows ascending, and ``order[j]`` those
@@ -184,22 +181,28 @@ def _grow_stage(XT, rows, order, residual, max_depth, min_samples_split):
     ``<= thr`` and hands each child the compress of its node's order under
     that predicate. A level keeps its nodes side by side in ``lines``: for
     each node, its order of every feature and, in the last line, its rows
-    ascending. One compress per level splits all of its nodes at once, and
-    the next level holds the left children, then the right ones.
+    ascending. The K roots share one copy. One compress per level splits all
+    of its nodes at once, and the next level holds the left children, then
+    the right ones.
     """
-    n_features, n = XT.shape
+    n = XT.shape[1]
     k = residual.shape[1]
     x_flat = XT.ravel()
     res_flat = np.ascontiguousarray(residual.T).ravel()
-    lines = np.concatenate([np.vstack([order, rows])] * k, axis=1)
+    lines = np.vstack([order, rows])
     tree, size = np.arange(k), np.full(k, rows.shape[0])
+    start = np.zeros(k, dtype=np.int64)
     levels = []
     for depth in range(max_depth + 1):
-        start = np.cumsum(size) - size
-        node = np.repeat(np.arange(size.shape[0]), size)  # each column's node
         may = (size >= min_samples_split) & (depth < max_depth)
-        gain, feature, threshold = _scan_level(
-            lines, tree, size, start, node, may, depth == 0, x_flat, res_flat, n)
+        if depth:
+            start = np.cumsum(size) - size
+            node = np.repeat(np.arange(size.shape[0]), size)  # each column's node
+            gain, feature, threshold = _scan_level(
+                lines, tree, size, start, node, may, x_flat, res_flat, n)
+        else:
+            gain, feature, threshold = _scan_roots(lines, size, may, x_flat,
+                                                   res_flat, n)
         split = np.flatnonzero(gain > -np.inf)
         levels.append((tree, size, start, lines[-1], split, feature[split],
                        threshold[split], gain[split]))
@@ -207,9 +210,12 @@ def _grow_stage(XT, rows, order, residual, max_depth, min_samples_split):
             break
         # below the last level that may split, only the rows are needed
         lines = lines if depth + 1 < max_depth else lines[-1:]
-        on = gain[node] > -np.inf
-        if not on.all():
-            lines, node = lines[:, on], node[on]
+        if depth:
+            on = gain[node] > -np.inf
+            if not on.all():
+                lines, node = lines[:, on], node[on]
+        else:  # each root that splits takes its own copy of the rows
+            lines, node = np.tile(lines, split.shape[0]), np.repeat(split, size[0])
         goes = x_flat[lines + (feature * n)[node]] <= threshold[node]
         n_left = np.bincount(node[goes[-1]], minlength=size.shape[0])[split]
         lines = np.concatenate([lines[goes].reshape(lines.shape[0], -1),
@@ -219,14 +225,30 @@ def _grow_stage(XT, rows, order, residual, max_depth, min_samples_split):
     return _stage_trees(levels, res_flat, n, k)
 
 
-def _scan_level(lines, tree, size, start, node, may, roots, x_flat, res_flat,
-                n):
+def _scan_roots(lines, size, may, x_flat, res_flat, n):
+    """The best split (gain, feature, threshold) of each of the K roots of a
+    stage, which share their rows and ``lines`` (see ``_grow_stage``): one
+    gather of the sorted features, one of each tree's residuals and one
+    ``_scan_block``. A gain of -inf where ``may`` is false, the residual is
+    constant or no split exists."""
+    k = size.shape[0]
+    if not may.any():
+        return np.full(k, -np.inf), np.zeros(k, dtype=np.int64), np.zeros(k)
+    n_features = lines.shape[0] - 1
+    xl = x_flat[lines[:-1] + (np.arange(n_features) * n)[:, None]]
+    rl = res_flat[lines[:-1] + (np.arange(k) * n)[:, None, None]]
+    gain, feature, threshold = _scan_block(xl[None], rl, size)
+    gain[~may | np.all(rl[:, 0] == rl[:, :1, 0], axis=1)] = -np.inf
+    return gain, feature, threshold
+
+
+def _scan_level(lines, tree, size, start, node, may, x_flat, res_flat, n):
     """The best split (gain, feature, threshold) of each node of a level
-    (see ``_grow_stage``), a gain of -inf where ``may`` is false, the
-    residual is constant or no split exists. The K roots, which share their
-    rows, are scanned in one block. Below them, nodes of at most
-    ``_BLOCK_ROWS`` rows are scanned in padded blocks of similar size, and
-    larger ones, or one alone in its size, by ``_scan_sse``."""
+    below the roots (see ``_grow_stage``), a gain of -inf where ``may`` is
+    false, the residual is constant or no split exists. Nodes of at most
+    ``_BLOCK_ROWS`` rows are scanned in padded blocks of similar size; a
+    larger node, or one alone in its size, is scanned on its own columns.
+    Every block is one ``_scan_block``."""
     count = size.shape[0]
     gain = np.full(count, -np.inf)
     feature, threshold = np.zeros(count, dtype=np.int64), np.zeros(count)
@@ -239,38 +261,26 @@ def _scan_level(lines, tree, size, start, node, may, roots, x_flat, res_flat,
     first = rl[0, np.minimum(start, width - 1)]
     scan = may & (np.bincount(node, weights=rl[0] != first[node],
                               minlength=count) > 0)
-    if not scan.any():
-        return gain, feature, threshold
-    if roots:
-        gain, feature, threshold = _scan_block(
-            xl[None, :, :size[0]],
-            rl.reshape(n_features, count, -1).transpose(1, 0, 2), size)
-        gain[~scan] = -np.inf
-        return gain, feature, threshold
-    small = np.flatnonzero(scan & (size <= _BLOCK_ROWS))
-    block = np.searchsorted(_BLOCK_SIZES, size[small])
-    alone = list(np.flatnonzero(scan & (size > _BLOCK_ROWS)))
-    for b in set(block.tolist()):
-        sel = small[block == b]
-        if sel.shape[0] == 1:  # a block of one costs more than its own scan
-            alone.append(sel[0])
-            continue
+    block = np.where(size <= _BLOCK_ROWS, np.searchsorted(_BLOCK_SIZES, size),
+                     _BLOCK_SIZES.shape[0] + np.arange(count))
+    for b in np.unique(block[scan]).tolist():
+        sel = np.flatnonzero(scan & (block == b))
         m = size[sel]
-        at = np.minimum(start[sel][:, None] + np.arange(m.max()), width - 1)
-        at = at[:, None] + (np.arange(n_features) * width)[:, None]
-        gain[sel], feature[sel], threshold[sel] = _scan_block(
-            xl.ravel()[at], rl.ravel()[at], m)
-    for i in alone:
-        a, m = int(start[i]), int(size[i])
-        best = _scan_sse(xl[:, a:a + m].T, rl[:, a:a + m].T)
-        if best is not None:
-            gain[i], feature[i], threshold[i] = best
+        if sel.shape[0] == 1:  # a node alone: its own columns, unpadded
+            a = start[sel[0]]
+            xs, rs = xl[None, :, a:a + m[0]], rl[None, :, a:a + m[0]]
+        else:
+            at = np.minimum(start[sel][:, None] + np.arange(m.max()), width - 1)
+            at = at[:, None] + (np.arange(n_features) * width)[:, None]
+            xs, rs = xl.ravel()[at], rl.ravel()[at]
+        gain[sel], feature[sel], threshold[sel] = _scan_block(xs, rs, m)
     return gain, feature, threshold
 
 
-def _stage_trees(levels, res_flat, n, k) -> PackedTrees:
+def _stage_trees(levels, res_flat, n, k):
     """The grown levels (see ``_grow_stage``) as ``PackedTrees``: tree after
-    tree, each in pre-order, and every leaf with its Newton value."""
+    tree, each in pre-order, and every leaf with its Newton value; and the
+    (K, n) leaf values of the stage's rows."""
     # subtree sizes, bottom-up: a level's S splits have the next level's
     # first S nodes as left children and the next S as right ones
     subs = [np.ones(levels[-1][1].shape[0], dtype=np.int64)]
@@ -303,14 +313,15 @@ def _stage_trees(levels, res_flat, n, k) -> PackedTrees:
     # leaf values once per stage, leaves of one size side by side, each
     # leaf's rows ascending
     place, m, tree, first = (np.concatenate(a) for a in zip(*leaves))
-    by_size = np.array(sorted(range(m.shape[0]), key=m.tolist().__getitem__),
-                       dtype=np.int64)
+    by_size = np.argsort(m, kind="stable")
     place, m, tree, first = place[by_size], m[by_size], tree[by_size], first[by_size]
     rows = np.concatenate([lv[3] for lv in levels])[
         np.repeat(first - (np.cumsum(m) - m), m) + np.arange(m.sum())]
     value[place] = _newton_leaves(res_flat[rows + np.repeat(tree * n, m)], m, k)
+    step = np.zeros((k, n))
+    step[np.repeat(tree, m), rows] = np.repeat(value[place], m)
     return PackedTrees(np.append(places[0], count), feature, threshold, left,
-                       right, gain, n_rows, value[:, None])
+                       right, gain, n_rows, value[:, None]), step
 
 
 def gbc_fit(X, y, cfg: GbcConfig = GbcConfig()):
@@ -349,11 +360,14 @@ def gbc_fit(X, y, cfg: GbcConfig = GbcConfig()):
             stage_order = order[drawn[order]].reshape(order.shape[0], -1)
         else:
             rows, stage_order = np.arange(n), order
-        stage = _grow_stage(XT, rows, stage_order, residual, cfg.max_depth,
-                            cfg.min_samples_split)
+        stage, step = _grow_stage(XT, rows, stage_order, residual,
+                                  cfg.max_depth, cfg.min_samples_split)
         stages.append(stage)
+        if n_sub < n:  # a row the stage left out moves by the leaf it reaches
+            rest = np.flatnonzero(~drawn)
+            step[:, rest] = stage.leaf_values(X[rest])[:, :, 0]
         # each class's tree moves only its own column of scores
-        scores += cfg.learning_rate * stage.leaf_values(X)[:, :, 0].T
+        scores += cfg.learning_rate * step.T
         dev = multinomial_deviance(y_codes, scores)
         if not np.isfinite(dev):
             raise NonFiniteLoss(f"training deviance became non-finite at iteration {m}")

@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from diffsentry.ensembles import CartConfig, GbcConfig, PackedTrees, cart, gbc
-from diffsentry.ensembles.cart import (_append, _best_split, gini_impurity,
+from diffsentry.ensembles.cart import (_append, _best_split,
+                                       _class_probabilities, gini_impurity,
                                        node_lists)
 from diffsentry.ensembles.model import model_to_dict
 
@@ -100,20 +101,22 @@ def _grow_tree(X, target, scan, leaf, max_depth, min_samples_split, nodes,
     return i
 
 
-def _oracle_grower(old_scan, ran):
+def _oracle_grower(ran):
     """A stand-in for ``cart.grow_tree`` that ignores the presorted order and
     grows the node matrix ``X[rows]`` the old way."""
-    def grow(X, rows, order, target, scan, leaf, max_depth, min_samples_split,
-             nodes):
+    def grow(X, rows, order, y_codes, k, max_depth, min_samples_split, nodes):
         ran.append(rows.shape[0])
-        return _grow_tree(X[rows], target[rows], old_scan, leaf, max_depth,
+        return _grow_tree(X[rows], y_codes[rows],
+                          lambda X_, t: _scan_impurity(X_, t, k),
+                          lambda t: _class_probabilities(t, k), max_depth,
                           min_samples_split, nodes)
     return grow
 
 
 def _oracle_stage(ran):
     """A stand-in for ``gbc._grow_stage`` that grows each class's tree of the
-    stage alone, the old way, on the node matrix ``X[rows]``."""
+    stage alone, the old way, on the node matrix ``X[rows]``, and walks the
+    stage's rows down the trees for their leaf values."""
     def grow(XT, rows, order, residual, max_depth, min_samples_split):
         ran.append(rows.shape[0])
         X, k = XT.T[rows], residual.shape[1]
@@ -123,7 +126,10 @@ def _oracle_stage(ran):
                        lambda t: [_newton_leaf(t, k)], max_depth,
                        min_samples_split, nodes)
             offsets.append(len(nodes["feature"]))
-        return PackedTrees.from_nodes(nodes, offsets, 1)
+        stage = PackedTrees.from_nodes(nodes, offsets, 1)
+        step = np.zeros((k, XT.shape[1]))
+        step[:, rows] = stage.leaf_values(X)[:, :, 0]
+        return stage, step
     return grow
 
 
@@ -148,11 +154,9 @@ def _gbc_both(X, y, cfg):
 
 def _cart_both(X, y, cfg):
     got = _file_bytes(cart.cart_fit, X, y, cfg)
-    k = len(np.unique(y))
     ran = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cart, "grow_tree", _oracle_grower(
-            lambda X_, t: _scan_impurity(X_, t, k), ran))
+        mp.setattr(cart, "grow_tree", _oracle_grower(ran))
         want = _file_bytes(cart.cart_fit, X, y, cfg)
     assert len(ran) == 1 or want == "EmptyDataset"
     return got, want
@@ -249,7 +253,9 @@ def test_gbc_fit_sorts_once(subsample):
     y = rng.integers(0, 4, size=80)
     calls = _argsort_calls(gbc.gbc_fit, X, y, GbcConfig(
         n_estimators=5, max_depth=3, subsample=subsample, seed=1))
-    assert calls == [X.shape]
+    # the matrix once; besides it, each stage orders its leaves by size
+    assert calls[0] == X.shape
+    assert len(calls) == 6 and all(len(c) == 1 for c in calls[1:])
 
 
 def test_cart_fit_sorts_once():

@@ -1,12 +1,14 @@
 """The batched split scanners against the per-column scanners they replaced.
 
-``grow_tree`` asks its scanner once per node for the best (gain, column,
-threshold) over every column of the node, handing it the node's columns
-each sorted ascending and the targets in each column's order; ``_presorted``
-below makes that input from a node matrix. The oracles below are
-the earlier per-column scanners, run column by column and kept only on a
-strictly greater gain, as the grower used to. Both must agree bit for bit,
-so trees grown by either are identical.
+``cart.grow_tree`` asks ``_scan_impurity`` once per node, and the boosting
+stage grower asks ``gbc._scan_block`` once per block of nodes, for the best
+(gain, column, threshold) over every column of a node, handing it the node's
+columns each sorted ascending and the targets in each column's order;
+``_presorted`` below makes that input from a node matrix. The oracles below
+are the earlier per-column scanners, run column by column and kept only on a
+strictly greater gain, as the grower used to, and the one-node least-squares
+scanner ``_scan_sse`` that padded blocks replaced. All must agree bit for
+bit, so trees grown by either are identical.
 """
 
 import numpy as np
@@ -14,13 +16,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from diffsentry.ensembles import cart
 from diffsentry.ensembles.cart import (
+    _best_split,
     _scan_impurity,
     gini_impurity,
     grow_tree,
     node_lists,
 )
-from diffsentry.ensembles.gbc import _BLOCK_ROWS, _scan_block, _scan_sse
+from diffsentry.ensembles.gbc import _BLOCK_ROWS, _scan_block
 
 # -- oracles: the per-column scanners -----------------------------------------
 
@@ -77,6 +81,22 @@ def _scan_feature_sse(x, r):
     return float(red[best]), float(thr)
 
 
+def _scan_sse(xs, rs):
+    """One node's least-squares scan over the columns ``xs``, each sorted,
+    with ``rs`` the residuals in each column's order (see ``_best_split``)."""
+    n = xs.shape[0]
+    csum = np.cumsum(rs, axis=0)
+    csum2 = np.cumsum(rs * rs, axis=0)
+    nl = np.arange(1.0, n)[:, None]
+    nr = n - nl
+    sum_l = csum[:-1]
+    sum_r = csum[-1] - sum_l
+    sse_l = csum2[:-1] - sum_l * sum_l / nl
+    sse_r = (csum2[-1] - csum2[:-1]) - sum_r * sum_r / nr
+    sse_parent = csum2[-1] - csum[-1] * csum[-1] / n
+    return _best_split(xs, sse_parent - sse_l - sse_r)
+
+
 def _oracle(scan_one, X, target, feats):
     """The grower's old per-feature loop: a later feature wins only on a
     strictly greater gain."""
@@ -125,7 +145,12 @@ def _presorted(X, target):
 
 
 def _sse(X, r):
-    return _scan_sse(*_presorted(X, r))
+    """The stage grower's scan of one node: a block of one, unpadded."""
+    xs, rs = _presorted(X, r)
+    if xs.shape[0] < 2:  # the grower scans no node of fewer rows
+        return None
+    gain, col, thr = _scan_block(xs.T[None], rs.T[None], np.array([xs.shape[0]]))
+    return None if gain[0] == -np.inf else (gain[0], int(col[0]), thr[0])
 
 
 def _impurity(X, y_codes, k):
@@ -223,13 +248,15 @@ def test_grower_scans_once_per_split_node():
     y = (X[:, 0] + X[:, 1] > 0).astype(np.int64) + (X[:, 2] > 0.5)
     calls = []
 
-    def scan(xs, ys):
+    def scan(xs, ys, k):
         calls.append(xs.copy())
-        return _scan_impurity(xs, ys, 3)
+        return _scan_impurity(xs, ys, k)
 
     nodes = node_lists()
-    grow_tree(X, np.arange(60), np.argsort(X, axis=0, kind="stable"), y, scan,
-              lambda t: [float(t.size)], None, 2, nodes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cart, "_scan_impurity", scan)
+        grow_tree(X, np.arange(60), np.argsort(X, axis=0, kind="stable"), y, 3,
+                  None, 2, nodes)
     assert len(calls) == sum(f >= 0 for f in nodes["feature"]) > 0
     assert all(xs.shape[1] == 4 for xs in calls)
     # the grower sorts nothing itself: each scan gets its columns ascending
