@@ -155,13 +155,14 @@ def _newton_leaves(r: np.ndarray, sizes: np.ndarray, k: int) -> np.ndarray:
 #: up to this many rows, the nodes of a level share padded blocks, since a
 #: small node's own scan is mostly numpy's cost per call; a larger node is
 #: scanned alone. Measured on the benchmark corpora's gbc_fit calls (CPU time
-#: against this cutoff, median of 11 interleaved rounds, each the best of
-#: 3): 32 rows fitted the offline training sets 11% slower; 128 rows was
-#: 2-7% faster on each group of fits, inside the rounds' spread.
+#: against this cutoff, median of 11 interleaved rounds, each the best of 3,
+#: with size classes in steps of at most 12.5% padding): 32 rows fitted the
+#: offline training sets 11% slower; 128 rows was 2-7% faster on each group
+#: of fits, inside the rounds' spread.
 _BLOCK_ROWS = 64
 #: a small node is scanned in the block of the first size that holds it.
 #: On the same fits, size classes of 32, 36, 40, 45, 50, 56, 63 and 64 rows
-#: (steps of at most 12.5% padding) were 3-7% slower than these two.
+#: were 3-8% slower than these two.
 _BLOCK_SIZES = np.array([32, _BLOCK_ROWS])
 
 
