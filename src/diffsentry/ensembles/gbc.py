@@ -56,7 +56,8 @@ class GbcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_integers(self, "n_estimators", "max_depth", "min_samples_split")
+        _require_integers(self, "n_estimators", "max_depth", "min_samples_split",
+                          "seed")
         if not (isinstance(self.learning_rate, numbers.Real)
                 and not isinstance(self.learning_rate, bool)):
             raise TypeError(
@@ -71,6 +72,8 @@ class GbcConfig:
             raise ValueError("subsample must be in (0, 1]")
         if self.min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:

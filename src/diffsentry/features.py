@@ -19,7 +19,9 @@ the input's strided view (``_ar_solve``); a rank-deficient series is a
 Task vectors apply a frozen parameter list identically to each phase and
 concatenate phase a, then b, then c. ``extract`` cuts one window's vector;
 ``extract_many`` runs the same spec loop over a stack of windows (m, n, 3),
-one op call per spec and phase for the whole stack.
+one op call per spec and phase for the whole stack. ``extract_tasks`` does
+so for several tasks of one window length at once, each distinct spec of
+their union once per phase.
 """
 
 from __future__ import annotations
@@ -320,33 +322,64 @@ def _eval_spec(spec: FeatureSpec, x: np.ndarray):
 _WINDOW_SHAPES = {2: "(n, 3)", 3: "(m, n, 3)"}
 
 
-def _task_values(windows: np.ndarray, task: Task, ndim: int):
-    """(values (..., k), ar_fallback (...)) of one task over windows
-    (..., n, 3) of ``ndim`` dimensions: every spec on phase a, then b,
-    then c."""
-    windows = np.asarray(windows, dtype=np.float64)
+@functools.cache
+def _layout(tasks: tuple):
+    """(window length, the distinct specs of the tasks' union in order of
+    first use, (task, the index of each of its specs in that union) per
+    distinct task) of tasks that share a window length."""
+    if not tasks:
+        raise ValueError("need at least one task")
+    first = tasks[0]
+    for task in tasks[1:]:
+        if task_window_len(task) != task_window_len(first):
+            raise WrongWindowLength(
+                f"{first.value} and {task.value} take windows of different "
+                f"lengths ({task_window_len(first)} and {task_window_len(task)} "
+                "samples)")
+    union, columns = [], {}
+    for task in tasks:
+        for spec in task_specs(task):
+            if spec not in union:
+                union.append(spec)
+        cols = np.array([union.index(spec) for spec in task_specs(task)])
+        cols.flags.writeable = False   # shared by every call on these tasks
+        columns[task] = cols
+    return task_window_len(first), tuple(union), tuple(columns.items())
+
+
+def _tasks_values(windows: np.ndarray, tasks: tuple, ndim: int) -> dict:
+    """{task: (values (..., k), ar_fallback (...))} of tasks sharing a
+    window length over windows (..., n, 3) of ``ndim`` dimensions. Each
+    distinct spec of their union runs once per phase; each task takes its
+    own specs' values, phase a, then b, then c."""
+    expected, union, columns = _layout(tasks)
+    # C order, so a window's bits do not depend on the layout it came in:
+    # a reduction along a strided axis sums in another order
+    windows = np.ascontiguousarray(windows, dtype=np.float64)
     if windows.ndim != ndim or windows.shape[-1] != 3:
         raise WrongWindowLength(f"window must have shape {_WINDOW_SHAPES[ndim]}")
-    expected = task_window_len(task)
     if windows.shape[-2] != expected:
         raise WrongWindowLength(
-            f"{task.value} needs a {expected}-sample window, got {windows.shape[-2]}"
+            f"{tasks[0].value} needs a {expected}-sample window, "
+            f"got {windows.shape[-2]}"
         )
     refuse_non_finite(windows)
-    specs = task_specs(task)
-    values = np.empty(windows.shape[:-2] + (len(PHASES) * len(specs),))
-    fallback = np.zeros(windows.shape[:-2], dtype=bool)
+    lead = windows.shape[:-2]
+    values = np.empty(lead + (len(PHASES), len(union)))
+    fallback = np.zeros(lead + (len(union),), dtype=bool)
     for ph_idx in range(len(PHASES)):
         x = windows[..., ph_idx]
-        for j, spec in enumerate(specs):
-            values[..., ph_idx * len(specs) + j], fb = _eval_spec(spec, x)
-            fallback |= fb
-    return values, fallback
+        for j, spec in enumerate(union):
+            values[..., ph_idx, j], fb = _eval_spec(spec, x)
+            fallback[..., j] |= fb
+    return {task: (values[..., cols].reshape(lead + (len(PHASES) * len(cols),)),
+                   fallback[..., cols].any(axis=-1))
+            for task, cols in columns}
 
 
 def extract(window: np.ndarray, task: Task) -> FeatureVector:
     """Fixed per-task feature vector over a 3-phase window (shape (n, 3))."""
-    values, fallback = _task_values(window, task, 2)
+    values, fallback = _tasks_values(window, (task,), 2)[task]
     return FeatureVector(
         task=task,
         values=values,
@@ -358,4 +391,12 @@ def extract(window: np.ndarray, task: Task) -> FeatureVector:
 def extract_many(windows: np.ndarray, task: Task):
     """(values (m, k), ar_fallback (m,)) of one task over a stack of m
     windows (m, n, 3). Row r is bit for bit ``extract(windows[r], task)``."""
-    return _task_values(windows, task, 3)
+    return _tasks_values(windows, (task,), 3)[task]
+
+
+def extract_tasks(windows: np.ndarray, tasks) -> dict:
+    """{task: (values (m, k), ar_fallback (m,))} of each of several tasks
+    that share a window length over a stack of m windows (m, n, 3), each
+    distinct spec of their union evaluated once per phase. Every task's
+    result equals ``extract_many(windows, task)`` bit for bit."""
+    return _tasks_values(windows, tuple(tasks), 3)

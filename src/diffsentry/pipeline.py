@@ -22,6 +22,7 @@ import numpy as np
 from .detector import (CLASSIFY_LEN, CYCLE, DETECT_LEN, THRESHOLD,
                        DetectionEvent, StreamingDetector, detect, event_windows)
 from .ensembles import GBC_GRID_SMALL, GbcConfig, gbc_fit
+from .ensembles.cart import _require_integers
 from .ensembles.model import model_from_dict, model_to_dict, predict_many
 from .errors import (
     ClassMissing,
@@ -39,7 +40,8 @@ from .evaluation import (
     stratified_kfold,
     train_test_split,
 )
-from .features import Task, extract, extract_many, schema_hash, task_window_len
+from .features import (Task, extract, extract_many, extract_tasks, schema_hash,
+                       task_window_len)
 from .resampling import ResamplePlan, apply_plan
 from .sampling import (
     DisturbanceType,
@@ -252,7 +254,12 @@ class TrainConfig:
     resample: Optional[ResamplePlan] = None
 
     def __post_init__(self):
-        # a bad grid fails here, not after the corpus is read and featurized
+        # a bad config fails here, not after the corpus is read and featurized
+        _require_integers(self, "cv_k", "seed")
+        if self.cv_k < 2:
+            raise ValueError(f"cv_k must be at least 2 folds, not {self.cv_k}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         self.points()
 
     def resolved_grid(self) -> dict:
@@ -359,13 +366,25 @@ def load_corpus_waveforms(corpus_dir, manifest):
     return out
 
 
+#: the tasks featurized together, on one stack of windows: every detect
+#: window, every fault's classify window, every disturbance's classify window
+_STACKS = (
+    (Task.DETECT_FAULT,),
+    (Task.LOCATE_UNIT, *TASK_FOR_UNIT.values()),
+    (Task.IDENTIFY_DISTURBANCE,),
+)
+
+
 def _windows_by_task(records):
-    """Run detection over corpus records and build per-task datasets: each
-    task's windows in record order, featurized in one batch."""
-    windows = {task: [] for task in Task}
-    data = {task: {"y": [], "files": []} for task in Task}
+    """Run detection once over corpus records and build per-task datasets:
+    each task's rows in record order, with the index of the record each
+    came from. A window goes once into the stack of its kind, which is
+    featurized in one batch for all the stack's tasks; a task keeps the rows
+    of its own records (an Identify task its unit's faults)."""
+    stacks = {tasks: [] for tasks in _STACKS}
+    data = {task: {"y": [], "files": [], "record": [], "row": []} for task in Task}
     undetected = []
-    for row, wave in records:
+    for rec, (row, wave) in enumerate(records):
         event = detect(wave)
         if not event.triggered:
             undetected.append(row["file"])
@@ -374,32 +393,60 @@ def _windows_by_task(records):
         # collecting every window costs no copy before the stacks
         detect_window, classify_window = event_windows(wave.samples,
                                                        event.trigger_index)
-        for task, cls in _task_targets(wave.label).items():
-            windows[task].append(detect_window if task is Task.DETECT_FAULT
-                                 else classify_window)
-            data[task]["y"].append(cls)
-            data[task]["files"].append(row["file"])
-    for task in Task:
-        stack = (np.stack(windows[task]) if windows[task]
-                 else np.empty((0, task_window_len(task), 3)))
-        data[task]["X"] = extract_many(stack, task)[0]
+        targets = _task_targets(wave.label)
+        for tasks, stack in stacks.items():
+            mine = [task for task in tasks if task in targets]
+            for task in mine:
+                data[task]["y"].append(targets[task])
+                data[task]["files"].append(row["file"])
+                data[task]["record"].append(rec)
+                data[task]["row"].append(len(stack))
+            if mine:
+                stack.append(detect_window if tasks[0] is Task.DETECT_FAULT
+                             else classify_window)
+    for tasks, stack in stacks.items():
+        stack = (np.stack(stack) if stack
+                 else np.empty((0, task_window_len(tasks[0]), 3)))
+        for task, (values, _) in extract_tasks(stack, tasks).items():
+            rows = np.asarray(data[task].pop("row"), dtype=np.intp)
+            data[task]["X"] = values[rows]
     return data, undetected
+
+
+def _split_rows(data, keep: np.ndarray) -> dict:
+    """Each task's rows whose record ``keep`` (a flag per record) marks,
+    in order."""
+    out = {}
+    for task, d in data.items():
+        picked = keep[np.asarray(d["record"], dtype=np.intp)]
+        out[task] = {"X": d["X"][picked],
+                     "y": [y for y, p in zip(d["y"], picked) if p],
+                     "files": [f for f, p in zip(d["files"], picked) if p]}
+    return out
 
 
 def train_pipeline(corpus_dir, manifest, config: TrainConfig) -> PipelineModel:
     """Grid-search one classifier per task and assemble the pipeline.
 
     The corpus is split 4:1 stratified by the full hierarchical label (every
-    task's class, joined) before any window is cut; per-stage holdout
+    task's class, joined). Every record is detected and featurized in one
+    pass, whose rows are then split by record; a row depends on its window
+    alone, so no holdout record informs a training row. Per-stage holdout
     metrics are stored in metadata.
     """
     records = load_corpus_waveforms(corpus_dir, manifest)
     labels = np.asarray([
         "/".join(_task_targets(wave.label).values()) for _, wave in records
     ])
-    train_idx, hold_idx = train_test_split(labels, 0.2, config.seed)
-    train_data, undetected = _windows_by_task([records[i] for i in train_idx])
-    hold_data, _ = _windows_by_task([records[i] for i in hold_idx])
+    train_idx, _ = train_test_split(labels, 0.2, config.seed)
+    data, _ = _windows_by_task(records)
+    in_train = np.zeros(len(records), dtype=bool)
+    in_train[train_idx] = True
+    train_data = _split_rows(data, in_train)
+    hold_data = _split_rows(data, ~in_train)
+    # every detected record has a DetectFault row
+    detected = set(data[Task.DETECT_FAULT]["record"])
+    undetected = [records[i][0]["file"] for i in train_idx if i not in detected]
 
     for task in Task:
         present = set(train_data[task]["y"])

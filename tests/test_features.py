@@ -22,6 +22,7 @@ from diffsentry.features import (
     dft_coefficient,
     extract,
     extract_many,
+    extract_tasks,
     schema_hash,
     task_specs,
     task_window_len,
@@ -665,6 +666,86 @@ def test_extract_many_of_no_windows_is_empty():
     n = task_window_len(Task.IDENTIFY_DISTURBANCE)
     values, fallback = extract_many(np.zeros((0, n, 3)), Task.IDENTIFY_DISTURBANCE)
     assert values.shape == (0, 15) and fallback.shape == (0,)
+
+
+# -- several tasks of one window length at once --------------------------------------
+
+_TASKS_OF_LENGTH = {n: [t for t in Task if task_window_len(t) == n]
+                    for n in (DETECT_LEN, CLASSIFY_LEN)}
+
+
+@st.composite
+def _task_stacks(draw):
+    """A non-empty tuple of tasks of one window length, duplicates allowed,
+    and a stack of 0-7 of their windows: contiguous, every other window of
+    a stack twice as large, or a Fortran-ordered copy."""
+    n = draw(st.sampled_from(sorted(_TASKS_OF_LENGTH)))
+    tasks = tuple(draw(st.lists(st.sampled_from(_TASKS_OF_LENGTH[n]),
+                                min_size=1, max_size=6)))
+    m = draw(st.integers(0, 7))
+    layout = draw(st.sampled_from(["contiguous", "every_other", "fortran"]))
+    windows = [draw(_windows(n)) for _ in range(2 * m if layout == "every_other" else m)]
+    stack = np.stack(windows) if windows else np.empty((0, n, 3))
+    if layout == "every_other":
+        stack = stack[::2]
+    elif layout == "fortran":
+        stack = np.asfortranarray(stack)
+    return tasks, stack
+
+
+@settings(deadline=None, max_examples=30)
+@given(case=_task_stacks())
+def test_extract_tasks_rows_equal_extract(case):
+    tasks, windows = case
+    out = extract_tasks(windows, tasks)
+    assert set(out) == set(tasks)
+    m = windows.shape[0]
+    for task, (values, fallback) in out.items():
+        assert values.shape == (m, 3 * len(task_specs(task)))
+        assert fallback.dtype == bool and fallback.shape == (m,)
+        for r in range(m):
+            alone = extract(windows[r], task)
+            assert values[r].tobytes() == alone.values.tobytes()
+            assert bool(fallback[r]) is alone.ar_fallback
+
+
+def test_extract_tasks_evaluates_each_spec_of_the_union_once(monkeypatch):
+    """LocateUnit and the three Identify tasks share 8 distinct specs: one
+    call each per phase, where one task at a time makes 27."""
+    from diffsentry import features
+
+    calls = []
+
+    def counted(spec, x):
+        calls.append(spec)
+        return _eval_spec(spec, x)
+
+    monkeypatch.setattr(features, "_eval_spec", counted)
+    tasks = (Task.LOCATE_UNIT, Task.IDENTIFY_EXCITING, Task.IDENTIFY_SERIES,
+             Task.IDENTIFY_PT)
+    windows = np.random.default_rng(3).normal(size=(4, CLASSIFY_LEN, 3))
+    extract_tasks(windows, tasks)
+    assert len(calls) == 3 * 8
+    calls.clear()
+    for task in tasks:
+        extract_many(windows, task)
+    assert len(calls) == 3 * sum(len(task_specs(t)) for t in tasks) == 3 * 27
+
+
+@pytest.mark.parametrize("tasks", [
+    (Task.DETECT_FAULT, Task.LOCATE_UNIT),
+    (Task.IDENTIFY_PT, Task.IDENTIFY_PT, Task.DETECT_FAULT),
+])
+def test_extract_tasks_refuses_tasks_of_different_window_lengths(tasks):
+    with pytest.raises(WrongWindowLength) as err:
+        extract_tasks(np.zeros((1, CLASSIFY_LEN, 3)), tasks)
+    for task in set(tasks):
+        assert task.value in str(err.value)
+
+
+def test_extract_tasks_refuses_no_task():
+    with pytest.raises(ValueError, match="at least one task"):
+        extract_tasks(np.zeros((1, CLASSIFY_LEN, 3)), ())
 
 
 def test_unknown_family_is_a_value_error():

@@ -260,6 +260,16 @@ def test_min_samples_split_must_be_an_integer(value):
         GbcConfig(min_samples_split=value)
 
 
+@pytest.mark.parametrize("value, error", [
+    (-1, ValueError), (1.5, TypeError), (True, TypeError), ("0", TypeError),
+    (None, TypeError),
+])
+def test_seed_must_be_a_non_negative_integer(value, error):
+    # numpy's generators would refuse it only inside the fit
+    with pytest.raises(error, match="seed"):
+        GbcConfig(seed=value)
+
+
 @pytest.mark.parametrize("n", [-1, 8])
 def test_first_stages_outside_the_fit_rejected(n):
     X, y = _blobs(60, 3, seed=13)

@@ -230,6 +230,23 @@ def test_bad_grid_fails_before_any_record_is_read(monkeypatch, grid, names):
         train_pipeline("no_corpus", [{"file": "a.csv"}], TrainConfig(grid=grid))
 
 
+@pytest.mark.parametrize("kwargs, error", [
+    ({"cv_k": 1}, ValueError),
+    ({"cv_k": 0}, ValueError),
+    ({"cv_k": 2.5}, TypeError),
+    ({"cv_k": True}, TypeError),
+    ({"cv_k": "3"}, TypeError),
+    ({"seed": -1}, ValueError),
+    ({"seed": 1.5}, TypeError),
+    ({"seed": False}, TypeError),
+    ({"seed": None}, TypeError),
+])
+def test_bad_folds_or_seed_fail_when_the_config_is_made(kwargs, error):
+    name = next(iter(kwargs))
+    with pytest.raises(error, match=name):
+        TrainConfig(**kwargs)
+
+
 def test_trained_pipeline_metadata_and_holdout(trained_pipeline):
     model, _ = trained_pipeline
     metrics = model.metadata["holdout_metrics"]
@@ -654,3 +671,125 @@ def test_windows_by_task_equals_a_per_window_oracle(small_corpus):
         assert data[task]["X"].tobytes() == np.vstack(want[task]["X"]).tobytes()
         assert data[task]["y"] == want[task]["y"]
         assert data[task]["files"] == want[task]["files"]
+
+
+# a grid of one cheap point: the split tests check rows, not fits
+_QUICK = TrainConfig(grid={"n_estimators": [2], "max_depth": [1]}, cv_k=2, seed=5)
+
+
+def _split_oracle(records, skip=()):
+    """Per split, every task's rows, classes and files from one extract call
+    per window, the records in ``skip`` taken as undetected."""
+    from diffsentry.evaluation import train_test_split
+    from diffsentry.features import extract
+    from diffsentry.pipeline import _task_targets
+
+    labels = np.asarray(["/".join(_task_targets(wave.label).values())
+                         for _, wave in records])
+    out = []
+    for idx in train_test_split(labels, 0.2, _QUICK.seed):
+        want = {task: {"X": [], "y": [], "files": []} for task in Task}
+        for i in idx:
+            row, wave = records[i]
+            event = detect(wave)
+            if i in skip or not event.triggered:
+                continue
+            for task, cls in _task_targets(wave.label).items():
+                window = (event.detect_window if task is Task.DETECT_FAULT
+                          else event.classify_window)
+                want[task]["X"].append(extract(window, task).values)
+                want[task]["y"].append(cls)
+                want[task]["files"].append(row["file"])
+        out.append(want)
+    return out
+
+
+def _capture_splits(monkeypatch):
+    """The training rows each grid search fits and the holdout rows that
+    are scored, as train_pipeline hands them over."""
+    from diffsentry import pipeline
+
+    seen = {"train": [], "train_files": None, "hold": None}
+    search, metrics, split = (pipeline.grid_search, pipeline._holdout_metrics,
+                              pipeline._split_rows)
+
+    def searched(X, y, config):
+        seen["train"].append((X, list(y)))
+        return search(X, y, config)
+
+    def scored(slots, hold_data):
+        seen["hold"] = hold_data
+        return metrics(slots, hold_data)
+
+    def split_rows(data, keep):
+        out = split(data, keep)
+        if seen["train_files"] is None:   # the training split comes first
+            seen["train_files"] = {task: d["files"] for task, d in out.items()}
+        return out
+
+    monkeypatch.setattr(pipeline, "grid_search", searched)
+    monkeypatch.setattr(pipeline, "_holdout_metrics", scored)
+    monkeypatch.setattr(pipeline, "_split_rows", split_rows)
+    return seen
+
+
+def test_training_and_holdout_rows_equal_a_per_split_oracle(small_corpus,
+                                                            monkeypatch):
+    """One featurization pass split by record gives each split the rows,
+    classes and files of featurizing that split on its own."""
+    from diffsentry.pipeline import load_corpus_waveforms
+
+    corpus_dir, manifest = small_corpus
+    seen = _capture_splits(monkeypatch)
+    train_pipeline(corpus_dir, manifest, _QUICK)
+    want_train, want_hold = _split_oracle(load_corpus_waveforms(corpus_dir,
+                                                                manifest))
+    assert len(seen["train"]) == len(Task)
+    for task, (X, y) in zip(Task, seen["train"]):
+        assert X.tobytes() == np.vstack(want_train[task]["X"]).tobytes()
+        assert y == want_train[task]["y"]
+        assert seen["train_files"][task] == want_train[task]["files"]
+        hold = seen["hold"][task]
+        assert hold["X"].tobytes() == np.vstack(want_hold[task]["X"]).tobytes()
+        assert hold["y"] == want_hold[task]["y"]
+        assert hold["files"] == want_hold[task]["files"]
+
+
+def test_an_undetected_holdout_record_is_in_no_file_list(small_corpus,
+                                                         monkeypatch):
+    """A training record that does not trigger is listed as undetected; a
+    holdout record that does not trigger is in neither list, and neither
+    gives a row."""
+    from diffsentry import pipeline
+    from diffsentry.evaluation import train_test_split
+
+    corpus_dir, manifest = small_corpus
+    records = pipeline.load_corpus_waveforms(corpus_dir, manifest)
+    labels = np.asarray(["/".join(pipeline._task_targets(wave.label).values())
+                         for _, wave in records])
+    train_idx, hold_idx = train_test_split(labels, 0.2, _QUICK.seed)
+    quiet = {int(train_idx[0]), int(hold_idx[0])}
+    assert all(detect(records[i][1]).triggered for i in quiet)
+    silenced = [records[i][1].samples for i in quiet]
+
+    def detect_but_quiet(wave):
+        if any(np.array_equal(wave.samples, s) for s in silenced):
+            return detect(np.zeros((wave.samples.shape[0], 3)))
+        return detect(wave)
+
+    monkeypatch.setattr(pipeline, "detect", detect_but_quiet)
+    seen = _capture_splits(monkeypatch)
+    model = train_pipeline(corpus_dir, manifest, _QUICK)
+    train_file = records[train_idx[0]][0]["file"]
+    hold_file = records[hold_idx[0]][0]["file"]
+    missed = [records[i][0]["file"] for i in train_idx
+              if i in quiet or not detect(records[i][1]).triggered]
+    assert train_file in missed
+    assert model.metadata["undetected_training_files"] == sorted(missed)
+    assert hold_file not in model.metadata["undetected_training_files"]
+    assert hold_file not in model.metadata["holdout_files"]
+    want_train, want_hold = _split_oracle(records, skip=quiet)
+    for task, (X, y) in zip(Task, seen["train"]):
+        assert X.tobytes() == np.vstack(want_train[task]["X"]).tobytes()
+        assert seen["train_files"][task] == want_train[task]["files"]
+        assert seen["hold"][task]["files"] == want_hold[task]["files"]
