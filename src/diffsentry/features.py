@@ -366,15 +366,22 @@ def _tasks_values(windows: np.ndarray, tasks: tuple, ndim: int) -> dict:
     refuse_non_finite(windows)
     lead = windows.shape[:-2]
     values = np.empty(lead + (len(PHASES), len(union)))
-    fallback = np.zeros(lead + (len(union),), dtype=bool)
+    flags = [False] * len(union)   # per spec: False, or its AR flags (...)
     for ph_idx in range(len(PHASES)):
         x = windows[..., ph_idx]
+        out = values[..., ph_idx, :]
         for j, spec in enumerate(union):
-            values[..., ph_idx, j], fb = _eval_spec(spec, x)
-            fallback[..., j] |= fb
-    return {task: (values[..., cols].reshape(lead + (len(PHASES) * len(cols),)),
-                   fallback[..., cols].any(axis=-1))
-            for task, cols in columns}
+            out[..., j], fb = _eval_spec(spec, x)
+            flags[j] = flags[j] | fb
+    result = {}
+    for task, cols in columns:
+        fallback = np.zeros(lead, dtype=bool)
+        for j in cols:
+            if flags[j] is not False:   # an array op only where a flag can be set
+                fallback |= flags[j]
+        result[task] = (values[..., cols].reshape(lead + (len(PHASES) * len(cols),)),
+                        fallback)
+    return result
 
 
 def extract(window: np.ndarray, task: Task) -> FeatureVector:
