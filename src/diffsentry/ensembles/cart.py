@@ -8,19 +8,18 @@ Gradient boosting grows its regression trees with its own stage grower
 (``gbc._grow_stage``), into the same layout, and ``PackedTrees.join``
 chains its stages.
 
-A fit sorts each column of its matrix once (a stable argsort). A node is
-its rows and their order in each sorted column; a split hands each child
-the stable compress of that order under the split's predicate, which is
-the order a stable argsort of the child's own rows would give, ties
-included. At each node the grower makes one ``_scan_impurity`` call on the
-node's presorted columns and class codes, which scores every column in one
-array pass (column-wise cumulative sums, then ``_best_split``) and returns
-the best (gain, column, threshold). Split candidates are midpoints between
-consecutive sorted unique feature values; for classification the split
-maximizing the Gini impurity decrease wins, with ties broken by (lower feature index,
-lower threshold). Nodes keep splitting while any valid split exists, so
-zero-gain splits are taken when descendants can still purify the
-partition (required for XOR-like data).
+A node is its rows, ascending. At each node the grower sorts every column
+of its rows with one stable argsort, so tied values keep their row order,
+and makes one ``_scan_impurity`` call on the sorted columns and class
+codes, which scores every column in one array pass (column-wise cumulative
+sums, then ``_best_split``) and returns the best (gain, column, threshold).
+No workload fits a CART tree (only the tests do), so it keeps no presort;
+boosting sorts each column once per fit (``gbc``). Split candidates are
+midpoints between consecutive sorted unique feature values; for
+classification the split maximizing the Gini impurity decrease wins, with
+ties broken by (lower feature index, lower threshold). Nodes keep
+splitting while any valid split exists, so zero-gain splits are taken when
+descendants can still purify the partition (required for XOR-like data).
 """
 
 from __future__ import annotations
@@ -120,39 +119,28 @@ def node_lists() -> dict:
     return {a: [] for a in PackedTrees.NODE_ARRAYS}
 
 
-def compress_order(order: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The rows of ``order`` where ``keep`` is true, column by column, each
-    column's kept rows in the order they had. ``keep`` must be true on the
-    same number of rows in every column."""
-    return order.T[keep.T].reshape(order.shape[1], -1).T
-
-
-def grow_tree(X, rows, order, y_codes, k, max_depth, min_samples_split,
-              nodes) -> int:
+def grow_tree(X, rows, y_codes, k, max_depth, min_samples_split, nodes) -> int:
     """The recursive best-split grower of a CART tree over ``k`` classes.
 
-    Grows a tree on ``rows`` of ``X`` (ascending); ``order[:, j]`` holds the
-    same rows in stable ascending order of column ``j``. Appends the tree's
-    nodes in pre-order to ``nodes`` (see ``node_lists``), in the
-    ``PackedTrees`` layout, and returns the root's index in them. Each node
-    that is not made a leaf first gets one ``_scan_impurity`` call on its
-    columns each sorted ascending (``X[order[:, j], j]``) and its class codes
-    in each column's order; a leaf holds its class probabilities.
-    ``max_depth``, fewer than ``min_samples_split`` rows or a single class
-    make a leaf, checked in that order: a child can be empty when a midpoint
-    threshold rounds onto the upper of two adjacent floats. A split hands
-    each child the compress of its node's order under ``X[order, f] <= thr``,
-    or None when the child's depth or size already makes it a leaf.
+    Grows a tree on ``rows`` of ``X`` (ascending). Appends the tree's nodes
+    in pre-order to ``nodes`` (see ``node_lists``), in the ``PackedTrees``
+    layout, and returns the root's index in them. Each node that is not made
+    a leaf first gets one ``_scan_impurity`` call on its columns each sorted
+    ascending (a stable argsort of its rows) and its class codes in each
+    column's order; a leaf holds its class probabilities. ``max_depth``,
+    fewer than ``min_samples_split`` rows or a single class make a leaf,
+    checked in that order: a child can be empty when a midpoint threshold
+    rounds onto the upper of two adjacent floats. A split sends a row left
+    when ``X[row, f] <= thr``.
     """
     cols = np.arange(X.shape[1])
 
-    def may_split(n, depth):
-        return (max_depth is None or depth < max_depth) and n >= min_samples_split
-
-    def grow(rows, order, depth):
+    def grow(rows, depth):
         t = y_codes[rows]
         best = None
-        if may_split(rows.shape[0], depth) and not np.all(t == t[0]):
+        if ((max_depth is None or depth < max_depth)
+                and rows.shape[0] >= min_samples_split and not np.all(t == t[0])):
+            order = rows[np.argsort(X[rows], axis=0, kind="stable")]
             best = _scan_impurity(X[order, cols], y_codes[order], k)
         i = len(nodes["feature"])
         if best is None:
@@ -163,15 +151,11 @@ def grow_tree(X, rows, order, y_codes, k, max_depth, min_samples_split,
         gain, f, thr = best
         _append(nodes, f, thr, gain, rows.shape[0], [0.0] * k)
         left = X[rows, f] <= thr
-        goes_left = X[order, f] <= thr
-        for side, child, keep in (("left", rows[left], goes_left),
-                                  ("right", rows[~left], ~goes_left)):
-            nodes[side][i] = grow(child, compress_order(order, keep) if
-                                  may_split(child.shape[0], depth + 1) else None,
-                                  depth + 1)
+        nodes["left"][i] = grow(rows[left], depth + 1)
+        nodes["right"][i] = grow(rows[~left], depth + 1)
         return i
 
-    return grow(rows, order, 0)
+    return grow(rows, 0)
 
 
 def _append(nodes, feature, threshold, gain, n, value) -> None:
@@ -285,8 +269,8 @@ def cart_fit(X, y, cfg: CartConfig = CartConfig()):
     codebook, y_codes = np.unique(y, return_inverse=True)
     k = len(codebook)
     nodes = node_lists()
-    grow_tree(X, np.arange(X.shape[0]), np.argsort(X, axis=0, kind="stable"),
-              y_codes, k, cfg.max_depth, cfg.min_samples_split, nodes)
+    grow_tree(X, np.arange(X.shape[0]), y_codes, k, cfg.max_depth,
+              cfg.min_samples_split, nodes)
     return TreeEnsembleModel(
         kind="CART",
         packed=PackedTrees.from_nodes(nodes, [0, len(nodes["feature"])], k),

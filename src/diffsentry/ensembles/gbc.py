@@ -52,12 +52,10 @@ class GbcConfig:
     max_depth: int = 3
     learning_rate: float = 0.1
     subsample: float = 1.0
-    min_samples_split: int = 2
     seed: int = 0
 
     def __post_init__(self):
-        _require_integers(self, "n_estimators", "max_depth", "min_samples_split",
-                          "seed")
+        _require_integers(self, "n_estimators", "max_depth", "seed")
         if not (isinstance(self.learning_rate, numbers.Real)
                 and not isinstance(self.learning_rate, bool)):
             raise TypeError(
@@ -70,8 +68,6 @@ class GbcConfig:
             raise ValueError("learning_rate must be in (0, 1]")
         if not 0.0 < self.subsample <= 1.0:
             raise ValueError("subsample must be in (0, 1]")
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -169,7 +165,7 @@ _BLOCK_ROWS = 64
 _BLOCK_SIZES = np.array([32, _BLOCK_ROWS])
 
 
-def _grow_stage(XT, rows, order, residual, max_depth, min_samples_split):
+def _grow_stage(XT, rows, order, residual, max_depth):
     """The K least-squares trees of one boosting stage, grown together level
     by level, as ``PackedTrees``: tree ``c`` fits ``residual[:, c]``, and
     each tree is in pre-order. Also returns ``step``, where ``step[c, i]``
@@ -180,14 +176,13 @@ def _grow_stage(XT, rows, order, residual, max_depth, min_samples_split):
     contiguous, ``rows`` the stage's rows ascending, and ``order[j]`` those
     rows in stable ascending order of feature ``j``. Every node gets the
     split and leaf that growing its tree alone, node by node, gave it:
-    ``max_depth``, fewer than ``min_samples_split`` rows or a constant
-    residual make a leaf; a split sends a row left when its feature is
-    ``<= thr`` and hands each child the compress of its node's order under
-    that predicate. A level keeps its nodes side by side in ``lines``: for
-    each node, its order of every feature and, in the last line, its rows
-    ascending. The K roots share one copy. One compress per level splits all
-    of its nodes at once, and the next level holds the left children, then
-    the right ones.
+    ``max_depth`` or a constant residual (a single row's too) makes a leaf;
+    a split sends a row left when its feature is ``<= thr`` and hands each
+    child the compress of its node's order under that predicate. A level
+    keeps its nodes side by side in ``lines``: for each node, its order of
+    every feature and, in the last line, its rows ascending. The K roots
+    share one copy. One compress per level splits all of its nodes at once,
+    and the next level holds the left children, then the right ones.
     """
     n = XT.shape[1]
     k = residual.shape[1]
@@ -197,16 +192,13 @@ def _grow_stage(XT, rows, order, residual, max_depth, min_samples_split):
     tree, size = np.arange(k), np.full(k, rows.shape[0])
     start = np.zeros(k, dtype=np.int64)
     levels = []
-    for depth in range(max_depth + 1):
-        may = (size >= min_samples_split) & (depth < max_depth)
+    for depth in range(max_depth):
         if depth:
-            start = np.cumsum(size) - size
             node = np.repeat(np.arange(size.shape[0]), size)  # each column's node
             gain, feature, threshold = _scan_level(
-                lines, tree, size, start, node, may, x_flat, res_flat, n)
+                lines, tree, size, start, node, x_flat, res_flat, n)
         else:
-            gain, feature, threshold = _scan_roots(lines, size, may, x_flat,
-                                                   res_flat, n)
+            gain, feature, threshold = _scan_roots(lines, size, x_flat, res_flat, n)
         split = np.flatnonzero(gain > -np.inf)
         levels.append((tree, size, start, lines[-1], split, feature[split],
                        threshold[split], gain[split]))
@@ -226,45 +218,47 @@ def _grow_stage(XT, rows, order, residual, max_depth, min_samples_split):
                                 lines[~goes].reshape(lines.shape[0], -1)], axis=1)
         size = np.concatenate([n_left, size[split] - n_left])
         tree = np.concatenate([tree[split], tree[split]])
+        start = np.cumsum(size) - size
+    else:  # the nodes at max_depth are leaves
+        none = np.zeros(0, dtype=np.int64)
+        levels.append((tree, size, start, lines[-1], none, none, none, none))
     return _stage_trees(levels, res_flat, n, k)
 
 
-def _scan_roots(lines, size, may, x_flat, res_flat, n):
+def _scan_roots(lines, size, x_flat, res_flat, n):
     """The best split (gain, feature, threshold) of each of the K roots of a
     stage, which share their rows and ``lines`` (see ``_grow_stage``): one
-    gather of the sorted features, one of each tree's residuals and one
-    ``_scan_block``. A gain of -inf where ``may`` is false, the residual is
-    constant or no split exists."""
+    gather of each tree's residuals, one of the sorted features and one
+    ``_scan_block``. A gain of -inf where the residual is constant or no
+    split exists."""
     k = size.shape[0]
-    if not may.any():
+    rl = res_flat[lines[:-1] + (np.arange(k) * n)[:, None, None]]
+    constant = np.all(rl[:, 0] == rl[:, :1, 0], axis=1)
+    if constant.all():
         return np.full(k, -np.inf), np.zeros(k, dtype=np.int64), np.zeros(k)
     n_features = lines.shape[0] - 1
     xl = x_flat[lines[:-1] + (np.arange(n_features) * n)[:, None]]
-    rl = res_flat[lines[:-1] + (np.arange(k) * n)[:, None, None]]
     gain, feature, threshold = _scan_block(xl[None], rl, size)
-    gain[~may | np.all(rl[:, 0] == rl[:, :1, 0], axis=1)] = -np.inf
+    gain[constant] = -np.inf
     return gain, feature, threshold
 
 
-def _scan_level(lines, tree, size, start, node, may, x_flat, res_flat, n):
+def _scan_level(lines, tree, size, start, node, x_flat, res_flat, n):
     """The best split (gain, feature, threshold) of each node of a level
-    below the roots (see ``_grow_stage``), a gain of -inf where ``may`` is
-    false, the residual is constant or no split exists. Nodes of at most
-    ``_BLOCK_ROWS`` rows are scanned in padded blocks of similar size; a
-    larger node, or one alone in its size, is scanned on its own columns.
-    Every block is one ``_scan_block``."""
+    below the roots (see ``_grow_stage``), a gain of -inf where the residual
+    is constant or no split exists. Nodes of at most ``_BLOCK_ROWS`` rows
+    are scanned in padded blocks of similar size; a larger node, or one
+    alone in its size, is scanned on its own columns. Every block is one
+    ``_scan_block``."""
     count = size.shape[0]
     gain = np.full(count, -np.inf)
     feature, threshold = np.zeros(count, dtype=np.int64), np.zeros(count)
-    if not may.any():
-        return gain, feature, threshold
     # every line's feature values and residuals, for all nodes at once
     n_features, width = lines.shape[0] - 1, lines.shape[1]
     xl = x_flat[lines[:-1] + (np.arange(n_features) * n)[:, None]]
     rl = res_flat[lines[:-1] + (tree * n)[node]]
     first = rl[0, np.minimum(start, width - 1)]
-    scan = may & (np.bincount(node, weights=rl[0] != first[node],
-                              minlength=count) > 0)
+    scan = np.bincount(node, weights=rl[0] != first[node], minlength=count) > 0
     block = np.where(size <= _BLOCK_ROWS, np.searchsorted(_BLOCK_SIZES, size),
                      _BLOCK_SIZES.shape[0] + np.arange(count))
     for b in np.unique(block[scan]).tolist():
@@ -364,8 +358,7 @@ def gbc_fit(X, y, cfg: GbcConfig = GbcConfig()):
             stage_order = order[drawn[order]].reshape(order.shape[0], -1)
         else:
             rows, stage_order = np.arange(n), order
-        stage, step = _grow_stage(XT, rows, stage_order, residual,
-                                  cfg.max_depth, cfg.min_samples_split)
+        stage, step = _grow_stage(XT, rows, stage_order, residual, cfg.max_depth)
         stages.append(stage)
         if n_sub < n:  # a row the stage left out moves by the leaf it reaches
             rest = np.flatnonzero(~drawn)
@@ -386,7 +379,7 @@ def gbc_fit(X, y, cfg: GbcConfig = GbcConfig()):
             "max_depth": cfg.max_depth,
             "learning_rate": cfg.learning_rate,
             "subsample": cfg.subsample,
-            "min_samples_split": cfg.min_samples_split,
+            "min_samples_split": 2,  # a node of two rows or more may split
         },
         n_features=X.shape[1],
         metadata={

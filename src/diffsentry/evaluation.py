@@ -33,11 +33,10 @@ class ConfusionCounts:
         return cls(per_class=table)
 
     @classmethod
-    def binary(cls, tp: int, fn: int, tn: int, fp: int,
-               positive="positive", negative="negative") -> "ConfusionCounts":
+    def binary(cls, tp: int, fn: int, tn: int, fp: int) -> "ConfusionCounts":
         return cls(per_class={
-            positive: {"tp": tp, "fn": fn, "fp": fp, "tn": tn},
-            negative: {"tp": tn, "fn": fp, "fp": fn, "tn": tp},
+            "positive": {"tp": tp, "fn": fn, "fp": fp, "tn": tn},
+            "negative": {"tp": tn, "fn": fp, "fp": fn, "tn": tp},
         })
 
 

@@ -42,7 +42,7 @@ from .evaluation import (
 )
 from .features import (Task, extract, extract_many, extract_tasks, schema_hash,
                        task_window_len)
-from .resampling import ResamplePlan, apply_plan
+from .resampling import K_NEIGHBORS, ResamplePlan, apply_plan
 from .sampling import (
     DisturbanceType,
     EventKind,
@@ -120,6 +120,11 @@ def _task_targets(label: EventLabel) -> dict:
     }
 
 
+def _verdict(label) -> str:
+    """The verdict on a DetectFault label: Trip on a fault, else Restrain."""
+    return "Trip" if label == FAULT_CLASS else "Restrain"
+
+
 def _ask(model: PipelineModel, task: Task, windows: list) -> list:
     """(label, {class: probability}) from the task's slot on each window,
     featurized and predicted in one call. One window goes through
@@ -180,7 +185,7 @@ def _decide_events(events: list, model: PipelineModel,
     for i, (label, probs) in zip(hit, detected):
         decisions[i] = PipelineDecision(
             detected=True,
-            verdict="Trip" if label == FAULT_CLASS else "Restrain",
+            verdict=_verdict(label),
             stage_probabilities={"detect": probs},
             trigger_index=events[i].trigger_index,
             trigger_phase=events[i].trigger_phase,
@@ -233,7 +238,7 @@ class StreamingClassifier:
                                     [event.detect_window])
             return [{
                 "stage": "verdict",
-                "verdict": "Trip" if label == FAULT_CLASS else "Restrain",
+                "verdict": _verdict(label),
                 "trigger_index": event.trigger_index,
                 "emitted_at_sample": emitted_at,
                 "probabilities": probs,
@@ -378,16 +383,15 @@ _STACKS = (
 def _windows_by_task(records):
     """Run detection once over corpus records and build per-task datasets:
     each task's rows in record order, with the index of the record each
-    came from. A window goes once into the stack of its kind, which is
-    featurized in one batch for all the stack's tasks; a task keeps the rows
-    of its own records (an Identify task its unit's faults)."""
+    came from; a record that does not trigger has no row. A window goes
+    once into the stack of its kind, which is featurized in one batch for
+    all the stack's tasks; a task keeps the rows of its own records (an
+    Identify task its unit's faults)."""
     stacks = {tasks: [] for tasks in _STACKS}
     data = {task: {"y": [], "files": [], "record": [], "row": []} for task in Task}
-    undetected = []
     for rec, (row, wave) in enumerate(records):
         event = detect(wave)
         if not event.triggered:
-            undetected.append(row["file"])
             continue
         # views of the record's samples, which the caller holds anyway, so
         # collecting every window costs no copy before the stacks
@@ -410,7 +414,7 @@ def _windows_by_task(records):
         for task, (values, _) in extract_tasks(stack, tasks).items():
             rows = np.asarray(data[task].pop("row"), dtype=np.intp)
             data[task]["X"] = values[rows]
-    return data, undetected
+    return data
 
 
 def _split_rows(data, keep: np.ndarray) -> dict:
@@ -439,7 +443,7 @@ def train_pipeline(corpus_dir, manifest, config: TrainConfig) -> PipelineModel:
         "/".join(_task_targets(wave.label).values()) for _, wave in records
     ])
     train_idx, _ = train_test_split(labels, 0.2, config.seed)
-    data, _ = _windows_by_task(records)
+    data = _windows_by_task(records)
     in_train = np.zeros(len(records), dtype=bool)
     in_train[train_idx] = True
     train_data = _split_rows(data, in_train)
@@ -485,8 +489,8 @@ def train_pipeline(corpus_dir, manifest, config: TrainConfig) -> PipelineModel:
             "resample": (
                 {
                     "strategy": config.resample.strategy.value,
-                    "k_neighbors": config.resample.k_neighbors,
-                    "target_per_class": config.resample.target_per_class,
+                    "k_neighbors": K_NEIGHBORS,
+                    "target_per_class": None,  # the median class count
                 }
                 if config.resample
                 else None
@@ -520,9 +524,12 @@ def _holdout_metrics(slots: dict, hold_data: dict) -> dict:
     return out
 
 
+#: the noise study's detect-stage fit
+NOISE_STUDY_GBC = GbcConfig(n_estimators=100)
+
+
 def detect_noise_study(records, train_files, snr_list, seed,
-                       repeats: int = 3,
-                       gbc: GbcConfig = GbcConfig(n_estimators=100)) -> list[dict]:
+                       repeats: int = 3) -> list[dict]:
     """Fault-detection accuracy per SNR with noise-matched training.
 
     One detect-stage model is trained on noise-augmented training windows
@@ -568,7 +575,7 @@ def detect_noise_study(records, train_files, snr_list, seed,
             hold.append((i, wave, truth))
 
     x_train, y_train = detect_rows(train, len(train))
-    model = gbc_fit(x_train, np.asarray(y_train), gbc)
+    model = gbc_fit(x_train, np.asarray(y_train), NOISE_STUDY_GBC)
 
     clean = None  # (rows, truths) of every holdout record's clean window
     rows_out = []

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -21,17 +20,14 @@ class Strategy(enum.Enum):
     COMBINED = "Combined"
 
 
+#: SMOTE moves each synthetic row toward one of this many nearest minority
+#: rows (all but the row itself, in a smaller class)
+K_NEIGHBORS = 5
+
+
 @dataclass(frozen=True)
 class ResamplePlan:
     strategy: Strategy = Strategy.COMBINED
-    k_neighbors: int = 5
-    target_per_class: Optional[int] = None   # None: median class count
-
-    def __post_init__(self):
-        if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be >= 1")
-        if self.target_per_class is not None and self.target_per_class < 1:
-            raise ValueError("target_per_class must be >= 1")
 
 
 def _zscore_params(X: np.ndarray):
@@ -74,10 +70,9 @@ def smote(X_minority, k: int, n_synthetic: int, seed: int) -> np.ndarray:
     return out
 
 
-def nearmiss(X_majority, X_minority, n_keep: int,
-             n_minority_neighbors: int = 3) -> np.ndarray:
+def nearmiss(X_majority, X_minority, n_keep: int) -> np.ndarray:
     """NearMiss-1: keep the majority rows with the smallest mean distance to
-    their nearest minority rows; ties broken by lower index. Returns kept
+    their three nearest minority rows; ties broken by lower index. Returns kept
     indices in ascending order of (mean distance, index)."""
     X_maj = np.asarray(X_majority, dtype=np.float64)
     X_min = np.asarray(X_minority, dtype=np.float64)
@@ -91,7 +86,7 @@ def nearmiss(X_majority, X_minority, n_keep: int,
     zm = (X_maj - mean) / std
     zn = (X_min - mean) / std
     d = np.sqrt(np.sum((zm[:, None, :] - zn[None, :, :]) ** 2, axis=2))
-    m = min(n_minority_neighbors, X_min.shape[0])
+    m = min(3, X_min.shape[0])
     nearest = np.sort(d, axis=1)[:, :m]
     score = nearest.mean(axis=1)
     order = np.lexsort((np.arange(len(score)), score))
@@ -99,7 +94,7 @@ def nearmiss(X_majority, X_minority, n_keep: int,
 
 
 def apply_plan(X, y, plan: ResamplePlan, seed: int):
-    """Resample (X, y) toward the plan's per-class target.
+    """Resample (X, y) toward a per-class target, the median class count.
 
     Combined plans hit the target exactly: classes above it are NearMiss-1
     undersampled against the pooled other classes, classes below it are
@@ -108,10 +103,7 @@ def apply_plan(X, y, plan: ResamplePlan, seed: int):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     classes, counts = np.unique(y, return_counts=True)
-    if plan.target_per_class is not None:
-        target = plan.target_per_class
-    else:
-        target = int(np.median(counts))
+    target = int(np.median(counts))
 
     keep_x, keep_y = [], []
     for cls_idx, cls in enumerate(classes):
@@ -125,7 +117,7 @@ def apply_plan(X, y, plan: ResamplePlan, seed: int):
             kept = nearmiss(rows, others, target)
             rows = rows[kept]
         elif n < target and over:
-            k = min(plan.k_neighbors, n - 1)
+            k = min(K_NEIGHBORS, n - 1)
             if k >= 1:
                 extra = smote(rows, k, target - n, seed=seed + cls_idx)
                 rows = np.vstack([rows, extra])

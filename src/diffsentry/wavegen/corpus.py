@@ -107,8 +107,7 @@ def build_case(class_name: str, params: dict, spec: SamplingSpec,
     )
 
 
-def generate_corpus(plan: CorpusPlan, seed: int, out_dir,
-                    spec: SamplingSpec = SamplingSpec()) -> list[dict]:
+def generate_corpus(plan: CorpusPlan, seed: int, out_dir) -> list[dict]:
     """Write waveform CSVs and `manifest.json` under ``out_dir``.
 
     Returns the manifest rows (sorted by file name). Identical plan + seed
@@ -117,6 +116,7 @@ def generate_corpus(plan: CorpusPlan, seed: int, out_dir,
     cases = enumerate_plan(plan, seed)
     if not cases:
         raise PlanEmpty("corpus plan enumerates no cases")
+    spec = SamplingSpec()
     wave_dir = os.path.join(out_dir, "waveforms")
     os.makedirs(wave_dir, exist_ok=True)
 

@@ -25,6 +25,9 @@ from .faults import SHIFTS, _phase_offsets, _tap_drive
 _FLUX_KNEE = 1.2
 _L_UNSAT = 33.0
 _L_SAT = _L_UNSAT / 100.0
+# the CT core's flux limit, and the share of current it passes saturated
+_CT_FLUX_LIMIT = 0.55
+_CT_RESIDUAL_GAIN = 0.05
 
 # the settings the paper's cases sweep; reference_plan draws its grids here
 TAPS = (0.2, 0.4, 0.6, 0.8, 1.0)
@@ -60,19 +63,16 @@ PARAMETERS = {
 }
 
 
-def saturation_current(flux, knee: float = _FLUX_KNEE,
-                       l_unsat: float = _L_UNSAT, l_sat: float = _L_SAT):
+def saturation_current(flux):
     """Two-slope B-H magnetizing current for a flux trajectory (per-unit)."""
     flux = np.asarray(flux, dtype=np.float64)
     mag = np.abs(flux)
-    lin = mag / l_unsat
-    sat = knee / l_unsat + (mag - knee) / l_sat
-    return np.sign(flux) * np.where(mag <= knee, lin, sat)
+    lin = mag / _L_UNSAT
+    sat = _FLUX_KNEE / _L_UNSAT + (mag - _FLUX_KNEE) / _L_SAT
+    return np.sign(flux) * np.where(mag <= _FLUX_KNEE, lin, sat)
 
 
-def ct_saturating_clipper(current: np.ndarray, spc: int,
-                          flux_limit: float = 0.55,
-                          residual_gain: float = 0.05) -> np.ndarray:
+def ct_saturating_clipper(current: np.ndarray, spc: int) -> np.ndarray:
     """Flux-limited integrator CT model: faithful until the core flux limit,
     then collapsed transmission until the flux integrates back down."""
     out = np.empty_like(current)
@@ -80,12 +80,12 @@ def ct_saturating_clipper(current: np.ndarray, spc: int,
     step = 1.0 / spc
     for n, i_in in enumerate(current):
         trial = lam + step * i_in
-        if abs(trial) <= flux_limit:
+        if abs(trial) <= _CT_FLUX_LIMIT:
             out[n] = i_in
             lam = trial
         else:
-            out[n] = i_in * residual_gain
-            lam = math.copysign(flux_limit, trial)
+            out[n] = i_in * _CT_RESIDUAL_GAIN
+            lam = math.copysign(_CT_FLUX_LIMIT, trial)
     return out
 
 

@@ -56,9 +56,9 @@ def test_empty_counts_rejected():
 
 def test_reference_localization_recall():
     # 7287 true positives and no misses for one unit: recall exactly 1
-    counts = ConfusionCounts.binary(tp=7287, fn=0, tn=10339, fp=32,
-                                    positive="PT", negative="rest")
-    assert counts.per_class["PT"] == {"tp": 7287, "fn": 0, "fp": 32, "tn": 10339}
+    counts = ConfusionCounts.binary(tp=7287, fn=0, tn=10339, fp=32)
+    assert counts.per_class["positive"] == {"tp": 7287, "fn": 0, "fp": 32,
+                                            "tn": 10339}
     # mean of the unit's recall (exactly 1) and the rest's (10339 / 10371)
     assert balanced_accuracy(counts) == pytest.approx((1.0 + 10339 / 10371) / 2)
 

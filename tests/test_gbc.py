@@ -239,11 +239,14 @@ def test_first_stages_equals_the_shorter_fit(subsample):
     assert _model_bytes(full) == _model_bytes(gbc_fit(X, y, cfg))  # untouched
 
 
-@pytest.mark.parametrize("value", [1, 0, -3])
-def test_min_samples_split_below_two_rejected(value):
-    # below 2 an empty child would be asked for its first target
-    with pytest.raises(ValueError, match="min_samples_split"):
-        GbcConfig(n_estimators=2, max_depth=3, min_samples_split=value)
+def test_a_single_row_is_a_leaf_and_the_model_file_keeps_the_split_rule():
+    # a node of two rows or more may split; a stage drawn on one row grows
+    # only leaves, and the model file still records the rule
+    X, y = _blobs(2, 2, seed=3)
+    model = gbc_fit(X, y, GbcConfig(n_estimators=3, max_depth=2,
+                                    subsample=0.4, seed=1))
+    assert model.config["min_samples_split"] == 2
+    assert np.all(model.packed.feature == -1)
 
 
 @pytest.mark.parametrize("value", [None, 3.0])
@@ -252,12 +255,6 @@ def test_max_depth_must_be_an_integer(value):
     # adjacent-float split could otherwise repeat without end
     with pytest.raises(TypeError, match="max_depth"):
         GbcConfig(max_depth=value)
-
-
-@pytest.mark.parametrize("value", [2.0, "2", True, None])
-def test_min_samples_split_must_be_an_integer(value):
-    with pytest.raises(TypeError, match="min_samples_split"):
-        GbcConfig(min_samples_split=value)
 
 
 @pytest.mark.parametrize("value, error", [

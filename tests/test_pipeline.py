@@ -531,9 +531,10 @@ def _noise_study_per_repeat(records, train_files, snr_list, seed, repeats,
     return out
 
 
-def test_noise_study_equals_one_pass_per_repeat(small_corpus):
+def test_noise_study_equals_one_pass_per_repeat(small_corpus, monkeypatch):
     import math
 
+    from diffsentry import pipeline
     from diffsentry.ensembles import GbcConfig
     from diffsentry.pipeline import detect_noise_study, load_corpus_waveforms
 
@@ -544,8 +545,8 @@ def test_noise_study_equals_one_pass_per_repeat(small_corpus):
     train_files = [row["file"] for row, _ in records[1::3] + records[2::3]]
     snr_list = [math.inf, 30.0, 10.0]
     gbc = GbcConfig(n_estimators=8)
-    got = detect_noise_study(records, train_files, snr_list, seed=3,
-                             repeats=3, gbc=gbc)
+    monkeypatch.setattr(pipeline, "NOISE_STUDY_GBC", gbc)
+    got = detect_noise_study(records, train_files, snr_list, seed=3, repeats=3)
     want = _noise_study_per_repeat(records, set(train_files), snr_list,
                                    seed=3, repeats=3, gbc=gbc)
     assert got == want
@@ -636,8 +637,8 @@ def test_noise_study_seeds_never_collide(small_corpus, monkeypatch):
 
     monkeypatch.setattr(pipeline, "gbc_fit", fit_then_hold)
     monkeypatch.setattr(noise, "add_noise", record_seed)
-    pipeline.detect_noise_study(records, train_files, [10.0], seed=0,
-                                repeats=2, gbc=GbcConfig(n_estimators=1))
+    monkeypatch.setattr(pipeline, "NOISE_STUDY_GBC", GbcConfig(n_estimators=1))
+    pipeline.detect_noise_study(records, train_files, [10.0], seed=0, repeats=2)
     assert len(seeds["train"]) == 792 and len(seeds["hold"]) == 2 * 396
     assert not set(seeds["train"]) & set(seeds["hold"])
 
@@ -652,7 +653,7 @@ def test_windows_by_task_equals_a_per_window_oracle(small_corpus):
 
     corpus_dir, manifest = small_corpus
     records = load_corpus_waveforms(corpus_dir, manifest)
-    data, undetected = _windows_by_task(records)
+    data = _windows_by_task(records)
     want = {task: {"X": [], "y": [], "files": []} for task in Task}
     missed = []
     for row, wave in records:
@@ -666,7 +667,10 @@ def test_windows_by_task_equals_a_per_window_oracle(small_corpus):
             want[task]["X"].append(extract(window, task).values)
             want[task]["y"].append(cls)
             want[task]["files"].append(row["file"])
-    assert undetected == missed
+    # an undetected record has no row in any task
+    rowed = set().union(*(data[task]["record"] for task in Task))
+    assert [row["file"] for i, (row, _) in enumerate(records)
+            if i not in rowed] == missed
     for task in Task:
         assert data[task]["X"].tobytes() == np.vstack(want[task]["X"]).tobytes()
         assert data[task]["y"] == want[task]["y"]

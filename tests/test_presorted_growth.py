@@ -1,13 +1,12 @@
-"""Tree growth from one presort against the per-node sorts it replaced.
+"""Tree growth against the per-node-sort grower it replaced.
 
-A fit sorts each column of its matrix once. ``cart.grow_tree`` hands every
-node of a CART tree its rows' order in each sorted column; ``gbc._grow_stage``
+A boosting fit sorts each column of its matrix once, and ``gbc._grow_stage``
 grows the K trees of a boosting stage together, level by level, and scans
-small nodes in padded blocks. The oracle below is the earlier grower, which
-grew one tree at a time node by node, took each node's own matrix and target,
-let the scanner argsort every column of it again and gave each leaf its own
-Newton value. Every fit must give the same model file, byte for byte, and
-sort exactly once.
+small nodes in padded blocks; ``cart.grow_tree`` sorts each node's rows
+itself. The oracle below is the earlier grower, which grew one tree at a
+time node by node, took each node's own matrix and target, let the scanner
+argsort every column of it again and gave each leaf its own Newton value. Every fit must give the same model file, byte for
+byte, and a boosting fit must sort exactly once.
 """
 
 import json
@@ -102,9 +101,9 @@ def _grow_tree(X, target, scan, leaf, max_depth, min_samples_split, nodes,
 
 
 def _oracle_grower(ran):
-    """A stand-in for ``cart.grow_tree`` that ignores the presorted order and
-    grows the node matrix ``X[rows]`` the old way."""
-    def grow(X, rows, order, y_codes, k, max_depth, min_samples_split, nodes):
+    """A stand-in for ``cart.grow_tree`` that grows the node matrix
+    ``X[rows]`` the old way."""
+    def grow(X, rows, y_codes, k, max_depth, min_samples_split, nodes):
         ran.append(rows.shape[0])
         return _grow_tree(X[rows], y_codes[rows],
                           lambda X_, t: _scan_impurity(X_, t, k),
@@ -117,14 +116,14 @@ def _oracle_stage(ran):
     """A stand-in for ``gbc._grow_stage`` that grows each class's tree of the
     stage alone, the old way, on the node matrix ``X[rows]``, and walks the
     stage's rows down the trees for their leaf values."""
-    def grow(XT, rows, order, residual, max_depth, min_samples_split):
+    def grow(XT, rows, order, residual, max_depth):
         ran.append(rows.shape[0])
         X, k = XT.T[rows], residual.shape[1]
         nodes, offsets = node_lists(), [0]
         for c in range(k):
+            # a boosting node of two rows or more may split
             _grow_tree(X, residual[rows, c], _scan_sse,
-                       lambda t: [_newton_leaf(t, k)], max_depth,
-                       min_samples_split, nodes)
+                       lambda t: [_newton_leaf(t, k)], max_depth, 2, nodes)
             offsets.append(len(nodes["feature"]))
         stage = PackedTrees.from_nodes(nodes, offsets, 1)
         step = np.zeros((k, XT.shape[1]))
@@ -189,10 +188,9 @@ def fits(draw):
 @settings(max_examples=150, deadline=None)
 @given(fit=fits())
 def test_gbc_fit_equals_the_per_node_sort_grower(fit):
-    X, y, max_depth, min_split, subsample, seed = fit
+    X, y, max_depth, _, subsample, seed = fit
     got, want = _gbc_both(X, y, GbcConfig(
-        n_estimators=3, max_depth=max_depth, subsample=subsample,
-        min_samples_split=min_split, seed=seed))
+        n_estimators=3, max_depth=max_depth, subsample=subsample, seed=seed))
     assert got == want
 
 
@@ -230,7 +228,7 @@ def test_thirteen_classes_in_an_identify_slot_shape(subsample):
     assert got == want
 
 
-# -- one sort per fit ----------------------------------------------------------
+# -- one sort per boosting fit -------------------------------------------------
 
 def _argsort_calls(fit, *args):
     calls = []
@@ -256,14 +254,6 @@ def test_gbc_fit_sorts_once(subsample):
     # the matrix once; besides it, each stage orders its leaves by size
     assert calls[0] == X.shape
     assert len(calls) == 6 and all(len(c) == 1 for c in calls[1:])
-
-
-def test_cart_fit_sorts_once():
-    rng = np.random.default_rng(9)
-    X = np.round(rng.normal(size=(80, 5)), 1)
-    y = rng.integers(0, 4, size=80)
-    calls = _argsort_calls(cart.cart_fit, X, y, CartConfig(max_depth=4))
-    assert calls == [X.shape]
 
 
 # -- Newton leaves, a group of equal-size leaves at a time ----------------------

@@ -147,8 +147,8 @@ def test_combined_plan_hits_exact_targets():
         rng.normal(loc=-3, size=(30, 4)),
     ])
     y = np.array([0] * 50 + [1] * 12 + [2] * 30)
-    plan = ResamplePlan(strategy=Strategy.COMBINED, k_neighbors=5,
-                        target_per_class=30)
+    # the median class count, 30, is the target
+    plan = ResamplePlan(strategy=Strategy.COMBINED)
     X2, y2 = apply_plan(X, y, plan, seed=1)
     classes, counts = np.unique(y2, return_counts=True)
     assert np.array_equal(classes, [0, 1, 2])
@@ -157,9 +157,12 @@ def test_combined_plan_hits_exact_targets():
 
 def test_smote_only_plan_never_undersamples():
     rng = np.random.default_rng(33)
-    X = np.vstack([rng.normal(size=(40, 2)), rng.normal(loc=4, size=(10, 2))])
-    y = np.array([0] * 40 + [1] * 10)
-    plan = ResamplePlan(strategy=Strategy.SMOTE_ONLY, target_per_class=40)
+    X = np.vstack([rng.normal(size=(60, 2)), rng.normal(loc=4, size=(40, 2)),
+                   rng.normal(loc=-4, size=(10, 2))])
+    y = np.array([0] * 60 + [1] * 40 + [2] * 10)
+    # the median class count, 40, is the target: class 0 keeps its 60 rows
+    plan = ResamplePlan(strategy=Strategy.SMOTE_ONLY)
     X2, y2 = apply_plan(X, y, plan, seed=0)
     _, counts = np.unique(y2, return_counts=True)
-    assert np.array_equal(counts, [40, 40])
+    assert np.array_equal(counts, [60, 40, 40])
+    assert np.array_equal(X2[:100], X[:100])

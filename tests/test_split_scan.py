@@ -255,11 +255,10 @@ def test_grower_scans_once_per_split_node():
     nodes = node_lists()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cart, "_scan_impurity", scan)
-        grow_tree(X, np.arange(60), np.argsort(X, axis=0, kind="stable"), y, 3,
-                  None, 2, nodes)
+        grow_tree(X, np.arange(60), y, 3, None, 2, nodes)
     assert len(calls) == sum(f >= 0 for f in nodes["feature"]) > 0
     assert all(xs.shape[1] == 4 for xs in calls)
-    # the grower sorts nothing itself: each scan gets its columns ascending
+    # the scanner sorts nothing itself: each scan gets its columns ascending
     assert all(np.all(xs[:-1] <= xs[1:]) for xs in calls)
 
 
