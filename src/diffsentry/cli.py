@@ -8,6 +8,7 @@ and configuration hash so outputs can be reproduced and audited.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import json
@@ -33,11 +34,10 @@ from .pipeline import (
     save_pipeline,
     train_pipeline,
 )
-from .resampling import ResamplePlan, Strategy
+from .resampling import Strategy
 from .sampling import read_waveform_csv
 from .wavegen.corpus import generate_corpus, load_manifest, reference_plan
 from .ensembles import GBC_GRID_FULL, GBC_GRID_SMALL
-from .ensembles.model import predict
 
 _DEFAULT_THRESHOLDS = {
     "DetectFault": 0.95,
@@ -157,20 +157,18 @@ def cmd_generate(args) -> int:
     except Exception:
         cleanup.discard()
         raise
-    counts = plan.class_counts()
+    counts = collections.Counter(row["disturbance_type"] or row["kind"]
+                                 for row in manifest)
     print(f"corpus written to {args.out} ({len(manifest)} waveforms)")
     print(f"{'class':<28}{'cases':>8}")
     for name in sorted(counts):
-        if counts[name]:
-            print(f"{name:<28}{counts[name]:>8}")
+        print(f"{name:<28}{counts[name]:>8}")
     return 0
 
 
 def cmd_train(args) -> int:
     if args.cv < 2:
         raise DiffsentryError(f"--cv must be at least 2 folds, not {args.cv}")
-    strategy = _RESAMPLE_CHOICES[args.resample]
-    plan = ResamplePlan(strategy=strategy) if strategy else None
     grid = dict(GBC_GRID_FULL if args.grid == "paper" else GBC_GRID_SMALL)
     # the values are TrainConfig's to check
     grid.update(_config_section(
@@ -178,7 +176,7 @@ def cmd_train(args) -> int:
         lambda _: True, "value lists"))
     try:
         config = TrainConfig(grid=grid, cv_k=args.cv, seed=args.seed,
-                             resample=plan)
+                             resample=_RESAMPLE_CHOICES[args.resample])
     except InvalidGrid as exc:
         raise IoFailure(f"config file {args.config}: 'grid': {exc}") from exc
     manifest = load_manifest(args.corpus)
@@ -338,8 +336,8 @@ def _measure_timing(records, model) -> dict:
         stages["feature_extraction"] = lambda: extract(
             event.detect_window, Task.DETECT_FAULT
         )
-        stages["predict_one"] = lambda: predict(
-            model.slots[Task.DETECT_FAULT], vec
+        stages["predict_one"] = lambda: model.slots[Task.DETECT_FAULT].predict(
+            vec.values, vec.schema
         )
         stages["predict_all"] = lambda: model.slots[
             Task.DETECT_FAULT
@@ -456,10 +454,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DiffsentryError as exc:
-        print(f"error [{args.command}]: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DiffsentryError, OSError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1
 

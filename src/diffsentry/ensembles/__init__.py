@@ -7,7 +7,7 @@ from .cart import (
     gini_impurity,
 )
 from .gbc import GBC_GRID_FULL, GBC_GRID_SMALL, GbcConfig, gbc_fit, multinomial_deviance, softmax
-from .model import TreeEnsembleModel, predict
+from .model import TreeEnsembleModel
 
 __all__ = [
     "CartConfig",
@@ -21,5 +21,4 @@ __all__ = [
     "GBC_GRID_SMALL",
     "GBC_GRID_FULL",
     "TreeEnsembleModel",
-    "predict",
 ]

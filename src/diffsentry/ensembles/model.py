@@ -79,33 +79,19 @@ class TreeEnsembleModel:
         # row of a batch the bits the same row gets on its own
         return softmax(np.ascontiguousarray(raw))
 
-    def predict_labels(self, X) -> list:
-        """The codebook label of each row's most probable class."""
-        return predict_many(self, X)[0]
-
-
-def predict_many(model: TreeEnsembleModel, X, schema: Optional[str] = None):
-    """(the codebook label of each row's most probable class, the
-    probability rows) for a feature matrix. ``schema`` is the hash of the
-    matrix's feature layout, checked against the model's; without it the
-    matrix is checked by width only."""
-    if schema is not None and model.schema_hash is not None \
-            and schema != model.schema_hash:
-        raise SchemaMismatch(
-            f"feature schema {schema} does not match model schema "
-            f"{model.schema_hash}"
-        )
-    probs = model.predict_proba(X)
-    return [model.codebook[int(c)] for c in np.argmax(probs, axis=1)], probs
-
-
-def predict(model: TreeEnsembleModel, features):
-    """(predicted label, probability vector) for one feature vector; a
-    ``FeatureVector`` carries its own schema hash."""
-    schema = getattr(features, "schema", None)
-    values = features.values if schema is not None else features
-    [label], [probs] = predict_many(model, values, schema)
-    return label, probs
+    def predict(self, X, schema: Optional[str] = None):
+        """(the codebook label of each row's most probable class, the
+        probability rows) for a feature matrix or one feature row.
+        ``schema`` is the hash of the rows' feature layout, checked against
+        the model's; without it the rows are checked by width only."""
+        if schema is not None and self.schema_hash is not None \
+                and schema != self.schema_hash:
+            raise SchemaMismatch(
+                f"feature schema {schema} does not match model schema "
+                f"{self.schema_hash}"
+            )
+        probs = self.predict_proba(X)
+        return [self.codebook[int(c)] for c in np.argmax(probs, axis=1)], probs
 
 
 def model_to_dict(model: TreeEnsembleModel) -> dict:

@@ -23,7 +23,7 @@ from .detector import (CLASSIFY_LEN, CYCLE, DETECT_LEN, THRESHOLD,
                        DetectionEvent, StreamingDetector, detect, event_windows)
 from .ensembles import GBC_GRID_SMALL, GbcConfig, gbc_fit
 from .ensembles.cart import _require_integers
-from .ensembles.model import model_from_dict, model_to_dict, predict_many
+from .ensembles.model import model_from_dict, model_to_dict
 from .errors import (
     ClassMissing,
     DiffsentryError,
@@ -42,7 +42,7 @@ from .evaluation import (
 )
 from .features import (Task, extract, extract_many, extract_tasks, schema_hash,
                        task_window_len)
-from .resampling import K_NEIGHBORS, ResamplePlan, apply_plan
+from .resampling import K_NEIGHBORS, Strategy, apply_plan
 from .sampling import (
     DisturbanceType,
     EventKind,
@@ -134,7 +134,7 @@ def _ask(model: PipelineModel, task: Task, windows: list) -> list:
     slot = model.slots[task]
     rows = (extract(windows[0], task).values[None, :] if len(windows) == 1
             else extract_many(np.stack(windows), task)[0])
-    labels, probs = predict_many(slot, rows, schema_hash(task))
+    labels, probs = slot.predict(rows, schema_hash(task))
     return [(label, {str(c): float(v) for c, v in zip(slot.codebook, p)})
             for label, p in zip(labels, probs)]
 
@@ -256,7 +256,7 @@ class TrainConfig:
     grid: dict = None
     cv_k: int = 3
     seed: int = 0
-    resample: Optional[ResamplePlan] = None
+    resample: Optional[Strategy] = None
 
     def __post_init__(self):
         # a bad config fails here, not after the corpus is read and featurized
@@ -336,7 +336,7 @@ def grid_search(X, y, config: TrainConfig) -> GridSearchResult:
             for i in members:
                 scored = model.first_stages(points[i]["n_estimators"])
                 counts = ConfusionCounts.from_predictions(
-                    y[test_idx], scored.predict_labels(X[test_idx]))
+                    y[test_idx], scored.predict(X[test_idx])[0])
                 scores[i].append(balanced_accuracy(counts))
     table = []
     best = None
@@ -382,14 +382,15 @@ _STACKS = (
 
 def _windows_by_task(records):
     """Run detection once over corpus records and build per-task datasets:
-    each task's rows in record order, with the index of the record each
-    came from; a record that does not trigger has no row. A window goes
-    once into the stack of its kind, which is featurized in one batch for
-    all the stack's tasks; a task keeps the rows of its own records (an
-    Identify task its unit's faults)."""
+    each task's rows ``X``, classes ``y`` and the index ``record`` of the
+    record each row came from, in record order; a record that does not
+    trigger has no row. A window goes once into the stack of its kind,
+    which is featurized in one batch for all the stack's tasks; a task
+    keeps the rows of its own records (an Identify task its unit's
+    faults)."""
     stacks = {tasks: [] for tasks in _STACKS}
-    data = {task: {"y": [], "files": [], "record": [], "row": []} for task in Task}
-    for rec, (row, wave) in enumerate(records):
+    data = {task: {"y": [], "record": [], "row": []} for task in Task}
+    for rec, (_, wave) in enumerate(records):
         event = detect(wave)
         if not event.triggered:
             continue
@@ -402,7 +403,6 @@ def _windows_by_task(records):
             mine = [task for task in tasks if task in targets]
             for task in mine:
                 data[task]["y"].append(targets[task])
-                data[task]["files"].append(row["file"])
                 data[task]["record"].append(rec)
                 data[task]["row"].append(len(stack))
             if mine:
@@ -412,21 +412,11 @@ def _windows_by_task(records):
         stack = (np.stack(stack) if stack
                  else np.empty((0, task_window_len(tasks[0]), 3)))
         for task, (values, _) in extract_tasks(stack, tasks).items():
-            rows = np.asarray(data[task].pop("row"), dtype=np.intp)
-            data[task]["X"] = values[rows]
+            d = data[task]
+            d["X"] = values[np.asarray(d.pop("row"), dtype=np.intp)]
+            d["y"] = np.asarray(d["y"])
+            d["record"] = np.asarray(d["record"], dtype=np.intp)
     return data
-
-
-def _split_rows(data, keep: np.ndarray) -> dict:
-    """Each task's rows whose record ``keep`` (a flag per record) marks,
-    in order."""
-    out = {}
-    for task, d in data.items():
-        picked = keep[np.asarray(d["record"], dtype=np.intp)]
-        out[task] = {"X": d["X"][picked],
-                     "y": [y for y, p in zip(d["y"], picked) if p],
-                     "files": [f for f, p in zip(d["files"], picked) if p]}
-    return out
 
 
 def train_pipeline(corpus_dir, manifest, config: TrainConfig) -> PipelineModel:
@@ -446,14 +436,14 @@ def train_pipeline(corpus_dir, manifest, config: TrainConfig) -> PipelineModel:
     data = _windows_by_task(records)
     in_train = np.zeros(len(records), dtype=bool)
     in_train[train_idx] = True
-    train_data = _split_rows(data, in_train)
-    hold_data = _split_rows(data, ~in_train)
+    train_rows = {task: in_train[d["record"]] for task, d in data.items()}
     # every detected record has a DetectFault row
-    detected = set(data[Task.DETECT_FAULT]["record"])
-    undetected = [records[i][0]["file"] for i in train_idx if i not in detected]
+    detected = data[Task.DETECT_FAULT]["record"]
+    undetected = [records[i][0]["file"] for i in set(train_idx) - set(detected)]
+    holdout = {records[i][0]["file"] for i in detected[~in_train[detected]]}
 
     for task in Task:
-        present = set(train_data[task]["y"])
+        present = set(data[task]["y"][train_rows[task]])
         missing = [c for c in _REQUIRED_CLASSES[task] if c not in present]
         if missing:
             raise ClassMissing(
@@ -466,8 +456,8 @@ def train_pipeline(corpus_dir, manifest, config: TrainConfig) -> PipelineModel:
     slots = {}
     cv_tables = {}
     for task in Task:
-        X = train_data[task]["X"]
-        y = np.asarray(train_data[task]["y"])
+        X = data[task]["X"][train_rows[task]]
+        y = data[task]["y"][train_rows[task]]
         if config.resample is not None:
             X, y = apply_plan(X, y, config.resample, config.seed)
         result = grid_search(X, y, config)
@@ -479,7 +469,9 @@ def train_pipeline(corpus_dir, manifest, config: TrainConfig) -> PipelineModel:
             "table": result.table,
         }
 
-    holdout_metrics = _holdout_metrics(slots, hold_data)
+    holdout_metrics = _holdout_metrics(
+        slots, {task: (d["X"][~train_rows[task]], d["y"][~train_rows[task]])
+                for task, d in data.items()})
     model = PipelineModel(
         slots=slots,
         metadata={
@@ -488,18 +480,16 @@ def train_pipeline(corpus_dir, manifest, config: TrainConfig) -> PipelineModel:
             "cv_k": config.cv_k,
             "resample": (
                 {
-                    "strategy": config.resample.strategy.value,
+                    "strategy": config.resample.value,
                     "k_neighbors": K_NEIGHBORS,
                     "target_per_class": None,  # the median class count
                 }
-                if config.resample
+                if config.resample is not None
                 else None
             ),
             "cv_tables": cv_tables,
             "holdout_metrics": holdout_metrics,
-            "holdout_files": sorted(
-                {f for task in Task for f in hold_data[task]["files"]}
-            ),
+            "holdout_files": sorted(holdout),
             "undetected_training_files": sorted(undetected),
         },
     )
@@ -507,14 +497,14 @@ def train_pipeline(corpus_dir, manifest, config: TrainConfig) -> PipelineModel:
 
 
 def _holdout_metrics(slots: dict, hold_data: dict) -> dict:
+    """Per task with holdout rows, the slot's accuracy and balanced
+    accuracy on them; ``hold_data`` maps each task to its (X, y)."""
     out = {}
     for task in Task:
-        ys = hold_data[task]["y"]
-        if not ys:
+        X, y = hold_data[task]
+        if not y.size:
             continue
-        X = hold_data[task]["X"]
-        y = np.asarray(ys)
-        counts = ConfusionCounts.from_predictions(y, slots[task].predict_labels(X))
+        counts = ConfusionCounts.from_predictions(y, slots[task].predict(X)[0])
         entry = {"n": int(y.shape[0]), "accuracy": accuracy(counts)}
         try:
             entry["balanced_accuracy"] = balanced_accuracy(counts)
@@ -592,7 +582,7 @@ def detect_noise_study(records, train_files, snr_list, seed,
                 [(wave, snr, hold_base + 100 * i + r, truth)
                  for i, wave, truth in hold for r in range(repeats)],
                 len(hold) * repeats)
-        y_pred = model.predict_labels(x_hold) if y_true else []
+        y_pred = model.predict(x_hold)[0] if y_true else []
         counts = ConfusionCounts.from_predictions(y_true, y_pred)
         fc = counts.per_class[FAULT_CLASS]
         dc = counts.per_class[DISTURBANCE_CLASS]

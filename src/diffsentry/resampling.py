@@ -7,7 +7,6 @@ resampled; synthetic points are interpolated in the original feature space.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +22,6 @@ class Strategy(enum.Enum):
 #: SMOTE moves each synthetic row toward one of this many nearest minority
 #: rows (all but the row itself, in a smaller class)
 K_NEIGHBORS = 5
-
-
-@dataclass(frozen=True)
-class ResamplePlan:
-    strategy: Strategy = Strategy.COMBINED
 
 
 def _zscore_params(X: np.ndarray):
@@ -93,12 +87,12 @@ def nearmiss(X_majority, X_minority, n_keep: int) -> np.ndarray:
     return np.sort(order[:n_keep])
 
 
-def apply_plan(X, y, plan: ResamplePlan, seed: int):
+def apply_plan(X, y, strategy: Strategy, seed: int):
     """Resample (X, y) toward a per-class target, the median class count.
 
-    Combined plans hit the target exactly: classes above it are NearMiss-1
-    undersampled against the pooled other classes, classes below it are
-    topped up with SMOTE rows.
+    The combined strategy hits the target exactly: classes above it are
+    NearMiss-1 undersampled against the pooled other classes, classes below
+    it are topped up with SMOTE rows.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -110,8 +104,8 @@ def apply_plan(X, y, plan: ResamplePlan, seed: int):
         mask = y == cls
         rows = X[mask]
         n = rows.shape[0]
-        under = plan.strategy in (Strategy.NEARMISS_ONLY, Strategy.COMBINED)
-        over = plan.strategy in (Strategy.SMOTE_ONLY, Strategy.COMBINED)
+        under = strategy in (Strategy.NEARMISS_ONLY, Strategy.COMBINED)
+        over = strategy in (Strategy.SMOTE_ONLY, Strategy.COMBINED)
         if n > target and under:
             others = X[~mask]
             kept = nearmiss(rows, others, target)

@@ -84,16 +84,6 @@ def _orbit_amplitude(sys: MeshSystem, a_d, b_d, theta_step: float, phasors) -> n
     return np.linalg.solve(lhs, rhs)
 
 
-def periodic_state(sys: MeshSystem, h: float, theta_step: float, phasors: np.ndarray) -> np.ndarray:
-    """State at n=0 of the exact periodic orbit of the trapezoidal recurrence.
-
-    ``phasors`` holds complex per-phase source amplitudes V such that
-    v_phase[n] = Re(V * exp(1j * theta_step * n)).
-    """
-    a_d, b_d = _step_matrices(sys, h)
-    return np.real(_orbit_amplitude(sys, a_d, b_d, theta_step, phasors))
-
-
 def _free_response(a_d: np.ndarray, offset: np.ndarray, n_steps: int) -> np.ndarray:
     """Rows A^k @ offset for k = 0..n_steps, through the eigenvectors of A."""
     lam, vecs = np.linalg.eig(a_d)
@@ -115,32 +105,33 @@ def run_piecewise(
     phasors: np.ndarray,
     theta_step: float,
     n_samples: int,
-    i0: np.ndarray,
 ) -> np.ndarray:
     """Mesh-state trajectory of a sequence of LTI segments over one 3-phase source.
 
-    ``segments`` is a list of (start_index, MeshSystem); each segment runs
-    until the next one begins, from the previous segment's final state with
-    its new fault meshes at zero. The source is v_phase[n] =
-    Re(phasors * exp(1j * theta_step * n)), as in ``periodic_state``.
+    ``segments`` is a list of (start_index, MeshSystem); the first starts
+    on its periodic orbit, and each later one runs from the previous
+    segment's final state with its new fault meshes at zero, until the next
+    one begins. ``phasors`` holds the complex per-phase source amplitudes V
+    of v_phase[n] = Re(V * exp(1j * theta_step * n)).
     Returns ``n_samples`` rows, padded with NaN for meshes that do not
     exist yet in earlier segments.
     """
     widths = [seg.size for _, seg in segments]
     out = np.full((n_samples, max(widths)), np.nan)
-    state = np.asarray(i0, dtype=np.float64)
     for k, (start, sys) in enumerate(segments):
         # solve up to the next segment's start sample; its dynamics take
         # over from there with the new meshes starting at zero current
         stop = segments[k + 1][0] if k + 1 < len(segments) else n_samples - 1
-        if k > 0:
-            grown = np.zeros(sys.size)
-            grown[: state.shape[0]] = state
-            state = grown
         a_d, b_d = _step_matrices(sys, h)
         amp = _orbit_amplitude(sys, a_d, b_d, theta_step, phasors)
         phase = np.exp(1j * theta_step * np.arange(start, stop + 1))
         orbit = np.real(phase[:, None] * amp[None, :])
+        if k == 0:
+            state = orbit[0]  # the first segment starts on its periodic orbit
+        else:
+            grown = np.zeros(sys.size)
+            grown[: state.shape[0]] = state
+            state = grown
         rows = orbit + _free_response(a_d, state - orbit[0], stop - start)
         rows[0] = state  # the carried state itself, not orbit + offset rounded
         out[start : stop + 1, : sys.size] = rows

@@ -62,13 +62,6 @@ class CorpusPlan:
     classes: tuple[ClassPlan, ...]
     duration_cycles: int = _DURATION_CYCLES
 
-    def class_counts(self) -> dict:
-        out = {}
-        for cp in self.classes:
-            total = len(cp.enumerate_cases())
-            out[cp.name] = min(total, cp.cap) if cp.cap is not None else total
-        return out
-
 
 def _case_seed(master_seed: int, class_idx: int, case_idx: int) -> int:
     # simple documented derivation; independent of generation order
@@ -91,8 +84,13 @@ def build_case(class_name: str, params: dict, spec: SamplingSpec,
         if unknown:
             raise ParameterOutOfRange(f"{class_name} takes no parameter "
                                       f"{unknown[0]!r}; it takes {', '.join(accepted)}")
-        p.update(unit=Unit(p["unit"]), fault_type=FaultType(p["fault_type"]))
-        fault = FaultSpec(**p)
+        try:
+            for name, kind in (("unit", Unit), ("fault_type", FaultType)):
+                if name in p:
+                    p[name] = kind(p[name])
+            fault = FaultSpec(**p)
+        except (TypeError, ValueError) as exc:
+            raise ParameterOutOfRange(f"{class_name}: {exc}") from exc
         return simulate_internal_fault(
             UNIT_PRESETS[fault.unit], fault, spec,
             duration_cycles=duration_cycles,

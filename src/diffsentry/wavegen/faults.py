@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import SingularMatrix
 from ..sampling import (PHASES, EventKind, EventLabel, FaultType, SamplingSpec,
                         Unit, Waveform)
-from .circuit import reduce_meshes, run_piecewise, periodic_state
+from .circuit import reduce_meshes, run_piecewise
 from .transformer import TwoWindingParams, build_two_winding_L
 
 #: Ratings used for the three protected units. Distinct impedances and
@@ -197,8 +197,6 @@ def simulate_internal_fault(
     phasors = amp * np.exp(1j * (offs - math.pi / 2.0))
 
     h = spec.dt
-    i0 = periodic_state(sys_pre, h, theta, phasors)
-
     open_fault = math.isinf(fault.resistance_ohm)
     if open_fault:
         segments = [(0, sys_pre)]
@@ -211,7 +209,7 @@ def simulate_internal_fault(
         segments = [(0, sys_pre), (inception_index, sys_post)]
 
     try:
-        traj = run_piecewise(segments, h, phasors, theta, n, i0)
+        traj = run_piecewise(segments, h, phasors, theta, n)
     except SingularMatrix as exc:
         raise SingularMatrix(
             f"{exc} [unit={fault.unit.value} fault={fault.fault_type.value} "

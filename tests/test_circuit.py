@@ -42,19 +42,26 @@ def magnetic_energy(L, i) -> float:
     return 0.5 * float(i @ (np.asarray(L) @ i))
 
 
+def _spd(rng, m, scale):
+    a = rng.standard_normal((m, m))
+    return scale * (a @ a.T + m * np.eye(m))
+
+
 def test_energy_conserved_without_dissipation():
-    # coupled inductors, zero resistance, zero source: stored energy
-    # 0.5 i^T L i must hold over a full simulated cycle
+    # a driven segment leaves the coupled inductors carrying current, then
+    # zero resistance and zero source: stored energy 0.5 i^T L i of the
+    # carried state must hold over a full simulated cycle
     p = TwoWindingParams(mva=500, v1=230, v2=230, fault1=30, fault2=60)
     L = build_two_winding_L(p).entries
-    R = np.zeros((4, 4))
-    i0 = np.array([0.8, -0.3, 0.5, 0.1])
-    h = 1e-4
-    sys = MeshSystem(L=L, R=R, source_cols=np.zeros((4, 3)))
-    states = run_piecewise([(0, sys)], h, np.zeros(3, dtype=complex),
-                           2 * np.pi * 60 * h, 168, i0)
-    e0 = magnetic_energy(L, states[0])
-    energies = [magnetic_energy(L, s) for s in states]
+    h, switch = 1e-4, 40
+    driven = MeshSystem(L=L, R=np.eye(4), source_cols=np.eye(4, 3))
+    free = MeshSystem(L=L, R=np.zeros((4, 4)), source_cols=np.zeros((4, 3)))
+    phasors = np.array([1.0, -0.5 + 0.8j, -0.5 - 0.8j])
+    states = run_piecewise([(0, driven), (switch, free)], h, phasors,
+                           2 * np.pi * 60 * h, switch + 168)
+    e0 = magnetic_energy(L, states[switch])
+    assert e0 > 0.0
+    energies = [magnetic_energy(L, s) for s in states[switch:]]
     assert max(abs(e - e0) for e in energies) <= 1e-6 * abs(e0)
 
 
@@ -62,37 +69,33 @@ def test_singular_matrix_reported():
     sys = MeshSystem(L=np.zeros((2, 2)), R=np.zeros((2, 2)),
                      source_cols=np.zeros((2, 3)))
     with pytest.raises(SingularMatrix):
-        run_piecewise([(0, sys)], 1e-4, np.zeros(3, dtype=complex), 0.1, 2,
-                      np.zeros(2))
+        run_piecewise([(0, sys)], 1e-4, np.zeros(3, dtype=complex), 0.1, 2)
 
 
 def test_piecewise_segments_carry_state_and_grow():
-    # one segment, then the same dynamics with an extra decoupled mesh:
-    # original coordinates must continue unchanged, new mesh starts at zero
-    L1 = np.eye(2) * 0.5
-    R1 = np.eye(2) * 0.1
-    sys1 = MeshSystem(L=L1, R=R1, source_cols=np.zeros((2, 3)))
-    L2 = np.eye(3) * 0.5
-    R2 = np.eye(3) * 0.1
-    sys2 = MeshSystem(L=L2, R=R2, source_cols=np.zeros((3, 3)))
-    v = np.zeros(3, dtype=complex)
-    i0 = np.array([1.0, -1.0])
-    traj = run_piecewise([(0, sys1), (10, sys2)], 1e-3, v, 0.1, 21, i0)
-    direct = run_piecewise([(0, sys1)], 1e-3, v, 0.1, 21, i0)
+    # one driven segment, then the same dynamics with an extra decoupled,
+    # undriven mesh: original coordinates must continue unchanged, new mesh
+    # starts at zero
+    sys1 = MeshSystem(L=np.eye(2) * 0.5, R=np.eye(2) * 0.1,
+                      source_cols=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    sys2 = MeshSystem(L=np.eye(3) * 0.5, R=np.eye(3) * 0.1,
+                      source_cols=np.vstack([sys1.source_cols, np.zeros(3)]))
+    v = np.array([1.0, 0.5j, 0.0])
+    traj = run_piecewise([(0, sys1), (10, sys2)], 1e-3, v, 0.1, 21)
+    direct = run_piecewise([(0, sys1)], 1e-3, v, 0.1, 21)
     # identical decoupled dynamics: the original coordinates never diverge
-    assert np.allclose(traj[:, :2], direct[:, :2], rtol=0, atol=1e-15)
+    peak = np.abs(direct).max()
+    assert peak > 0.0
+    assert np.allclose(traj[:, :2], direct[:, :2], rtol=0, atol=1e-12 * peak)
+    assert np.array_equal(traj[:11, :2], direct[:11, :2])
     assert traj[10, 2] == 0.0
     assert np.isnan(traj[5, 2])
 
 
-def _spd(rng, m, scale):
-    a = rng.standard_normal((m, m))
-    return scale * (a @ a.T + m * np.eye(m))
-
-
 def test_closed_form_matches_stepping_oracle():
     # random SPD meshes, a 3-phase sinusoid, and a switch that adds a mesh
-    # mid-record: the closed form must track plain stepping to 1e-10 of peak
+    # mid-record: from the first segment's periodic orbit, the closed form
+    # must track plain stepping to 1e-10 of peak
     rng = np.random.default_rng(2024)
     h, theta, n, switch = 1e-4, 2.0 * np.pi / 167, 700, 250
     sys1 = MeshSystem(L=_spd(rng, 3, 1e-2), R=_spd(rng, 3, 1.0),
@@ -100,31 +103,39 @@ def test_closed_form_matches_stepping_oracle():
     sys2 = MeshSystem(L=_spd(rng, 4, 1e-2), R=_spd(rng, 4, 1.0),
                       source_cols=rng.standard_normal((4, 3)))
     phasors = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    i0 = rng.standard_normal(3)
-    traj = run_piecewise([(0, sys1), (switch, sys2)], h, phasors, theta, n, i0)
+    traj = run_piecewise([(0, sys1), (switch, sys2)], h, phasors, theta, n)
 
     def source(sys, first):
         # forcing vector at time t of a segment that starts at sample `first`
         return lambda t: sys.source_cols @ np.real(
             phasors * np.exp(1j * theta * (first + round(t / h))))
 
-    head = step_lti(sys1.L, sys1.R, source(sys1, 0), i0, h, switch)
+    head = step_lti(sys1.L, sys1.R, source(sys1, 0), traj[0, :3], h, switch)
     tail = step_lti(sys2.L, sys2.R, source(sys2, switch),
                     np.append(head[-1], 0.0), h, n - 1 - switch)
     peak = np.abs(tail).max()
     assert np.abs(traj[: switch + 1, :3] - head).max() <= 1e-10 * peak
     assert np.abs(traj[switch:] - tail).max() <= 1e-10 * peak
     assert np.isnan(traj[: switch, 3]).all()
+    # the start is on the orbit: the first segment repeats every cycle
+    cycle = 167
+    assert np.abs(traj[cycle: switch + 1, :3]
+                  - traj[: switch + 1 - cycle, :3]).max() <= 1e-10 * peak
 
 
 def test_defective_step_matrix_raises():
     # a Jordan-block R makes A = (L + h/2 R)^-1 (L - h/2 R) defective: no
-    # eigenbasis, so the closed form must refuse rather than drift
+    # eigenbasis, so the closed form must refuse rather than drift, even
+    # where the segment starts on its orbit and carries no free response
     sys = MeshSystem(L=np.eye(2), R=np.array([[1.0, 1.0], [0.0, 1.0]]),
                      source_cols=np.zeros((2, 3)))
     with pytest.raises(SingularMatrix):
-        run_piecewise([(0, sys)], 1e-4, np.zeros(3, dtype=complex), 0.1, 50,
-                      np.array([1.0, 1.0]))
+        run_piecewise([(0, sys)], 1e-4, np.zeros(3, dtype=complex), 0.1, 50)
+    # and as a later segment, from a carried state
+    good = MeshSystem(L=np.eye(2), R=np.eye(2), source_cols=np.eye(2, 3))
+    with pytest.raises(SingularMatrix):
+        run_piecewise([(0, good), (10, sys)], 1e-4,
+                      np.array([1.0, 1j, 0.0]), 0.1, 50)
 
 
 def test_reduce_meshes_projects_winding_quantities():

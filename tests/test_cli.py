@@ -49,8 +49,14 @@ def test_generate_is_deterministic(tmp_path, capsys):
     assert ta.keys() == tb.keys()
     assert all(ta[k] == tb[k] for k in ta)
     out = capsys.readouterr().out
-    assert "InternalFault" in out
-    assert "Ferroresonance" in out
+    # the summary counts each class of the manifest it wrote
+    rows = [line.split() for line in out.splitlines()
+            if not line.startswith(("corpus written", "class"))]
+    want = [["CapacitorSwitching", "2"], ["ExternalFaultCTSat", "2"],
+            ["Ferroresonance", "2"], ["InternalFault", "4"],
+            ["MagnetizingInrush", "2"], ["NonlinearLoadSwitching", "2"],
+            ["SympatheticInrush", "2"]]
+    assert rows == want + want
 
 
 def test_generate_run_stamp(tmp_path):

@@ -1,11 +1,12 @@
 """Corpus plans: sweep arithmetic, caps, manifest format, determinism."""
 
+import collections
 import hashlib
 import os
 
 import pytest
 
-from diffsentry.errors import ParameterOutOfRange, PlanEmpty
+from diffsentry.errors import FaultFractionOutOfRange, ParameterOutOfRange, PlanEmpty
 from diffsentry.sampling import SamplingSpec, read_waveform_csv
 from diffsentry.wavegen.corpus import (
     ClassPlan,
@@ -20,11 +21,11 @@ from diffsentry.wavegen.corpus import (
 
 def test_cap_arithmetic_hundred_per_class():
     plan = reference_plan(cases_per_class=100, fault_cases=100)
-    counts = plan.class_counts()
+    cases = enumerate_plan(plan, seed=0)
+    counts = collections.Counter(name for _, name, _, _, _ in cases)
     assert len(counts) == 7
     assert all(v == 100 for v in counts.values())
-    assert sum(counts.values()) == 700
-    assert len(enumerate_plan(plan, seed=0)) == 700
+    assert len(cases) == 700
 
 
 def test_empty_plan_rejected(tmp_path):
@@ -127,3 +128,30 @@ def test_misspelt_fault_key_is_refused():
     params = {"unit": "PT", "fault_type": "wa-g", "resistence_ohm": 10.0}
     with pytest.raises(ParameterOutOfRange, match="resistence_ohm"):
         build_case("InternalFault", params, SamplingSpec(), 8)
+
+
+@pytest.mark.parametrize("change, error, name", [
+    pytest.param({"fault_type": None}, ParameterOutOfRange, "fault_type",
+                 id="no_fault_type"),
+    pytest.param({"fault_type": "a-b-c"}, ParameterOutOfRange, "FaultType",
+                 id="bad_fault_type"),
+    pytest.param({"unit": "Tertiary"}, ParameterOutOfRange, "Unit", id="bad_unit"),
+    pytest.param({"side": "tertiary"}, ParameterOutOfRange, "side", id="bad_side"),
+    pytest.param({"resistance_ohm": -1.0}, ParameterOutOfRange, "resistance_ohm",
+                 id="negative_resistance"),
+    pytest.param({"tap": 1.5}, ParameterOutOfRange, "tap", id="tap_above_one"),
+    pytest.param({"pct_winding": 150}, FaultFractionOutOfRange, "150",
+                 id="fraction_above_100"),
+])
+def test_bad_fault_case_is_a_typed_error(change, error, name):
+    # a missing or bad value is typed like an unknown key, not a bare
+    # KeyError or ValueError
+    params = {"unit": "PT", "fault_type": "wa-g", **change}
+    params = {k: v for k, v in params.items() if v is not None}
+    with pytest.raises(error, match=name):
+        build_case("InternalFault", params, SamplingSpec(), 8)
+
+
+def test_fault_case_without_a_unit_is_on_the_pt():
+    wave = build_case("InternalFault", {"fault_type": "wa-g"}, SamplingSpec(), 8)
+    assert wave.label.unit.value == "PT"

@@ -9,11 +9,9 @@ from diffsentry.ensembles import (
     GbcConfig,
     gbc_fit,
     multinomial_deviance,
-    predict,
     softmax,
 )
-from diffsentry.ensembles.model import (model_from_dict, model_to_dict,
-                                        predict_many)
+from diffsentry.ensembles.model import model_from_dict, model_to_dict
 from diffsentry.errors import SchemaMismatch, SingleClass
 from diffsentry.features import Task, schema_hash
 from diffsentry.pipeline import PipelineModel, load_pipeline, save_pipeline
@@ -189,25 +187,27 @@ def test_version_1_model_is_a_schema_mismatch_naming_the_version():
 def test_predict_returns_label_and_probabilities():
     X, y = _blobs(90, 3, seed=13)
     model = gbc_fit(X, y, GbcConfig(n_estimators=20, max_depth=2, seed=1))
-    label, probs = predict(model, X[0])
+    [label], [probs] = model.predict(X[0])
     assert label in model.codebook
     assert probs.shape == (3,)
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-def test_predict_many_is_predict_on_each_row_and_checks_the_schema():
+def test_predict_on_a_batch_is_predict_on_each_row_and_checks_the_schema():
     X, y = _blobs(90, 3, seed=13)
     model = gbc_fit(X, y, GbcConfig(n_estimators=20, max_depth=2, seed=1))
     model.schema_hash = "layout-a"
-    labels, probs = predict_many(model, X[:5], "layout-a")
-    assert labels == model.predict_labels(X[:5])
+    labels, probs = model.predict(X[:5], "layout-a")
+    assert np.array_equal(probs, model.predict_proba(X[:5]))
     for i in range(5):
-        label, row = predict(model, X[i])
+        [label], [row] = model.predict(X[i], "layout-a")
         assert label == labels[i]
         assert np.array_equal(row, probs[i])
-    assert predict_many(model, X[:5])[0] == labels  # width check only
+    assert model.predict(X[:5])[0] == labels  # width check only
     with pytest.raises(SchemaMismatch, match="layout-b"):
-        predict_many(model, X[:5], "layout-b")
+        model.predict(X[:5], "layout-b")
+    with pytest.raises(SchemaMismatch, match="4 features"):
+        model.predict(X[:5, :3], "layout-a")
 
 
 def test_deviance_definition():
@@ -293,8 +293,9 @@ def test_predict_labels_equals_argmax_over_codebook(kind, names, rows):
     model = (gbc_fit(X, y, GbcConfig(n_estimators=5, max_depth=2, seed=1))
              if kind == "GBC" else cart_fit(X, y, CartConfig(max_depth=3)))
     probe = np.random.default_rng(rows).normal(scale=3.0, size=(rows, 4))
-    got = model.predict_labels(probe)
+    got, probs = model.predict(probe)
     want = _argmax_labels(model, probe)
+    assert probs.tobytes() == model.predict_proba(probe).tobytes()
     assert got == want
     assert [type(v) for v in got] == [type(v) for v in want]
     assert len(got) == rows

@@ -1,8 +1,9 @@
-"""Every name a package lists in ``__all__`` must resolve, and every error
-type must be named by a module besides ``errors``, so a deletion cannot
-leave a stale re-export or an error type nothing raises behind. Every
-keyword default must be set by some caller in the program, so a setting
-that only tests use does not stay in it."""
+"""Every name a package lists in ``__all__`` must resolve, every name a
+module imports must be used in it, and every error type must be named by a
+module besides ``errors``, so a deletion cannot leave a stale re-export, a
+stale import or an error type nothing raises behind. Every keyword default
+must be set by some caller in the program, so a setting that only tests use
+does not stay in it."""
 
 import ast
 import importlib
@@ -33,6 +34,32 @@ def test_every_error_type_is_named_outside_its_module():
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _unused_imports(path):
+    """Names an import in ``path`` binds that nothing in the module reads;
+    a name listed in ``__all__`` is read by a star import."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_every_imported_name_is_used():
+    src = ROOT / "src" / "diffsentry"
+    unused = {str(p.relative_to(src)): names for p in sorted(src.rglob("*.py"))
+              if (names := _unused_imports(p))}
+    assert unused == {}
 
 #: defaults no program caller sets, each kept because a test sets it
 UNSET_BY_THE_PROGRAM = {

@@ -644,8 +644,8 @@ def test_noise_study_seeds_never_collide(small_corpus, monkeypatch):
 
 
 def test_windows_by_task_equals_a_per_window_oracle(small_corpus):
-    """Every task's X rows, classes and files equal one extract call per
-    window, record by record."""
+    """Every task's X rows, classes and record indices equal one extract
+    call per window, record by record."""
     from diffsentry.features import extract
     from diffsentry.pipeline import (_task_targets, _windows_by_task,
                                      load_corpus_waveforms)
@@ -654,45 +654,51 @@ def test_windows_by_task_equals_a_per_window_oracle(small_corpus):
     corpus_dir, manifest = small_corpus
     records = load_corpus_waveforms(corpus_dir, manifest)
     data = _windows_by_task(records)
-    want = {task: {"X": [], "y": [], "files": []} for task in Task}
+    want = {task: {"X": [], "y": [], "record": []} for task in Task}
     missed = []
-    for row, wave in records:
+    for i, (row, wave) in enumerate(records):
         event = detect(wave)
         if not event.triggered:
-            missed.append(row["file"])
+            missed.append(i)
             continue
         for task, cls in _task_targets(EventLabel.from_dict(row)).items():
             window = (event.detect_window if task is Task.DETECT_FAULT
                       else event.classify_window)
             want[task]["X"].append(extract(window, task).values)
             want[task]["y"].append(cls)
-            want[task]["files"].append(row["file"])
+            want[task]["record"].append(i)
     # an undetected record has no row in any task
-    rowed = set().union(*(data[task]["record"] for task in Task))
-    assert [row["file"] for i, (row, _) in enumerate(records)
-            if i not in rowed] == missed
+    rowed = set().union(*(data[task]["record"].tolist() for task in Task))
+    assert [i for i in range(len(records)) if i not in rowed] == missed
     for task in Task:
         assert data[task]["X"].tobytes() == np.vstack(want[task]["X"]).tobytes()
-        assert data[task]["y"] == want[task]["y"]
-        assert data[task]["files"] == want[task]["files"]
+        assert data[task]["y"].tolist() == want[task]["y"]
+        assert data[task]["record"].tolist() == want[task]["record"]
 
 
 # a grid of one cheap point: the split tests check rows, not fits
 _QUICK = TrainConfig(grid={"n_estimators": [2], "max_depth": [1]}, cv_k=2, seed=5)
 
 
-def _split_oracle(records, skip=()):
-    """Per split, every task's rows, classes and files from one extract call
-    per window, the records in ``skip`` taken as undetected."""
+def _split_indices(records):
+    """(training, holdout) record indices of train_pipeline's split."""
     from diffsentry.evaluation import train_test_split
-    from diffsentry.features import extract
     from diffsentry.pipeline import _task_targets
 
     labels = np.asarray(["/".join(_task_targets(wave.label).values())
                          for _, wave in records])
+    return train_test_split(labels, 0.2, _QUICK.seed)
+
+
+def _split_oracle(records, skip=()):
+    """Per split, every task's rows and classes from one extract call per
+    window, the records in ``skip`` taken as undetected."""
+    from diffsentry.features import extract
+    from diffsentry.pipeline import _task_targets
+
     out = []
-    for idx in train_test_split(labels, 0.2, _QUICK.seed):
-        want = {task: {"X": [], "y": [], "files": []} for task in Task}
+    for idx in _split_indices(records):
+        want = {task: {"X": [], "y": []} for task in Task}
         for i in idx:
             row, wave = records[i]
             event = detect(wave)
@@ -703,7 +709,6 @@ def _split_oracle(records, skip=()):
                           else event.classify_window)
                 want[task]["X"].append(extract(window, task).values)
                 want[task]["y"].append(cls)
-                want[task]["files"].append(row["file"])
         out.append(want)
     return out
 
@@ -713,9 +718,8 @@ def _capture_splits(monkeypatch):
     are scored, as train_pipeline hands them over."""
     from diffsentry import pipeline
 
-    seen = {"train": [], "train_files": None, "hold": None}
-    search, metrics, split = (pipeline.grid_search, pipeline._holdout_metrics,
-                              pipeline._split_rows)
+    seen = {"train": [], "hold": None}
+    search, metrics = pipeline.grid_search, pipeline._holdout_metrics
 
     def searched(X, y, config):
         seen["train"].append((X, list(y)))
@@ -725,38 +729,33 @@ def _capture_splits(monkeypatch):
         seen["hold"] = hold_data
         return metrics(slots, hold_data)
 
-    def split_rows(data, keep):
-        out = split(data, keep)
-        if seen["train_files"] is None:   # the training split comes first
-            seen["train_files"] = {task: d["files"] for task, d in out.items()}
-        return out
-
     monkeypatch.setattr(pipeline, "grid_search", searched)
     monkeypatch.setattr(pipeline, "_holdout_metrics", scored)
-    monkeypatch.setattr(pipeline, "_split_rows", split_rows)
     return seen
 
 
 def test_training_and_holdout_rows_equal_a_per_split_oracle(small_corpus,
                                                             monkeypatch):
-    """One featurization pass split by record gives each split the rows,
-    classes and files of featurizing that split on its own."""
+    """One featurization pass split by record gives each split the rows and
+    classes of featurizing that split on its own, and the holdout files are
+    the detected holdout records."""
     from diffsentry.pipeline import load_corpus_waveforms
 
     corpus_dir, manifest = small_corpus
     seen = _capture_splits(monkeypatch)
-    train_pipeline(corpus_dir, manifest, _QUICK)
-    want_train, want_hold = _split_oracle(load_corpus_waveforms(corpus_dir,
-                                                                manifest))
+    model = train_pipeline(corpus_dir, manifest, _QUICK)
+    records = load_corpus_waveforms(corpus_dir, manifest)
+    want_train, want_hold = _split_oracle(records)
     assert len(seen["train"]) == len(Task)
     for task, (X, y) in zip(Task, seen["train"]):
         assert X.tobytes() == np.vstack(want_train[task]["X"]).tobytes()
         assert y == want_train[task]["y"]
-        assert seen["train_files"][task] == want_train[task]["files"]
-        hold = seen["hold"][task]
-        assert hold["X"].tobytes() == np.vstack(want_hold[task]["X"]).tobytes()
-        assert hold["y"] == want_hold[task]["y"]
-        assert hold["files"] == want_hold[task]["files"]
+        X_hold, y_hold = seen["hold"][task]
+        assert X_hold.tobytes() == np.vstack(want_hold[task]["X"]).tobytes()
+        assert y_hold.tolist() == want_hold[task]["y"]
+    _, hold_idx = _split_indices(records)
+    assert model.metadata["holdout_files"] == sorted(
+        records[i][0]["file"] for i in hold_idx if detect(records[i][1]).triggered)
 
 
 def test_an_undetected_holdout_record_is_in_no_file_list(small_corpus,
@@ -765,13 +764,10 @@ def test_an_undetected_holdout_record_is_in_no_file_list(small_corpus,
     holdout record that does not trigger is in neither list, and neither
     gives a row."""
     from diffsentry import pipeline
-    from diffsentry.evaluation import train_test_split
 
     corpus_dir, manifest = small_corpus
     records = pipeline.load_corpus_waveforms(corpus_dir, manifest)
-    labels = np.asarray(["/".join(pipeline._task_targets(wave.label).values())
-                         for _, wave in records])
-    train_idx, hold_idx = train_test_split(labels, 0.2, _QUICK.seed)
+    train_idx, hold_idx = _split_indices(records)
     quiet = {int(train_idx[0]), int(hold_idx[0])}
     assert all(detect(records[i][1]).triggered for i in quiet)
     silenced = [records[i][1].samples for i in quiet]
@@ -795,5 +791,9 @@ def test_an_undetected_holdout_record_is_in_no_file_list(small_corpus,
     want_train, want_hold = _split_oracle(records, skip=quiet)
     for task, (X, y) in zip(Task, seen["train"]):
         assert X.tobytes() == np.vstack(want_train[task]["X"]).tobytes()
-        assert seen["train_files"][task] == want_train[task]["files"]
-        assert seen["hold"][task]["files"] == want_hold[task]["files"]
+        assert y == want_train[task]["y"]
+        assert (seen["hold"][task][0].tobytes()
+                == np.vstack(want_hold[task]["X"]).tobytes())
+    assert model.metadata["holdout_files"] == sorted(
+        records[i][0]["file"] for i in hold_idx
+        if i not in quiet and detect(records[i][1]).triggered)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diffsentry.errors import EmptyMinority, TooFewSamples
-from diffsentry.resampling import ResamplePlan, Strategy, apply_plan, nearmiss, smote
+from diffsentry.resampling import Strategy, apply_plan, nearmiss, smote
 
 
 def test_two_point_segment_geometry():
@@ -148,8 +148,7 @@ def test_combined_plan_hits_exact_targets():
     ])
     y = np.array([0] * 50 + [1] * 12 + [2] * 30)
     # the median class count, 30, is the target
-    plan = ResamplePlan(strategy=Strategy.COMBINED)
-    X2, y2 = apply_plan(X, y, plan, seed=1)
+    X2, y2 = apply_plan(X, y, Strategy.COMBINED, seed=1)
     classes, counts = np.unique(y2, return_counts=True)
     assert np.array_equal(classes, [0, 1, 2])
     assert np.array_equal(counts, [30, 30, 30])
@@ -161,8 +160,7 @@ def test_smote_only_plan_never_undersamples():
                    rng.normal(loc=-4, size=(10, 2))])
     y = np.array([0] * 60 + [1] * 40 + [2] * 10)
     # the median class count, 40, is the target: class 0 keeps its 60 rows
-    plan = ResamplePlan(strategy=Strategy.SMOTE_ONLY)
-    X2, y2 = apply_plan(X, y, plan, seed=0)
+    X2, y2 = apply_plan(X, y, Strategy.SMOTE_ONLY, seed=0)
     _, counts = np.unique(y2, return_counts=True)
     assert np.array_equal(counts, [60, 40, 40])
     assert np.array_equal(X2[:100], X[:100])
