@@ -9,6 +9,11 @@ with exactly n_c samples per window (half-open), so any signal that is
 periodic with the cycle length scores identically zero. An event is
 registered at the first sample whose arrival pushes any phase's index above
 the fixed pickup ``THRESHOLD``.
+
+Batch and stream share one arithmetic: running sums of per-sample
+differences over a zero-started history, in sample order, so they agree bit
+for bit. Both cut windows with ``event_windows``: ``detect``'s are views of
+its input, the stream's are copies.
 """
 
 from __future__ import annotations
@@ -48,14 +53,16 @@ class DetectionEvent:
 
 
 def cdf_series(values, n_c: int) -> np.ndarray:
-    """Change index for one phase; output length is len(values) - 2 n_c + 1."""
+    """Change index of ``values`` (n,) or (n, 3) along axis 0, the stream's
+    running sums over the record; output length is n - 2 n_c + 1."""
     x = np.abs(np.asarray(values, dtype=np.float64))
     n = x.shape[0]
     if n < 2 * n_c + 1:
         raise TooShort(f"need at least {2 * n_c + 1} samples, got {n}")
-    csum = np.concatenate(([0.0], np.cumsum(x)))
-    win = csum[n_c:] - csum[:-n_c]          # win[s] = sum over [s, s + n_c)
-    return win[n_c:] - win[: n - 2 * n_c + 1]
+    a = np.concatenate((np.zeros((2 * n_c, *x.shape[1:])), x))
+    cur = np.cumsum(a[2 * n_c:] - a[n_c:-n_c], axis=0)
+    prev = np.cumsum(a[n_c:-n_c] - a[:-2 * n_c], axis=0)
+    return (cur - prev)[2 * n_c - 1:]
 
 
 def refuse_non_finite(samples: np.ndarray) -> None:
@@ -76,7 +83,8 @@ def detect(wave) -> DetectionEvent:
     is a value, not an error; an array of another shape raises
     ``WrongShape`` and a NaN or infinite sample ``NonFiniteSample``, since
     either would otherwise hide an event. The trigger index is the sample
-    whose arrival completed the first above-threshold window.
+    whose arrival completed the first above-threshold window. The windows
+    are views of the samples.
     """
     samples = (wave.samples if isinstance(wave, Waveform)
                else np.asarray(wave, dtype=np.float64))
@@ -84,8 +92,7 @@ def detect(wave) -> DetectionEvent:
         raise WrongShape(f"samples must have shape (N, 3), got {samples.shape}")
     refuse_non_finite(samples)
     n = samples.shape[0]
-    series = np.stack([cdf_series(samples[:, p], CYCLE) for p in range(3)], axis=1)
-    over = series > THRESHOLD
+    over = cdf_series(samples, CYCLE) > THRESHOLD
     hits = np.nonzero(over.any(axis=1))[0]
     if hits.size == 0:
         return DetectionEvent(triggered=False)
@@ -97,14 +104,8 @@ def detect(wave) -> DetectionEvent:
         raise TooShort(
             "waveform too short for the classification window after the trigger"
         )
-    detect_window, classify_window = event_windows(samples, trigger)
-    return DetectionEvent(
-        triggered=True,
-        trigger_index=trigger,
-        trigger_phase=PHASES[phase_idx],
-        detect_window=detect_window.copy(),
-        classify_window=classify_window.copy(),
-    )
+    return DetectionEvent(True, trigger, PHASES[phase_idx],
+                          *event_windows(samples, trigger))
 
 
 def event_windows(samples: np.ndarray, trigger_index: int):
@@ -118,11 +119,13 @@ def event_windows(samples: np.ndarray, trigger_index: int):
 class StreamingDetector:
     """Push-one-sample change detection with O(1) rolling-sum updates.
 
-    ``push`` returns a DetectionEvent at two samples of a stream and None
-    at every other: at trigger + ``CYCLE`` - 1, when the registered
-    1.5-cycle window closes (``classify_window`` is None), and at trigger +
-    ``CLASSIFY_LEN`` - 1 with both windows. The trigger latches, so a
-    stream gives one such pair. A single writer owns a stream.
+    Its ring starts as zeros, the history ``cdf_series`` pads with. ``push``
+    takes one (3,) sample and returns a DetectionEvent at two samples of a
+    stream and None at every other: at trigger + ``CYCLE`` - 1, when the
+    registered 1.5-cycle window closes (``classify_window`` is None), and
+    at trigger + ``CLASSIFY_LEN`` - 1 with both windows, copied from the
+    history. The trigger latches, so a stream gives one such pair. A single
+    writer owns a stream.
     """
 
     def __init__(self):
@@ -141,13 +144,15 @@ class StreamingDetector:
     def push(self, sample) -> Optional[DetectionEvent]:
         n_c = CYCLE
         s = np.asarray(sample, dtype=np.float64)
+        if s.shape != (3,):
+            raise WrongShape(f"a sample must have shape (3,), got {s.shape}")
         idx = self._count
         ring_pos = idx % (2 * n_c)
-        leaving_cur = self._abs[(idx - n_c) % (2 * n_c)] if idx >= n_c else 0.0
-        leaving_prev = self._abs[ring_pos] if idx >= 2 * n_c else 0.0
+        leaving_cur = self._abs[(idx - n_c) % (2 * n_c)]
+        leaving_prev = self._abs[ring_pos]
         a = np.abs(s)
         self._sum_cur += a - leaving_cur
-        self._sum_prev += (leaving_cur if idx >= n_c else 0.0) - leaving_prev
+        self._sum_prev += leaving_cur - leaving_prev
         self._abs[ring_pos] = a
         self._history[idx % self._history.shape[0]] = s
         self._count += 1
@@ -167,16 +172,9 @@ class StreamingDetector:
             return self._make_event(full=True)
         return None
 
-    def _window(self, start: int, length: int) -> np.ndarray:
-        rows = (np.arange(start, start + length)) % self._history.shape[0]
-        return self._history[rows].copy()
-
     def _make_event(self, full: bool) -> DetectionEvent:
-        t = self._trigger
-        return DetectionEvent(
-            triggered=True,
-            trigger_index=t,
-            trigger_phase=self._trigger_phase,
-            detect_window=self._window(t - PRE, DETECT_LEN),
-            classify_window=self._window(t, CLASSIFY_LEN) if full else None,
-        )
+        history = np.roll(self._history, -self._count, axis=0)  # oldest first
+        detect_window, classify_window = event_windows(
+            history, len(history) - (self._count - self._trigger))
+        return DetectionEvent(True, self._trigger, self._trigger_phase,
+                              detect_window, classify_window if full else None)

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .detector import (CLASSIFY_LEN, CYCLE, DETECT_LEN, THRESHOLD,
-                       DetectionEvent, StreamingDetector, detect, event_windows)
+                       DetectionEvent, StreamingDetector, detect)
 from .ensembles import GBC_GRID_SMALL, GbcConfig, gbc_fit
 from .ensembles.cart import _require_integers
 from .ensembles.model import model_from_dict, model_to_dict
@@ -394,10 +394,8 @@ def _windows_by_task(records):
         event = detect(wave)
         if not event.triggered:
             continue
-        # views of the record's samples, which the caller holds anyway, so
-        # collecting every window costs no copy before the stacks
-        detect_window, classify_window = event_windows(wave.samples,
-                                                       event.trigger_index)
+        # the windows are views of the record's samples, which the caller
+        # holds anyway, so collecting every window costs no copy
         targets = _task_targets(wave.label)
         for tasks, stack in stacks.items():
             mine = [task for task in tasks if task in targets]
@@ -406,8 +404,8 @@ def _windows_by_task(records):
                 data[task]["record"].append(rec)
                 data[task]["row"].append(len(stack))
             if mine:
-                stack.append(detect_window if tasks[0] is Task.DETECT_FAULT
-                             else classify_window)
+                stack.append(event.detect_window if tasks[0] is Task.DETECT_FAULT
+                             else event.classify_window)
     for tasks, stack in stacks.items():
         stack = (np.stack(stack) if stack
                  else np.empty((0, task_window_len(tasks[0]), 3)))

@@ -46,6 +46,11 @@ class ClassPlan:
     cap: Optional[int] = None
 
     def __post_init__(self):
+        known = [EventKind.INTERNAL_FAULT.value,
+                 *(kind.value for kind in DisturbanceType)]
+        if self.name not in known:
+            raise ParameterOutOfRange(f"no event class {self.name!r}; the "
+                                      f"classes are {', '.join(known)}")
         if self.cap is not None and not (
                 isinstance(self.cap, numbers.Integral) and self.cap >= 0):
             raise ParameterOutOfRange(

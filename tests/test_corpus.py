@@ -7,7 +7,7 @@ import os
 import pytest
 
 from diffsentry.errors import FaultFractionOutOfRange, ParameterOutOfRange, PlanEmpty
-from diffsentry.sampling import SamplingSpec, read_waveform_csv
+from diffsentry.sampling import DisturbanceType, SamplingSpec, read_waveform_csv
 from diffsentry.wavegen.corpus import (
     ClassPlan,
     CorpusPlan,
@@ -122,6 +122,19 @@ def test_manifest_bytes_are_pinned(tmp_path):
     generate_corpus(reference_plan(cases_per_class=5, fault_cases=20), 0, tmp_path)
     digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest()
     assert digest == "4dae3fdfa944a516250401d8bbf076e89994f1a4140c922352eb4fb5606d6615"
+
+
+@pytest.mark.parametrize("name", ["InternalFault",
+                                  *(kind.value for kind in DisturbanceType)])
+def test_every_event_class_names_a_plan(name):
+    assert ClassPlan(name=name, grid={}).name == name
+
+
+def test_unknown_class_name_is_refused_when_the_plan_is_made():
+    # refused before generation, which would write the earlier classes' CSVs
+    with pytest.raises(ParameterOutOfRange,
+                       match="'Capacitor'.*InternalFault.*CapacitorSwitching"):
+        ClassPlan(name="Capacitor", grid={"inception_step": (0,)})
 
 
 def test_misspelt_fault_key_is_refused():

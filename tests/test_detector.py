@@ -4,7 +4,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from diffsentry import detector
 from diffsentry.detector import (
     CLASSIFY_LEN,
     CYCLE,
@@ -16,7 +18,8 @@ from diffsentry.detector import (
 )
 from diffsentry.errors import NonFiniteSample, TooShort, WrongShape
 from diffsentry.features import Task, task_window_len
-from diffsentry.sampling import FaultType, SamplingSpec, Unit, read_waveform_csv
+from diffsentry.sampling import (PHASES, FaultType, SamplingSpec, Unit,
+                                 read_waveform_csv)
 from diffsentry.wavegen.faults import FaultSpec, UNIT_PRESETS, simulate_internal_fault
 
 SPEC = SamplingSpec()
@@ -29,15 +32,16 @@ def test_hand_case():
 
 
 def test_periodic_inputs_score_zero():
+    # both running sums add the same cycle of |x| in the same order, so a
+    # periodic input scores exactly zero
     rng = np.random.default_rng(123)
     for _ in range(100):
         n_c = int(rng.integers(2, 40))
         cycles = int(rng.integers(3, 8))
-        base = rng.normal(scale=float(rng.uniform(0.1, 50.0)), size=n_c)
-        x = np.tile(base, cycles)
-        out = cdf_series(x, n_c)
-        scale = max(np.abs(x).sum(), 1.0)
-        assert np.abs(out).max() <= 1e-9 * scale
+        base = rng.normal(scale=float(rng.uniform(0.1, 50.0)), size=(n_c, 3))
+        x = np.tile(base, (cycles, 1))
+        assert not cdf_series(x, n_c).any()
+        assert not cdf_series(x[:, 0], n_c).any()
 
 
 def test_positive_scaling_linearity():
@@ -181,8 +185,8 @@ def test_weak_turn_to_turn_corner_is_recorded_not_fatal():
 
 
 def _assert_stream_matches_batch(samples):
-    """Both stream events carry batch detect's trigger, phase and windows,
-    at the samples where the 1.5- and 3-cycle windows close."""
+    """Both stream events carry batch detect's trigger, phase and window
+    bytes, at the samples where the 1.5- and 3-cycle windows close."""
     batch = detect(samples)
     stream = StreamingDetector()
     events = [(i, e) for i, s in enumerate(samples)
@@ -194,8 +198,8 @@ def _assert_stream_matches_batch(samples):
     for ev in (verdict, full):
         assert ev.trigger_index == t
         assert ev.trigger_phase == batch.trigger_phase
-        assert np.array_equal(ev.detect_window, batch.detect_window)
-    assert np.array_equal(full.classify_window, batch.classify_window)
+        assert ev.detect_window.tobytes() == batch.detect_window.tobytes()
+    assert full.classify_window.tobytes() == batch.classify_window.tobytes()
 
 
 def test_streaming_matches_batch():
@@ -203,17 +207,78 @@ def test_streaming_matches_batch():
 
 
 def test_streaming_matches_batch_on_every_class(reference_corpus):
+    # every triggered record of the reference corpus, all seven classes
     corpus_dir, manifest, _ = reference_corpus
     checked = set()
     for row in manifest:
-        name = row["disturbance_type"] or row["kind"]
-        if name in checked:
-            continue
         samples = read_waveform_csv(os.path.join(corpus_dir, row["file"]))
         if detect(samples).triggered:
             _assert_stream_matches_batch(samples)
-            checked.add(name)
+            checked.add(row["disturbance_type"] or row["kind"])
     assert len(checked) == 7
+
+
+#: the drawn pickup lies among the first PICKUP_SPAN change-index samples
+PICKUP_SPAN = 2 * CYCLE
+PICKUP_LEN = 2 * CYCLE - 1 + PICKUP_SPAN + CLASSIFY_LEN
+
+
+def _drawn_samples(seed, scale, noise, n=PICKUP_LEN):
+    """A steady three-phase sinusoid of amplitude ``scale`` with Gaussian
+    noise of ``noise`` times that, (n, 3)."""
+    rng = np.random.default_rng(seed)
+    theta = 2 * np.pi * np.arange(n)[:, None] / CYCLE
+    offs = np.array([0.0, -2 * np.pi / 3, 2 * np.pi / 3])
+    return scale * (np.sin(theta + offs) + noise * rng.standard_normal((n, 3)))
+
+
+_draws = dict(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3),
+              noise=st.floats(1e-6, 10.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_draws, drawn=st.integers(0, PICKUP_SPAN - 1))
+def test_stream_and_batch_trigger_alike_at_the_pickup(seed, scale, noise,
+                                                      drawn):
+    # the pickup is one ulp below the largest index value up to the drawn
+    # sample, so the trigger lands on the first sample reaching it and a
+    # one-ulp difference between batch and stream moves it
+    samples = _drawn_samples(seed, scale, noise)
+    series = np.stack([cdf_series(samples[:, p], CYCLE) for p in range(3)],
+                      axis=1)
+    j = int(np.argmax(series[: drawn + 1].max(axis=1)))
+    phase = int(np.argmax(series[j]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detector, "THRESHOLD",
+                   np.nextafter(series[j, phase], -np.inf))
+        batch = detect(samples)
+        stream = StreamingDetector()
+        first = next(e for s in samples if (e := stream.push(s)) is not None)
+    assert batch.trigger_index == 2 * CYCLE - 1 + j
+    assert batch.trigger_phase == PHASES[phase]
+    assert (first.trigger_index, first.trigger_phase) == (
+        batch.trigger_index, batch.trigger_phase)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_draws)
+def test_cdf_series_of_three_columns_equals_each_column(seed, scale, noise):
+    wide = _drawn_samples(seed, scale, noise, n=2 * PICKUP_LEN)
+    wide = np.hstack([wide, -wide])
+    strided = wide[::2, ::2]                 # a non-contiguous (n, 3) view
+    for samples in (np.ascontiguousarray(strided),
+                    np.asfortranarray(strided), strided):
+        columns = np.stack([cdf_series(samples[:, p], CYCLE)
+                            for p in range(3)], axis=1)
+        assert cdf_series(samples, CYCLE).tobytes() == columns.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (2,), (4,), (3, 1)])
+def test_sample_not_of_three_phases_is_an_error(shape):
+    stream = StreamingDetector()
+    with pytest.raises(WrongShape, match=r"\(3,\)"):
+        stream.push(np.full(shape, 5.0))
+    assert stream.samples_seen == 0
 
 
 def test_streaming_no_event_on_steady_stream():
