@@ -29,6 +29,7 @@ from .pipeline import (
     decide,
     decide_many,
     detect_noise_study,
+    iter_corpus_waveforms,
     load_corpus_waveforms,
     load_pipeline,
     save_pipeline,
@@ -229,12 +230,6 @@ def cmd_evaluate(args) -> int:
             "model metadata lists no holdout files present in this corpus; "
             "evaluate with the corpus the model was trained on"
         )
-    # the noise study reads every record; the holdout is a subset of those
-    all_records = load_corpus_waveforms(
-        args.corpus, manifest if snr_list else holdout_rows
-    )
-    records = [rec for rec in all_records if rec[0]["file"] in holdout_files]
-
     report = {
         "tool_version": __version__,
         "seed": args.seed,
@@ -245,11 +240,21 @@ def cmd_evaluate(args) -> int:
 
     noise_rows = []
     if snr_list:
-        train_files = [
-            r["file"] for r, _ in all_records if r["file"] not in holdout_files
-        ]
+        # the noise study reads every record once; the holdout records are
+        # kept from that one read, the training ones dropped as they pass
+        records = []
+
+        def keeping_holdout():
+            for row, wave in iter_corpus_waveforms(args.corpus, manifest):
+                if row["file"] in holdout_files:
+                    records.append((row, wave))
+                yield row, wave
+
+        train_files = [r["file"] for r in manifest if r["file"] not in holdout_files]
         noise_rows = detect_noise_study(
-            all_records, train_files, snr_list, seed=args.seed)
+            keeping_holdout(), train_files, snr_list, seed=args.seed)
+    else:
+        records = load_corpus_waveforms(args.corpus, holdout_rows)
     report["noise_sweep"] = noise_rows
 
     failures = []

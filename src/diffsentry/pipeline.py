@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .detector import (CLASSIFY_LEN, CYCLE, DETECT_LEN, THRESHOLD,
+from .detector import (CLASSIFY_LEN, CYCLE, THRESHOLD,
                        DetectionEvent, StreamingDetector, detect)
 from .ensembles import GBC_GRID_SMALL, GbcConfig, gbc_fit
 from .ensembles.cart import _require_integers
@@ -351,24 +351,81 @@ def grid_search(X, y, config: TrainConfig) -> GridSearchResult:
     )
 
 
-def load_corpus_waveforms(corpus_dir, manifest):
-    """(manifest row, Waveform) pairs for every corpus record: the row's
+def _record_label(row) -> EventLabel:
+    """The label of a corpus record's manifest row; a bad one is an
+    ``IoFailure`` naming the record's file."""
+    try:
+        return EventLabel.from_dict(row)
+    except ValueError as exc:
+        raise IoFailure(f"corpus record {row['file']}: {exc}") from exc
+
+
+def iter_corpus_waveforms(corpus_dir, manifest):
+    """(manifest row, Waveform) for each corpus record in manifest order,
+    each record read only when the one before it has been taken: the row's
     samples under its label and inception. A record too short for its
     inception is an ``IoFailure`` naming its file."""
-    out = []
     for row in manifest:
+        label = _record_label(row)
         samples = read_waveform_csv(os.path.join(corpus_dir, row["file"]))
         try:
             wave = Waveform(
-                spec=SamplingSpec(), samples=samples,
-                label=EventLabel.from_dict(row),
+                spec=SamplingSpec(), samples=samples, label=label,
                 inception_index=row["inception_index"],
                 provenance=row.get("provenance", {}),
             )
         except ValueError as exc:
             raise IoFailure(f"corpus record {row['file']}: {exc}") from exc
-        out.append((row, wave))
-    return out
+        yield row, wave
+
+
+def load_corpus_waveforms(corpus_dir, manifest):
+    """Every pair of ``iter_corpus_waveforms``, in one list: each record's
+    samples are held until the list is dropped."""
+    return list(iter_corpus_waveforms(corpus_dir, manifest))
+
+
+#: windows per featurization chunk. Each chunk pays a fixed cost (about
+#: 11 ms, most of it the trend op's subwindow loop): on the benchmark's
+#: offline corpus (276 records, 2-vCPU Xeon), featurizing the training
+#: windows in chunks of 16, 64, 128 and 256 took 197%, 32%, 11% and 7% more
+#: CPU than whole stacks (0.157 s). Peak RSS after train and evaluate was
+#: 46.1, 46.1, 47.7 and 47.9 MB, 51.7 MB at 512, and 59.8 MB when every
+#: record was held at once; the benchmark's offline peak_rss_mb was within
+#: the same 70.6-72.3 MB at 128 and 256 (four runs each)
+FEATURE_CHUNK = 256
+
+
+class _Stack:
+    """Windows of one length, featurized for ``tasks`` in chunks: each
+    window is copied into a chunk of ``FEATURE_CHUNK`` windows, which is
+    featurized when it fills, so no window keeps its record alive. Row r of
+    a stack has the bits of window r featurized on its own, so the chunk
+    size changes no value."""
+
+    def __init__(self, tasks: tuple):
+        self.tasks = tasks
+        self.chunk = np.empty((FEATURE_CHUNK, task_window_len(tasks[0]), 3))
+        self.size = 0
+        self.blocks = {task: [] for task in tasks}
+
+    def add(self, window) -> int:
+        """Copy ``window`` in; returns its row in the stack."""
+        filled = self.size % len(self.chunk)
+        self.chunk[filled] = window
+        self.size += 1
+        if filled + 1 == len(self.chunk):
+            self._featurize(len(self.chunk))
+        return self.size - 1
+
+    def _featurize(self, n: int) -> None:
+        for task, (values, _) in extract_tasks(self.chunk[:n], self.tasks).items():
+            self.blocks[task].append(values)
+
+    def finish(self) -> dict:
+        """{task: (rows, k) values of every window added, in order}."""
+        self._featurize(self.size % len(self.chunk))
+        return {task: np.concatenate(blocks) for task, blocks in self.blocks.items()}
 
 
 #: the tasks featurized together, on one stack of windows: every detect
@@ -381,35 +438,40 @@ _STACKS = (
 
 
 def _windows_by_task(records):
-    """Run detection once over corpus records and build per-task datasets:
-    each task's rows ``X``, classes ``y`` and the index ``record`` of the
-    record each row came from, in record order; a record that does not
-    trigger has no row. A window goes once into the stack of its kind,
-    which is featurized in one batch for all the stack's tasks; a task
+    """Run detection once over corpus records, an iterable of (row,
+    Waveform) read as it goes, and build per-task datasets: each task's
+    rows ``X``, classes ``y`` and the index ``record`` of the record each
+    row came from, in record order; a record that does not trigger has no
+    row. A window is copied once into the ``_Stack`` of its kind, which
+    featurizes it for all the stack's tasks one chunk at a time; a task
     keeps the rows of its own records (an Identify task its unit's
-    faults)."""
-    stacks = {tasks: [] for tasks in _STACKS}
+    faults). What outlives a record is its feature rows, and the held
+    windows are at most one chunk per stack kind."""
+    stacks = {tasks: _Stack(tasks) for tasks in _STACKS}
     data = {task: {"y": [], "record": [], "row": []} for task in Task}
-    for rec, (_, wave) in enumerate(records):
+
+    # one call per record: its event, whose windows view the samples, goes
+    # when the call returns, so the record does not outlive the loop step
+    def add(rec, wave):
         event = detect(wave)
         if not event.triggered:
-            continue
-        # the windows are views of the record's samples, which the caller
-        # holds anyway, so collecting every window costs no copy
+            return
         targets = _task_targets(wave.label)
         for tasks, stack in stacks.items():
             mine = [task for task in tasks if task in targets]
+            if not mine:
+                continue
+            row = stack.add(event.detect_window if tasks[0] is Task.DETECT_FAULT
+                            else event.classify_window)
             for task in mine:
                 data[task]["y"].append(targets[task])
                 data[task]["record"].append(rec)
-                data[task]["row"].append(len(stack))
-            if mine:
-                stack.append(event.detect_window if tasks[0] is Task.DETECT_FAULT
-                             else event.classify_window)
-    for tasks, stack in stacks.items():
-        stack = (np.stack(stack) if stack
-                 else np.empty((0, task_window_len(tasks[0]), 3)))
-        for task, (values, _) in extract_tasks(stack, tasks).items():
+                data[task]["row"].append(row)
+
+    for rec, (_, wave) in enumerate(records):
+        add(rec, wave)
+    for stack in stacks.values():
+        for task, values in stack.finish().items():
             d = data[task]
             d["X"] = values[np.asarray(d.pop("row"), dtype=np.intp)]
             d["y"] = np.asarray(d["y"])
@@ -421,24 +483,25 @@ def train_pipeline(corpus_dir, manifest, config: TrainConfig) -> PipelineModel:
     """Grid-search one classifier per task and assemble the pipeline.
 
     The corpus is split 4:1 stratified by the full hierarchical label (every
-    task's class, joined). Every record is detected and featurized in one
-    pass, whose rows are then split by record; a row depends on its window
-    alone, so no holdout record informs a training row. Per-stage holdout
-    metrics are stored in metadata.
+    task's class, joined), read from the manifest rows. The records are then
+    read one at a time, detected and featurized in one pass
+    (``_windows_by_task``), so no more than one record's samples are held;
+    the rows are split by record, and a row depends on its window alone, so
+    no holdout record informs a training row. Per-stage holdout metrics are
+    stored in metadata.
     """
-    records = load_corpus_waveforms(corpus_dir, manifest)
     labels = np.asarray([
-        "/".join(_task_targets(wave.label).values()) for _, wave in records
+        "/".join(_task_targets(_record_label(row)).values()) for row in manifest
     ])
     train_idx, _ = train_test_split(labels, 0.2, config.seed)
-    data = _windows_by_task(records)
-    in_train = np.zeros(len(records), dtype=bool)
+    data = _windows_by_task(iter_corpus_waveforms(corpus_dir, manifest))
+    in_train = np.zeros(len(manifest), dtype=bool)
     in_train[train_idx] = True
     train_rows = {task: in_train[d["record"]] for task, d in data.items()}
     # every detected record has a DetectFault row
     detected = data[Task.DETECT_FAULT]["record"]
-    undetected = [records[i][0]["file"] for i in set(train_idx) - set(detected)]
-    holdout = {records[i][0]["file"] for i in detected[~in_train[detected]]}
+    undetected = [manifest[i]["file"] for i in set(train_idx) - set(detected)]
+    holdout = {manifest[i]["file"] for i in detected[~in_train[detected]]}
 
     for task in Task:
         present = set(data[task]["y"][train_rows[task]])
@@ -523,8 +586,11 @@ def detect_noise_study(records, train_files, snr_list, seed,
     One detect-stage model is trained on noise-augmented training windows
     (clean plus every requested SNR), then each held-out waveform is
     evaluated ``repeats`` times per SNR with fresh seeded noise draws (at
-    infinite SNR the one clean window counts ``repeats`` times). The training
-    windows, and each SNR's holdout windows, are featurized and predicted in
+    infinite SNR the one clean window counts ``repeats`` times). ``records``
+    is an iterable of (row, Waveform) read as it goes: a training record's
+    draws are made and detected as it is read, and only the holdout records
+    are kept for the draws after the fit. The windows are featurized one
+    ``FEATURE_CHUNK`` at a time, and each SNR's holdout rows predicted in
     one batch. Rows are keyed by SNR and report overall accuracy and
     per-kind recall.
     """
@@ -534,36 +600,49 @@ def detect_noise_study(records, train_files, snr_list, seed,
 
     train_files = set(train_files)
     levels = [s for s in snr_list if not _math.isinf(s)]
-    # noise seeds: training draw j of record i is seed + 100 i + j and
-    # holdout repeat r is hold_base + 100 i + r, past every training seed
-    hold_base = seed + 100 * max(500, len(records))
 
-    def detect_rows(draws, capacity):
+    def detect_rows(draws):
         """(DetectFault rows, truths) of the draws (wave, snr, noise seed,
-        truth) whose detect window registers an event. Each window goes
-        into one stack as it is cut, so no noisy waveform outlives it."""
-        stack = np.empty((capacity, DETECT_LEN, 3))
+        truth) whose detect window registers an event. Each window is
+        copied into a chunk as it is cut, so no noisy waveform outlives
+        it."""
+        stack = _Stack((Task.DETECT_FAULT,))
         truths = []
-        for wave, snr, noise_seed, truth in draws:
+
+        # one call per draw, so its event goes when the call returns
+        def add(wave, snr, noise_seed, truth):
             if not _math.isinf(snr):
                 wave = add_noise(wave, snr, seed=noise_seed)
             event = detect(wave)
             if event.triggered:
-                stack[len(truths)] = event.detect_window
+                stack.add(event.detect_window)
                 truths.append(truth)
-        return extract_many(stack[:len(truths)], Task.DETECT_FAULT)[0], truths
 
-    train, hold = [], []
-    for i, (row, wave) in enumerate(records):
-        truth = _task_targets(wave.label)[Task.DETECT_FAULT]
-        if row["file"] in train_files:
-            train += [(wave, snr, seed + 100 * i + j, truth)
-                      for j, snr in enumerate([_math.inf] + levels)]
-        else:
-            hold.append((i, wave, truth))
+        for draw in draws:
+            add(*draw)
+        return stack.finish()[Task.DETECT_FAULT], truths
 
-    x_train, y_train = detect_rows(train, len(train))
+    hold = []          # (index, wave, truth) of every holdout record
+    n_records = 0
+
+    def training_draws():
+        """Training draw j of record i, noise seed seed + 100 i + j, as the
+        record is read; the holdout records are kept aside."""
+        nonlocal n_records
+        for i, (row, wave) in enumerate(records):
+            n_records = i + 1
+            truth = _task_targets(wave.label)[Task.DETECT_FAULT]
+            if row["file"] in train_files:
+                for j, snr in enumerate([_math.inf] + levels):
+                    yield wave, snr, seed + 100 * i + j, truth
+            else:
+                hold.append((i, wave, truth))
+
+    x_train, y_train = detect_rows(training_draws())
     model = gbc_fit(x_train, np.asarray(y_train), NOISE_STUDY_GBC)
+    # holdout repeat r of record i is seeded hold_base + 100 i + r, past
+    # every training seed
+    hold_base = seed + 100 * max(500, n_records)
 
     clean = None  # (rows, truths) of every holdout record's clean window
     rows_out = []
@@ -571,15 +650,14 @@ def detect_noise_study(records, train_files, snr_list, seed,
         if _math.isinf(snr):
             # one clean window per record, counted once per repeat
             if clean is None:
-                clean = detect_rows([(wave, snr, None, truth)
-                                     for _, wave, truth in hold], len(hold))
+                clean = detect_rows((wave, snr, None, truth)
+                                    for _, wave, truth in hold)
             x_hold = np.repeat(clean[0], repeats, axis=0)
             y_true = [truth for truth in clean[1] for _ in range(repeats)]
         else:
             x_hold, y_true = detect_rows(
-                [(wave, snr, hold_base + 100 * i + r, truth)
-                 for i, wave, truth in hold for r in range(repeats)],
-                len(hold) * repeats)
+                (wave, snr, hold_base + 100 * i + r, truth)
+                for i, wave, truth in hold for r in range(repeats))
         y_pred = model.predict(x_hold)[0] if y_true else []
         counts = ConfusionCounts.from_predictions(y_true, y_pred)
         fc = counts.per_class[FAULT_CLASS]

@@ -12,7 +12,7 @@ import itertools
 import json
 import numbers
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,7 +31,9 @@ from ..sampling import (
 )
 from . import disturbances as dist
 from .disturbances import generate_disturbance
+from .faults import PARAMETERS as FAULT_PARAMETERS
 from .faults import SHIFTS, FaultSpec, UNIT_PRESETS, simulate_internal_fault
+from .parameters import check_parameters
 
 _INCEPTION_BASE_CYCLES = 2
 _DURATION_CYCLES = 8
@@ -73,41 +75,55 @@ def _case_seed(master_seed: int, class_idx: int, case_idx: int) -> int:
     return (master_seed * 1_000_003 + class_idx * 10_007 + case_idx) % (2**31 - 1)
 
 
-def _inception(spec: SamplingSpec, step: int, divisions: int = 12) -> int:
+def _inception(spec: SamplingSpec, step, divisions: int,
+               duration_cycles: int) -> int:
+    """The sample of inception step ``step``, in ``divisions`` per cycle
+    from two cycles in. A step that is not an integer >= 0, or that leaves
+    fewer than 3 cycles of a ``duration_cycles`` record after it, is a
+    ParameterOutOfRange."""
     spc = spec.samples_per_cycle
-    return _INCEPTION_BASE_CYCLES * spc + int(round(step * spc / divisions))
+    if (isinstance(step, numbers.Integral) and not isinstance(step, (bool, np.bool_))
+            and step >= 0):
+        index = _INCEPTION_BASE_CYCLES * spc + int(round(step * spc / divisions))
+        if index <= (duration_cycles - 3) * spc:
+            return index
+    raise ParameterOutOfRange(
+        f"inception_step must be an integer >= 0 that leaves 3 cycles of a "
+        f"{duration_cycles}-cycle record after it, not {step!r}")
+
+
+def check_case(class_name: str, params: dict, spec: SamplingSpec,
+               duration_cycles: int) -> tuple[int, dict]:
+    """(inception index, generator parameters) of one enumerated plan case,
+    checked against its class's table (``faults.PARAMETERS`` or
+    ``disturbances.PARAMETERS``): a key the class does not take, a bad
+    value or a bad ``inception_step`` is a ParameterOutOfRange naming the
+    key (a winding percentage outside [0, 100] a FaultFractionOutOfRange)."""
+    p = dict(params)
+    step = p.pop("inception_step", 0)
+    if class_name == EventKind.INTERNAL_FAULT.value:
+        divisions, table = 12, FAULT_PARAMETERS
+    else:
+        kind = DisturbanceType(class_name)
+        divisions = 24 if kind is DisturbanceType.FERRORESONANCE else 12
+        table = dist.PARAMETERS[kind]
+    return (_inception(spec, step, divisions, duration_cycles),
+            check_parameters(class_name, table, p))
 
 
 def build_case(class_name: str, params: dict, spec: SamplingSpec,
                duration_cycles: int) -> Waveform:
-    """Synthesize the waveform for one enumerated plan case."""
-    p = dict(params)
-    step = p.pop("inception_step", 0)
+    """Synthesize the waveform for one enumerated plan case, checked by
+    ``check_case``."""
+    inception, p = check_case(class_name, params, spec, duration_cycles)
     if class_name == EventKind.INTERNAL_FAULT.value:
-        accepted = [f.name for f in fields(FaultSpec)]
-        unknown = [key for key in p if key not in accepted]
-        if unknown:
-            raise ParameterOutOfRange(f"{class_name} takes no parameter "
-                                      f"{unknown[0]!r}; it takes {', '.join(accepted)}")
-        try:
-            for name, kind in (("unit", Unit), ("fault_type", FaultType)):
-                if name in p:
-                    p[name] = kind(p[name])
-            fault = FaultSpec(**p)
-        except (TypeError, ValueError) as exc:
-            raise ParameterOutOfRange(f"{class_name}: {exc}") from exc
+        fault = FaultSpec(**p)
         return simulate_internal_fault(
             UNIT_PRESETS[fault.unit], fault, spec,
-            duration_cycles=duration_cycles,
-            inception_index=_inception(spec, step),
+            duration_cycles=duration_cycles, inception_index=inception,
         )
-    kind = DisturbanceType(class_name)
-    divisions = 24 if kind is DisturbanceType.FERRORESONANCE else 12
-    return generate_disturbance(
-        kind, p, spec,
-        inception_index=_inception(spec, step, divisions),
-        duration_cycles=duration_cycles,
-    )
+    return generate_disturbance(class_name, p, spec, inception_index=inception,
+                                duration_cycles=duration_cycles)
 
 
 def generate_corpus(plan: CorpusPlan, seed: int, out_dir) -> list[dict]:
@@ -120,6 +136,9 @@ def generate_corpus(plan: CorpusPlan, seed: int, out_dir) -> list[dict]:
     if not cases:
         raise PlanEmpty("corpus plan enumerates no cases")
     spec = SamplingSpec()
+    # a bad case anywhere in the plan fails before the first write
+    for _, class_name, _, params, _ in cases:
+        check_case(class_name, params, spec, plan.duration_cycles)
     wave_dir = os.path.join(out_dir, "waveforms")
     os.makedirs(wave_dir, exist_ok=True)
 
@@ -178,7 +197,8 @@ _MANIFEST_KEYS = ("file", "kind", "inception_index", "unit", "fault_type",
 
 
 def load_manifest(corpus_dir) -> list[dict]:
-    """Read ``manifest.json``; any unreadable or malformed row is an IoFailure."""
+    """Read ``manifest.json``; any unreadable or malformed row, or a second
+    row naming a row's file, is an IoFailure."""
     path = os.path.join(corpus_dir, "manifest.json")
     try:
         with open(path) as fh:
@@ -190,6 +210,7 @@ def load_manifest(corpus_dir) -> list[dict]:
     if not (isinstance(manifest, list)
             and all(isinstance(row, dict) for row in manifest)):
         raise IoFailure(f"manifest at {path} must hold a list of JSON objects")
+    first_row = {}  # file -> the index of the row that names it first
     for idx, row in enumerate(manifest):
         missing = [key for key in _MANIFEST_KEYS if key not in row]
         if missing:
@@ -199,6 +220,10 @@ def load_manifest(corpus_dir) -> list[dict]:
         if not (isinstance(file, str) and file):
             raise IoFailure(f"manifest at {path}: row {idx} has file {file!r}, "
                             "not a non-empty string")
+        # one record in two rows could land in both training and holdout
+        if first_row.setdefault(file, idx) != idx:
+            raise IoFailure(f"manifest at {path}: rows {first_row[file]} and "
+                            f"{idx} both name file {file!r}")
         if not isinstance(inception, int) or isinstance(inception, bool):
             raise IoFailure(f"manifest at {path}: row {idx} has inception_index "
                             f"{inception!r}, not an integer")

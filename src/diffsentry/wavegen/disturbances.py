@@ -15,10 +15,11 @@ import math
 
 import numpy as np
 
-from ..errors import ParameterOutOfRange, UnknownDisturbance
+from ..errors import UnknownDisturbance
 from ..sampling import (PHASES, DisturbanceType, EventKind, EventLabel,
                         SamplingSpec, Waveform)
 from .faults import SHIFTS, _phase_offsets, _tap_drive
+from .parameters import check_parameters
 
 # saturation curve: knee at 1.2 pu flux, unsaturated magnetizing slope set
 # for a few-percent magnetizing current, saturated slope 100x steeper
@@ -89,33 +90,6 @@ def ct_saturating_clipper(current: np.ndarray, spc: int) -> np.ndarray:
     return out
 
 
-def _checked(kind: DisturbanceType, params: dict) -> dict:
-    """Every parameter of ``kind``, converted to its type or its default. A key
-    outside ``PARAMETERS[kind]``, a bool, a value its conversion changes (an
-    int is a float, 2.5 is no int) or a value outside its set (floats within
-    ``math.isclose``) is a ParameterOutOfRange."""
-    table = PARAMETERS[kind]
-    for key in params:
-        if key not in table:
-            raise ParameterOutOfRange(f"{kind.value} takes no parameter {key!r}; "
-                                      f"it takes {', '.join(table)}")
-    out = {}
-    for name, (cast, allowed, default) in table.items():
-        raw = params.get(name, default)
-        try:
-            value = cast(raw)
-        except (TypeError, ValueError):
-            value = None
-        exact = not isinstance(raw, (bool, np.bool_)) and value == raw
-        if value is None or not exact or not any(
-                math.isclose(value, a) if cast is float else value == a
-                for a in allowed):
-            raise ParameterOutOfRange(
-                f"{kind.value}: {name} must be one of {allowed}, not {raw!r}")
-        out[name] = value
-    return out
-
-
 def _residual_pattern(residual_pct: float, pattern: int) -> np.ndarray:
     """Per-phase residual flux: one phase carries the set value, the other
     two balance it with the opposite half (three-limb core closure)."""
@@ -144,7 +118,7 @@ def generate_disturbance(
     if not 0 <= k0 <= n - 3 * spc:
         raise ValueError("inception must leave at least 3 post-event cycles")
 
-    prov = _checked(kind, params)
+    prov = check_parameters(kind.value, PARAMETERS[kind], params)
     samples = _BUILDERS[kind](prov, spec, n, k0)
     label = EventLabel(kind=EventKind.DISTURBANCE, disturbance_type=kind)
     prov.update({"generator": kind.value, "duration_cycles": duration_cycles})

@@ -9,14 +9,15 @@ taps, and winding-to-winding faults bridge primary and secondary taps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, replace
 
 import numpy as np
 
-from ..errors import SingularMatrix
+from ..errors import FaultFractionOutOfRange, SingularMatrix
 from ..sampling import (PHASES, EventKind, EventLabel, FaultType, SamplingSpec,
                         Unit, Waveform)
 from .circuit import reduce_meshes, run_piecewise
+from .parameters import Interval, check_parameters
 from .transformer import TwoWindingParams, build_two_winding_L
 
 #: Ratings used for the three protected units. Distinct impedances and
@@ -35,32 +36,38 @@ _GROUND_R_OHM = 0.5
 SHIFTS = ("forward", "backward")   # phase-shift directions
 
 
+#: {parameter: (type, allowed values or Interval, default)}: the one list
+#: of what a fault takes, in FaultSpec's field order and with its defaults
+PARAMETERS = {
+    "fault_type": (FaultType, tuple(FaultType), MISSING),
+    "unit": (Unit, tuple(Unit), Unit.PT),
+    # inf is the open fault
+    "resistance_ohm": (float, Interval(0.0, math.inf), 0.01),
+    "pct_winding": (float, Interval(0.0, 100.0, error=FaultFractionOutOfRange),
+                    50.0),
+    "side": (str, ("primary", "secondary"), "primary"),
+    "phase": (str, PHASES, "a"),                     # TurnToTurn, WindingToWinding
+    "tap": (float, Interval(0.0, 1.0, open_low=True), 1.0),   # LTC position
+    "shift": (str, SHIFTS, "forward"),               # phase-shift direction
+}
+
+
 @dataclass(frozen=True)
 class FaultSpec:
-    """Where and how hard the winding fault is applied."""
+    """Where and how hard the winding fault is applied; checked against
+    ``PARAMETERS``."""
 
     fault_type: FaultType
     unit: Unit = Unit.PT
     resistance_ohm: float = 0.01
     pct_winding: float = 50.0
-    side: str = "primary"          # "primary" | "secondary"
-    phase: str = "a"               # used by TurnToTurn / WindingToWinding
-    tap: float = 1.0               # LTC position in (0, 1]
-    shift: str = "forward"         # phase-shift direction: "forward" | "backward"
+    side: str = "primary"
+    phase: str = "a"
+    tap: float = 1.0
+    shift: str = "forward"
 
     def __post_init__(self):
-        # inf is the open fault; NaN compares false, so it fails this check
-        if not self.resistance_ohm >= 0.0:
-            raise ValueError(
-                f"resistance_ohm must be >= 0 or inf, got {self.resistance_ohm}")
-        if self.side not in ("primary", "secondary"):
-            raise ValueError(f"side must be primary or secondary, got {self.side}")
-        if self.phase not in PHASES:
-            raise ValueError(f"phase must be one of a/b/c, got {self.phase}")
-        if self.shift not in SHIFTS:
-            raise ValueError(f"shift must be forward or backward, got {self.shift}")
-        if not 0.0 < self.tap <= 1.0:
-            raise ValueError(f"tap must be in (0, 1], got {self.tap}")
+        check_parameters("FaultSpec", PARAMETERS, vars(self))
 
 
 def _phase_offsets(shift: str) -> np.ndarray:

@@ -527,8 +527,11 @@ def _manifest_row(**changes) -> str:
     ("train", _manifest_row(file=5), "row 0 has file 5"),
     ("evaluate", _manifest_row(inception_index="x"), "row 0 has inception_index 'x'"),
     ("train", _manifest_row(inception_index=True), "row 0 has inception_index True"),
+    ("train", json.dumps(json.loads(_manifest_row()) * 2),
+     "rows 0 and 1 both name file 'w.csv'"),
 ], ids=["not_json", "object", "list_of_numbers", "empty_row", "bad_kind",
-        "file_not_a_string", "inception_not_an_int", "inception_a_bool"])
+        "file_not_a_string", "inception_not_an_int", "inception_a_bool",
+        "repeated_file"])
 def test_bad_manifest_is_a_data_error(tmp_path, saved_model, capsys, command,
                                       text, message):
     corpus_dir = tmp_path / "corpus"

@@ -2,12 +2,18 @@
 
 import collections
 import hashlib
+import json
+import math
 import os
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from diffsentry.errors import FaultFractionOutOfRange, ParameterOutOfRange, PlanEmpty
-from diffsentry.sampling import DisturbanceType, SamplingSpec, read_waveform_csv
+from diffsentry.errors import (FaultFractionOutOfRange, IoFailure,
+                               ParameterOutOfRange, PlanEmpty)
+from diffsentry.sampling import (DisturbanceType, FaultType, SamplingSpec, Unit,
+                                 Waveform, read_waveform_csv)
 from diffsentry.wavegen.corpus import (
     ClassPlan,
     CorpusPlan,
@@ -168,3 +174,81 @@ def test_bad_fault_case_is_a_typed_error(change, error, name):
 def test_fault_case_without_a_unit_is_on_the_pt():
     wave = build_case("InternalFault", {"fault_type": "wa-g"}, SamplingSpec(), 8)
     assert wave.label.unit.value == "PT"
+
+
+def test_a_repeated_manifest_file_is_refused(tmp_path):
+    # one record in two rows could land in both training and holdout
+    generate_corpus(_tiny_plan(), 5, tmp_path)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    path.write_text(json.dumps(manifest + [manifest[3]]))
+    with pytest.raises(IoFailure, match=rf"rows 3 and {len(manifest)} both name "
+                                        rf"file '{manifest[3]['file']}'"):
+        load_manifest(tmp_path)
+
+
+def test_a_bad_case_in_a_later_class_writes_nothing(tmp_path):
+    # the plan is checked whole before the first CSV is written
+    plan = CorpusPlan(classes=(
+        ClassPlan(name="CapacitorSwitching", grid={"legs": (1, 2)}),
+        ClassPlan(name="InternalFault",
+                  grid={"fault_type": ("wa-g",), "pct_winding": (20.0, True)}),
+    ))
+    (tmp_path / "keep.txt").write_text("earlier output")
+    before = _tree_bytes(tmp_path)
+    with pytest.raises(ParameterOutOfRange, match="pct_winding"):
+        generate_corpus(plan, 0, tmp_path)
+    assert _tree_bytes(tmp_path) == before
+    assert sorted(os.listdir(tmp_path)) == ["keep.txt"]
+
+
+def test_fault_table_defaults_are_the_fault_spec_defaults():
+    import dataclasses
+
+    from diffsentry.wavegen.faults import PARAMETERS, FaultSpec
+
+    assert {f.name: f.default for f in dataclasses.fields(FaultSpec)} == {
+        name: default for name, (_, _, default) in PARAMETERS.items()}
+
+
+def _tagged(valid, invalid):
+    """(value, is_valid): a draw from ``invalid`` one time in ten, else from
+    ``valid``, so that about a third of the cases are valid throughout."""
+    return st.integers(0, 9).flatmap(
+        lambda n: st.sampled_from(invalid).map(lambda v: (v, False)) if n == 0
+        else valid.map(lambda v: (v, True)))
+
+
+_JUNK = ["x", True, None, math.nan, [1.0]]
+_FAULT_KEYS = {
+    "fault_type": _tagged(st.sampled_from([*FaultType, *(f.value for f in FaultType)]),
+                          ["a-b-c", 1, *_JUNK]),
+    "unit": _tagged(st.sampled_from([*Unit, *(u.value for u in Unit)]),
+                    ["Tertiary", *_JUNK]),
+    "resistance_ohm": _tagged(st.one_of(st.floats(0.01, 100.0), st.just(math.inf)),
+                              [-1.0, "low", *_JUNK]),
+    "pct_winding": _tagged(st.floats(5.0, 95.0) | st.integers(5, 95),
+                           [150.0, -5, math.inf, *_JUNK]),
+    "side": _tagged(st.sampled_from(["primary", "secondary"]), ["tertiary", 1, *_JUNK]),
+    "phase": _tagged(st.sampled_from(["a", "b", "c"]), ["d", *_JUNK]),
+    "tap": _tagged(st.floats(0.2, 1.0), [0.0, 1.5, "0.6", *_JUNK]),
+    "shift": _tagged(st.sampled_from(["forward", "backward"]), ["left", *_JUNK]),
+    "inception_step": _tagged(st.integers(0, 11), [2.5, -1, 1000, "0", *_JUNK]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fixed_dictionaries(
+    {"fault_type": _FAULT_KEYS["fault_type"]},
+    optional={key: s for key, s in _FAULT_KEYS.items() if key != "fault_type"}))
+def test_a_fault_case_builds_or_names_a_bad_key(tagged):
+    case = {key: value for key, (value, _) in tagged.items()}
+    bad = [key for key, (_, ok) in tagged.items() if not ok]
+    try:
+        wave = build_case("InternalFault", case, SamplingSpec(), 8)
+    except (ParameterOutOfRange, FaultFractionOutOfRange) as exc:
+        assert bad, f"valid case {case} refused: {exc}"
+        assert any(re.search(rf"\b{key}\b", str(exc)) for key in bad), str(exc)
+    else:
+        assert not bad, f"bad keys {bad} of {case} were taken"
+        assert isinstance(wave, Waveform)

@@ -797,3 +797,136 @@ def test_an_undetected_holdout_record_is_in_no_file_list(small_corpus,
     assert model.metadata["holdout_files"] == sorted(
         records[i][0]["file"] for i in hold_idx
         if i not in quiet and detect(records[i][1]).triggered)
+
+
+# -- the corpus streamed through train and evaluate -------------------------------
+
+def _noise_study_seen(records, train_files, monkeypatch):
+    """The noise study's report rows, and the bytes of the rows it fits
+    and predicts, on a small detect-stage fit."""
+    import math
+
+    from diffsentry import pipeline
+    from diffsentry.ensembles import GbcConfig
+
+    seen = []
+    fit = pipeline.gbc_fit
+
+    class Recording:
+        def __init__(self, model):
+            self.model = model
+
+        def predict(self, X):
+            seen.append(X.tobytes())
+            return self.model.predict(X)
+
+    def fit_recording(X, y, config):
+        seen.append((X.tobytes(), list(y)))
+        return Recording(fit(X, y, config))
+
+    monkeypatch.setattr(pipeline, "gbc_fit", fit_recording)
+    monkeypatch.setattr(pipeline, "NOISE_STUDY_GBC", GbcConfig(n_estimators=4))
+    rows = pipeline.detect_noise_study(records, train_files, [math.inf, 10.0],
+                                       seed=2, repeats=2)
+    return rows, seen
+
+
+def _chunked_outputs(small_corpus, monkeypatch):
+    """``_windows_by_task`` on the whole small corpus (540 records) and the
+    noise study on a slice of it (about 490 training draws), at the
+    current ``FEATURE_CHUNK``."""
+    from diffsentry.pipeline import _windows_by_task, load_corpus_waveforms
+
+    corpus_dir, manifest = small_corpus
+    records = load_corpus_waveforms(corpus_dir, manifest)
+    data = _windows_by_task(records)
+    windows = {task: (d["X"].tobytes(), d["y"].tolist(), d["record"].tolist())
+               for task, d in data.items()}
+    study = ([rec for rec in records if rec[0]["kind"] == "InternalFault"][::2]
+             + [rec for rec in records if rec[0]["kind"] != "InternalFault"])
+    train_files = [row["file"] for i, (row, _) in enumerate(study) if i % 5]
+    return windows, _noise_study_seen(study, train_files, monkeypatch)
+
+
+@pytest.fixture(scope="module")
+def default_chunk_outputs(small_corpus):
+    with pytest.MonkeyPatch.context() as mp:
+        return _chunked_outputs(small_corpus, mp)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1000],
+                         ids=["one", "three", "larger_than_the_corpus"])
+def test_chunk_size_changes_no_byte(small_corpus, default_chunk_outputs,
+                                    monkeypatch, chunk):
+    from diffsentry import pipeline
+
+    # the default splits the corpus and the noise study's training draws
+    assert pipeline.FEATURE_CHUNK < 490
+    monkeypatch.setattr(pipeline, "FEATURE_CHUNK", chunk)
+    windows, (rows, seen) = _chunked_outputs(small_corpus, monkeypatch)
+    want_windows, (want_rows, want_seen) = default_chunk_outputs
+    assert windows == want_windows
+    assert rows == want_rows
+    assert seen == want_seen
+
+
+def _watch_samples(monkeypatch, is_holdout):
+    """Wrap ``pipeline.read_waveform_csv`` to keep a weak reference to
+    every sample array it returns, and ``pipeline.detect`` to count, at
+    each call, the arrays still alive of records ``is_holdout`` does not
+    pick. Returns (the files read, in order; the counts)."""
+    import weakref
+
+    from diffsentry import pipeline
+
+    read, detect_ = pipeline.read_waveform_csv, pipeline.detect
+    refs, files, counts = [], [], []
+
+    def reading(path):
+        samples = read(path)
+        files.append(path)
+        if not is_holdout(path):
+            refs.append(weakref.ref(samples))
+        return samples
+
+    def detecting(wave):
+        counts.append(sum(ref() is not None for ref in refs))
+        return detect_(wave)
+
+    monkeypatch.setattr(pipeline, "read_waveform_csv", reading)
+    monkeypatch.setattr(pipeline, "detect", detecting)
+    return files, counts
+
+
+def test_training_holds_one_record_at_a_time(small_corpus, monkeypatch):
+    corpus_dir, manifest = small_corpus
+    files, counts = _watch_samples(monkeypatch, lambda path: False)
+    train_pipeline(corpus_dir, manifest, _QUICK)
+    assert len(files) == len(manifest) == len(counts)
+    # at each detection only the record being detected is alive
+    assert set(counts) == {1}
+
+
+def test_evaluate_holds_one_training_record_and_the_holdout(small_corpus,
+                                                            tmp_path, monkeypatch):
+    import os
+
+    from diffsentry import pipeline
+    from diffsentry.cli import main
+    from diffsentry.ensembles import GbcConfig
+
+    corpus_dir, manifest = small_corpus
+    model = train_pipeline(corpus_dir, manifest, _QUICK)
+    save_pipeline(model, tmp_path / "pipeline.json")
+    holdout = {os.path.join(corpus_dir, f) for f in model.metadata["holdout_files"]}
+    monkeypatch.setattr(pipeline, "NOISE_STUDY_GBC", GbcConfig(n_estimators=2))
+    files, counts = _watch_samples(monkeypatch, lambda path: path in holdout)
+    code = main(["evaluate", "--corpus", str(corpus_dir), "--model",
+                 str(tmp_path / "pipeline.json"), "--out", str(tmp_path / "report"),
+                 "--snr", "inf,10"])
+    assert code in (0, 1) and (tmp_path / "report" / "report.json").exists()
+    # every record, the holdout among them, is read once
+    assert sorted(files) == sorted(os.path.join(corpus_dir, row["file"])
+                                   for row in manifest)
+    # a training record is alive only while its draws are detected
+    assert max(counts) == 1 and counts[-1] == 0
