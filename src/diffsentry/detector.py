@@ -143,7 +143,10 @@ class StreamingDetector:
 
     def push(self, sample) -> Optional[DetectionEvent]:
         n_c = CYCLE
-        s = np.asarray(sample, dtype=np.float64)
+        try:
+            s = np.asarray(sample, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise WrongShape(f"a sample must be 3 numbers, got {sample!r}") from exc
         if s.shape != (3,):
             raise WrongShape(f"a sample must have shape (3,), got {s.shape}")
         idx = self._count

@@ -5,7 +5,7 @@ from .transformer import (
     TwoWindingParams,
     build_two_winding_L,
 )
-from .faults import FaultSpec, UNIT_PRESETS, simulate_internal_fault
+from .faults import UNIT_PRESETS, simulate_internal_fault
 from .disturbances import generate_disturbance, saturation_current
 from .noise import add_noise
 from .corpus import (
@@ -20,7 +20,6 @@ __all__ = [
     "InductanceMatrix",
     "TwoWindingParams",
     "build_two_winding_L",
-    "FaultSpec",
     "UNIT_PRESETS",
     "simulate_internal_fault",
     "generate_disturbance",

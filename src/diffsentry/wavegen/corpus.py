@@ -32,11 +32,27 @@ from ..sampling import (
 from . import disturbances as dist
 from .disturbances import generate_disturbance
 from .faults import PARAMETERS as FAULT_PARAMETERS
-from .faults import SHIFTS, FaultSpec, UNIT_PRESETS, simulate_internal_fault
+from .faults import SHIFTS, simulate_internal_fault
 from .parameters import check_parameters
 
 _INCEPTION_BASE_CYCLES = 2
 _DURATION_CYCLES = 8
+_CLASS_NAMES = (EventKind.INTERNAL_FAULT.value,
+                *(kind.value for kind in DisturbanceType))
+
+
+def _class_rule(class_name: str):
+    """(disturbance kind, or None for an internal fault; inception steps
+    per cycle; parameter table) of an event class; a name that is neither
+    ``InternalFault`` nor a DisturbanceType value is a ParameterOutOfRange."""
+    if class_name not in _CLASS_NAMES:
+        raise ParameterOutOfRange(f"no event class {class_name!r}; the "
+                                  f"classes are {', '.join(_CLASS_NAMES)}")
+    if class_name == EventKind.INTERNAL_FAULT.value:
+        return None, 12, FAULT_PARAMETERS
+    kind = DisturbanceType(class_name)
+    divisions = 24 if kind is DisturbanceType.FERRORESONANCE else 12
+    return kind, divisions, dist.PARAMETERS[kind]
 
 
 @dataclass(frozen=True)
@@ -48,11 +64,7 @@ class ClassPlan:
     cap: Optional[int] = None
 
     def __post_init__(self):
-        known = [EventKind.INTERNAL_FAULT.value,
-                 *(kind.value for kind in DisturbanceType)]
-        if self.name not in known:
-            raise ParameterOutOfRange(f"no event class {self.name!r}; the "
-                                      f"classes are {', '.join(known)}")
+        _class_rule(self.name)
         if self.cap is not None and not (
                 isinstance(self.cap, numbers.Integral) and self.cap >= 0):
             raise ParameterOutOfRange(
@@ -92,38 +104,36 @@ def _inception(spec: SamplingSpec, step, divisions: int,
         f"{duration_cycles}-cycle record after it, not {step!r}")
 
 
-def check_case(class_name: str, params: dict, spec: SamplingSpec,
-               duration_cycles: int) -> tuple[int, dict]:
-    """(inception index, generator parameters) of one enumerated plan case,
-    checked against its class's table (``faults.PARAMETERS`` or
-    ``disturbances.PARAMETERS``): a key the class does not take, a bad
-    value or a bad ``inception_step`` is a ParameterOutOfRange naming the
-    key (a winding percentage outside [0, 100] a FaultFractionOutOfRange)."""
+def _split_case(class_name: str, params: dict, spec: SamplingSpec,
+                duration_cycles: int):
+    """(disturbance kind or None, parameter table, inception index, the
+    other parameters) of one enumerated plan case."""
+    kind, divisions, table = _class_rule(class_name)
     p = dict(params)
     step = p.pop("inception_step", 0)
-    if class_name == EventKind.INTERNAL_FAULT.value:
-        divisions, table = 12, FAULT_PARAMETERS
-    else:
-        kind = DisturbanceType(class_name)
-        divisions = 24 if kind is DisturbanceType.FERRORESONANCE else 12
-        table = dist.PARAMETERS[kind]
-    return (_inception(spec, step, divisions, duration_cycles),
-            check_parameters(class_name, table, p))
+    return kind, table, _inception(spec, step, divisions, duration_cycles), p
+
+
+def check_case(class_name: str, params: dict, spec: SamplingSpec,
+               duration_cycles: int) -> None:
+    """Check one enumerated plan case against its class's table
+    (``faults.PARAMETERS`` or ``disturbances.PARAMETERS``) without
+    synthesizing it: an unknown class, a key the class does not take, a
+    bad value or a bad ``inception_step`` is a ParameterOutOfRange naming
+    it (a winding percentage outside [0, 100] a FaultFractionOutOfRange)."""
+    _, table, _, p = _split_case(class_name, params, spec, duration_cycles)
+    check_parameters(class_name, table, p)
 
 
 def build_case(class_name: str, params: dict, spec: SamplingSpec,
                duration_cycles: int) -> Waveform:
-    """Synthesize the waveform for one enumerated plan case, checked by
-    ``check_case``."""
-    inception, p = check_case(class_name, params, spec, duration_cycles)
-    if class_name == EventKind.INTERNAL_FAULT.value:
-        fault = FaultSpec(**p)
-        return simulate_internal_fault(
-            UNIT_PRESETS[fault.unit], fault, spec,
-            duration_cycles=duration_cycles, inception_index=inception,
-        )
-    return generate_disturbance(class_name, p, spec, inception_index=inception,
-                                duration_cycles=duration_cycles)
+    """Synthesize the waveform for one enumerated plan case; its generator
+    checks the parameters, with the errors of ``check_case``."""
+    kind, _, inception, p = _split_case(class_name, params, spec,
+                                        duration_cycles)
+    if kind is None:
+        return simulate_internal_fault(p, spec, duration_cycles, inception)
+    return generate_disturbance(kind, p, spec, inception, duration_cycles)
 
 
 def generate_corpus(plan: CorpusPlan, seed: int, out_dir) -> list[dict]:

@@ -9,7 +9,7 @@ taps, and winding-to-winding faults bridge primary and secondary taps.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, replace
+from dataclasses import MISSING, replace
 
 import numpy as np
 
@@ -37,7 +37,7 @@ SHIFTS = ("forward", "backward")   # phase-shift directions
 
 
 #: {parameter: (type, allowed values or Interval, default)}: the one list
-#: of what a fault takes, in FaultSpec's field order and with its defaults
+#: of what a fault takes; ``simulate_internal_fault`` checks its case by it
 PARAMETERS = {
     "fault_type": (FaultType, tuple(FaultType), MISSING),
     "unit": (Unit, tuple(Unit), Unit.PT),
@@ -52,24 +52,6 @@ PARAMETERS = {
 }
 
 
-@dataclass(frozen=True)
-class FaultSpec:
-    """Where and how hard the winding fault is applied; checked against
-    ``PARAMETERS``."""
-
-    fault_type: FaultType
-    unit: Unit = Unit.PT
-    resistance_ohm: float = 0.01
-    pct_winding: float = 50.0
-    side: str = "primary"
-    phase: str = "a"
-    tap: float = 1.0
-    shift: str = "forward"
-
-    def __post_init__(self):
-        check_parameters("FaultSpec", PARAMETERS, vars(self))
-
-
 def _phase_offsets(shift: str) -> np.ndarray:
     seq = -2.0 * math.pi / 3.0 if shift == "forward" else 2.0 * math.pi / 3.0
     return np.array([0.0, seq, -seq])
@@ -80,13 +62,14 @@ def _tap_drive(tap: float) -> float:
     return 0.4 + 0.6 * tap
 
 
-def _fault_phases(ft: FaultType, spec: FaultSpec):
+def _fault_phases(fault: dict):
     """(grounded phases, ungrounded tap-to-tap pairs, same-phase w-w phases)."""
+    ft = fault["fault_type"]
     name = ft.value
     if ft is FaultType.TURN_TO_TURN:
-        return [], [], [(spec.phase, "turn")]
+        return [], [], [(fault["phase"], "turn")]
     if ft is FaultType.WINDING_TO_WINDING:
-        return [], [], [(spec.phase, "ww")]
+        return [], [], [(fault["phase"], "ww")]
     phases = [p[1] for p in name.split("-") if p.startswith("w")]
     grounded = name.endswith("-g")
     if grounded:
@@ -97,23 +80,24 @@ def _fault_phases(ft: FaultType, spec: FaultSpec):
     return [], pairs, []
 
 
-def _fault_mesh_columns(spec: FaultSpec, n_windings: int):
+def _fault_mesh_columns(fault: dict, n_windings: int):
     """Incidence columns and lumped resistances for the fault meshes."""
     # sub-winding index layout: 4*phase + (0:x, 1:y, 2:z, 3:w)
-    tapped = 0 if spec.side == "primary" else 2
-    grounded, pairs, local = _fault_phases(spec.fault_type, spec)
+    tapped = 0 if fault["side"] == "primary" else 2
+    r_fault = fault["resistance_ohm"]
+    grounded, pairs, local = _fault_phases(fault)
     cols, resistances = [], []
     for ph in grounded:
         col = np.zeros(n_windings)
         col[4 * PHASES.index(ph) + tapped] = -1.0
         cols.append(col)
-        resistances.append(spec.resistance_ohm + _GROUND_R_OHM)
+        resistances.append(r_fault + _GROUND_R_OHM)
     for ph1, ph2 in pairs:
         col = np.zeros(n_windings)
         col[4 * PHASES.index(ph1) + tapped] = -1.0
         col[4 * PHASES.index(ph2) + tapped] = 1.0
         cols.append(col)
-        resistances.append(spec.resistance_ohm)
+        resistances.append(r_fault)
     for ph, kind in local:
         col = np.zeros(n_windings)
         if kind == "turn":
@@ -122,7 +106,7 @@ def _fault_mesh_columns(spec: FaultSpec, n_windings: int):
             col[4 * PHASES.index(ph) + 0] = -1.0
             col[4 * PHASES.index(ph) + 2] = 1.0
         cols.append(col)
-        resistances.append(spec.resistance_ohm)
+        resistances.append(r_fault)
     return cols, resistances
 
 
@@ -157,17 +141,19 @@ def _service_meshes(n_windings: int):
 
 
 def simulate_internal_fault(
-    p: TwoWindingParams,
-    fault: FaultSpec,
+    params: dict,
     spec: SamplingSpec = SamplingSpec(),
     duration_cycles: int = 8,
     inception_index: int | None = None,
 ) -> Waveform:
-    """Solve the faulted bank and return per-unit differential currents.
+    """Solve the faulted bank of ``params``'s unit and return per-unit
+    differential currents.
 
-    The fault meshes are switched in at ``inception_index``; before that the
-    state sits on the exact periodic orbit of the discrete system. A fault
-    resistance of ``math.inf`` leaves the fault branch open (no-fault limit).
+    ``params`` is a case of ``PARAMETERS`` (``fault_type`` required), checked
+    by ``check_parameters``. The fault meshes are switched in at
+    ``inception_index``; before that the state sits on the exact periodic
+    orbit of the discrete system. A fault resistance of ``math.inf`` leaves
+    the fault branch open (no-fault limit).
     """
     spc = spec.samples_per_cycle
     n = duration_cycles * spc
@@ -176,12 +162,15 @@ def simulate_internal_fault(
     if not 0 <= inception_index <= n - 3 * spc:
         raise ValueError("inception must leave at least 3 post-fault cycles")
 
-    pct = fault.pct_winding
-    if fault.fault_type is FaultType.WINDING_TO_WINDING:
+    fault = check_parameters(EventKind.INTERNAL_FAULT.value, PARAMETERS, params)
+    unit, fault_type = fault["unit"], fault["fault_type"]
+    pct = fault["pct_winding"]
+    p = UNIT_PRESETS[unit]
+    if fault_type is FaultType.WINDING_TO_WINDING:
         # contact points at different fractions of each winding, so the
         # bridged taps sit at different potentials even for a 1:1 ratio
         p_run = replace(p, fault1=pct, fault2=pct * 0.5)
-    elif fault.side == "primary":
+    elif fault["side"] == "primary":
         p_run = replace(p, fault1=pct, fault2=50.0)
     else:
         p_run = replace(p, fault1=50.0, fault2=pct)
@@ -199,12 +188,12 @@ def simulate_internal_fault(
     # 3-phase source v[n] = amp * sin(theta * n + offs) = Re(phasors * z^n),
     # one cycle == spc samples exactly
     theta = 2.0 * math.pi / spc
-    offs = _phase_offsets(fault.shift)
-    amp = math.sqrt(2.0) * p_run.v1 * _tap_drive(fault.tap)
+    offs = _phase_offsets(fault["shift"])
+    amp = math.sqrt(2.0) * p_run.v1 * _tap_drive(fault["tap"])
     phasors = amp * np.exp(1j * (offs - math.pi / 2.0))
 
     h = spec.dt
-    open_fault = math.isinf(fault.resistance_ohm)
+    open_fault = math.isinf(fault["resistance_ohm"])
     if open_fault:
         segments = [(0, sys_pre)]
     else:
@@ -219,8 +208,8 @@ def simulate_internal_fault(
         traj = run_piecewise(segments, h, phasors, theta, n)
     except SingularMatrix as exc:
         raise SingularMatrix(
-            f"{exc} [unit={fault.unit.value} fault={fault.fault_type.value} "
-            f"pct={pct} side={fault.side}]"
+            f"{exc} [unit={unit.value} fault={fault_type.value} "
+            f"pct={pct} side={fault['side']}]"
         ) from exc
 
     base1 = math.sqrt(2.0) * p_run.mva / p_run.v1
@@ -228,22 +217,12 @@ def simulate_internal_fault(
     diff = traj[:, 0:3] / base1 + traj[:, 3:6] / base2
 
     label = EventLabel(
-        kind=EventKind.INTERNAL_FAULT, unit=fault.unit, fault_type=fault.fault_type
+        kind=EventKind.INTERNAL_FAULT, unit=unit, fault_type=fault_type
     )
     provenance = {
-        "generator": "internal_fault",
-        "unit": fault.unit.value,
-        "fault_type": fault.fault_type.value,
-        "resistance_ohm": fault.resistance_ohm,
-        "pct_winding": fault.pct_winding,
-        "side": fault.side,
-        "phase": fault.phase,
-        "tap": fault.tap,
-        "shift": fault.shift,
-        "mva": p_run.mva,
-        "v1": p_run.v1,
-        "v2": p_run.v2,
-        "duration_cycles": duration_cycles,
+        **fault, "unit": unit.value, "fault_type": fault_type.value,
+        "generator": "internal_fault", "mva": p_run.mva, "v1": p_run.v1,
+        "v2": p_run.v2, "duration_cycles": duration_cycles,
     }
     return Waveform(
         spec=spec,

@@ -16,29 +16,18 @@ def add_noise(wave: Waveform, snr_db: float, seed: int) -> Waveform:
     measured per channel over the post-inception window. ``snr_db = inf``
     passes the waveform through unchanged. Deterministic under ``seed``.
     """
-    if math.isinf(snr_db) and snr_db > 0:
-        out = Waveform(
-            spec=wave.spec,
-            samples=wave.samples.copy(),
-            label=wave.label,
-            inception_index=wave.inception_index,
-            provenance=dict(wave.provenance),
-        )
-        out.provenance["snr_db"] = "inf"
-        return out
-
-    rng = np.random.default_rng(seed)
-    post = wave.samples[wave.inception_index:]
-    power = np.mean(post * post, axis=0)  # per channel
-    sigma = np.sqrt(power / (10.0 ** (snr_db / 10.0)))
-    noisy = wave.samples + rng.standard_normal(wave.samples.shape) * sigma[None, :]
     prov = dict(wave.provenance)
-    prov["snr_db"] = snr_db
-    prov["noise_seed"] = int(seed)
-    return Waveform(
-        spec=wave.spec,
-        samples=noisy,
-        label=wave.label,
-        inception_index=wave.inception_index,
-        provenance=prov,
-    )
+    if math.isinf(snr_db) and snr_db > 0:
+        samples = wave.samples.copy()
+        prov["snr_db"] = "inf"
+    else:
+        rng = np.random.default_rng(seed)
+        post = wave.samples[wave.inception_index:]
+        power = np.mean(post * post, axis=0)  # per channel
+        sigma = np.sqrt(power / (10.0 ** (snr_db / 10.0)))
+        noise = rng.standard_normal(wave.samples.shape) * sigma[None, :]
+        samples = wave.samples + noise
+        prov["snr_db"] = snr_db
+        prov["noise_seed"] = int(seed)
+    return Waveform(spec=wave.spec, samples=samples, label=wave.label,
+                    inception_index=wave.inception_index, provenance=prov)

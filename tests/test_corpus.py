@@ -14,15 +14,18 @@ from diffsentry.errors import (FaultFractionOutOfRange, IoFailure,
                                ParameterOutOfRange, PlanEmpty)
 from diffsentry.sampling import (DisturbanceType, FaultType, SamplingSpec, Unit,
                                  Waveform, read_waveform_csv)
+from diffsentry.wavegen import corpus, disturbances, faults
 from diffsentry.wavegen.corpus import (
     ClassPlan,
     CorpusPlan,
     build_case,
+    check_case,
     enumerate_plan,
     generate_corpus,
     load_manifest,
     reference_plan,
 )
+from diffsentry.wavegen.parameters import check_parameters
 
 
 def test_cap_arithmetic_hundred_per_class():
@@ -202,13 +205,37 @@ def test_a_bad_case_in_a_later_class_writes_nothing(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["keep.txt"]
 
 
-def test_fault_table_defaults_are_the_fault_spec_defaults():
-    import dataclasses
+@pytest.mark.parametrize("make", [build_case, check_case])
+def test_unknown_class_name_is_a_typed_error(make):
+    with pytest.raises(ParameterOutOfRange,
+                       match="'Bogus'.*InternalFault.*CapacitorSwitching"):
+        make("Bogus", {}, SamplingSpec(), 8)
 
-    from diffsentry.wavegen.faults import PARAMETERS, FaultSpec
 
-    assert {f.name: f.default for f in dataclasses.fields(FaultSpec)} == {
-        name: default for name, (_, _, default) in PARAMETERS.items()}
+@pytest.mark.parametrize("name, params", [
+    ("InternalFault", {"fault_type": "wa-g", "inception_step": 3}),
+    ("MagnetizingInrush", {"pattern": 1, "inception_step": 3}),
+])
+def test_build_case_checks_a_case_once(monkeypatch, name, params):
+    # every module that could check the case counts into one list
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return check_parameters(*args)
+
+    for module in (corpus, faults, disturbances):
+        monkeypatch.setattr(module, "check_parameters", counted)
+    build_case(name, params, SamplingSpec(), 8)
+    assert calls == [name]
+
+
+def test_manifest_of_every_reference_fault_case_is_pinned(tmp_path):
+    # all 468 fault cases of the reference grid: every fault type on every
+    # unit, each resistance, winding share and inception step
+    generate_corpus(reference_plan(cases_per_class=0, fault_cases=468), 0, tmp_path)
+    digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest()
+    assert digest == "a2069455e03f6be19a40587cab8ca5d6162b5d7d2170f647cbc4834841d1352a"
 
 
 def _tagged(valid, invalid):

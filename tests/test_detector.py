@@ -20,7 +20,7 @@ from diffsentry.errors import NonFiniteSample, TooShort, WrongShape
 from diffsentry.features import Task, task_window_len
 from diffsentry.sampling import (PHASES, FaultType, SamplingSpec, Unit,
                                  read_waveform_csv)
-from diffsentry.wavegen.faults import FaultSpec, UNIT_PRESETS, simulate_internal_fault
+from diffsentry.wavegen.faults import simulate_internal_fault
 
 SPEC = SamplingSpec()
 SPC = SPEC.samples_per_cycle
@@ -101,10 +101,10 @@ def test_samples_not_n_by_3_are_an_error(shape):
 
 
 def _fault_wave(rf=0.01, pct=80.0, inception=2 * SPC, ft=FaultType.WA_G):
-    fault = FaultSpec(fault_type=ft, unit=Unit.PT, resistance_ohm=rf,
-                      pct_winding=pct)
-    return simulate_internal_fault(UNIT_PRESETS[Unit.PT], fault, SPEC,
-                                   duration_cycles=8, inception_index=inception)
+    fault = {"fault_type": ft, "unit": Unit.PT, "resistance_ohm": rf,
+             "pct_winding": pct}
+    return simulate_internal_fault(fault, SPEC, duration_cycles=8,
+                                   inception_index=inception)
 
 
 def test_fault_triggers_within_one_cycle_of_inception():
@@ -174,10 +174,10 @@ def test_detection_deferred_when_pre_window_does_not_fit():
 def test_weak_turn_to_turn_corner_is_recorded_not_fatal():
     """The hardest sweep corner (20% turns, 10 ohm, lowest tap) may or may
     not clear the threshold; non-detection is an accepted outcome."""
-    fault = FaultSpec(fault_type=FaultType.TURN_TO_TURN, unit=Unit.EXCITING,
-                      resistance_ohm=10.0, pct_winding=20.0, tap=0.5)
-    w = simulate_internal_fault(UNIT_PRESETS[Unit.EXCITING], fault, SPEC,
-                                duration_cycles=8, inception_index=2 * SPC)
+    fault = {"fault_type": FaultType.TURN_TO_TURN, "unit": Unit.EXCITING,
+             "resistance_ohm": 10.0, "pct_winding": 20.0, "tap": 0.5}
+    w = simulate_internal_fault(fault, SPEC, duration_cycles=8,
+                                inception_index=2 * SPC)
     event = detect(w)
     assert event.triggered in (True, False)
     if event.triggered:
@@ -279,6 +279,16 @@ def test_sample_not_of_three_phases_is_an_error(shape):
     with pytest.raises(WrongShape, match=r"\(3,\)"):
         stream.push(np.full(shape, 5.0))
     assert stream.samples_seen == 0
+
+
+@pytest.mark.parametrize("sample", ["abc", [1.0, "x", 2.0], {"a": 1}, object()],
+                         ids=["string", "string_phase", "dict", "object"])
+def test_non_numeric_sample_is_a_wrong_shape(sample):
+    stream = StreamingDetector()
+    stream.push(np.zeros(3))
+    with pytest.raises(WrongShape, match="3 numbers"):
+        stream.push(sample)
+    assert stream.samples_seen == 1
 
 
 def test_streaming_no_event_on_steady_stream():

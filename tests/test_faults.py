@@ -5,18 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from diffsentry.errors import ParameterOutOfRange
 from diffsentry.sampling import FaultType, SamplingSpec, Unit
-from diffsentry.wavegen.faults import FaultSpec, UNIT_PRESETS, simulate_internal_fault
+from diffsentry.wavegen.faults import simulate_internal_fault
 
 SPEC = SamplingSpec()
 SPC = SPEC.samples_per_cycle
 
 
 def _simulate(ft=FaultType.WA_G, unit=Unit.PT, rf=0.01, pct=80.0, **kw):
-    fault = FaultSpec(fault_type=ft, unit=unit, resistance_ohm=rf,
-                      pct_winding=pct, **kw)
-    return simulate_internal_fault(UNIT_PRESETS[unit], fault, SPEC,
-                                   duration_cycles=8, inception_index=2 * SPC)
+    fault = {"fault_type": ft, "unit": unit, "resistance_ohm": rf,
+             "pct_winding": pct, **kw}
+    return simulate_internal_fault(fault, SPEC, duration_cycles=8,
+                                   inception_index=2 * SPC)
 
 
 def test_open_fault_branch_is_the_no_fault_limit():
@@ -94,15 +95,15 @@ def test_provenance_round_trips_parameters():
 
 
 def test_inception_bounds_validated():
-    fault = FaultSpec(fault_type=FaultType.WA_G, unit=Unit.PT)
+    fault = {"fault_type": FaultType.WA_G, "unit": Unit.PT}
     with pytest.raises(ValueError):
-        simulate_internal_fault(UNIT_PRESETS[Unit.PT], fault, SPEC,
-                                duration_cycles=8, inception_index=8 * SPC)
+        simulate_internal_fault(fault, SPEC, duration_cycles=8,
+                                inception_index=8 * SPC)
 
 
 @pytest.mark.parametrize("rf", [-1.0, math.nan], ids=["negative", "nan"])
 def test_bad_fault_resistance_rejected(rf):
     # the closed-form solution needs a positive definite mesh R; inf (the
     # open fault) stays valid
-    with pytest.raises(ValueError, match="resistance_ohm"):
-        FaultSpec(fault_type=FaultType.WA_G, unit=Unit.PT, resistance_ohm=rf)
+    with pytest.raises(ParameterOutOfRange, match="resistance_ohm"):
+        _simulate(rf=rf)

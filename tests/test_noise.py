@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from diffsentry.sampling import SamplingSpec, FaultType, Unit
-from diffsentry.wavegen.faults import FaultSpec, UNIT_PRESETS, simulate_internal_fault
+from diffsentry.wavegen.faults import simulate_internal_fault
 from diffsentry.wavegen.noise import add_noise
 
 SPEC = SamplingSpec()
@@ -13,9 +13,8 @@ SPC = SPEC.samples_per_cycle
 
 
 def _wave(duration_cycles=8):
-    fault = FaultSpec(fault_type=FaultType.WA_G, unit=Unit.PT, pct_winding=50.0)
-    return simulate_internal_fault(UNIT_PRESETS[Unit.PT], fault, SPEC,
-                                   duration_cycles=duration_cycles,
+    fault = {"fault_type": FaultType.WA_G, "unit": Unit.PT, "pct_winding": 50.0}
+    return simulate_internal_fault(fault, SPEC, duration_cycles=duration_cycles,
                                    inception_index=2 * SPC)
 
 

@@ -31,7 +31,7 @@ from diffsentry.sampling import (
     Unit,
 )
 from diffsentry.wavegen.disturbances import generate_disturbance
-from diffsentry.wavegen.faults import FaultSpec, UNIT_PRESETS, simulate_internal_fault
+from diffsentry.wavegen.faults import simulate_internal_fault
 
 SPEC = SamplingSpec()
 SPC = SPEC.samples_per_cycle
@@ -99,10 +99,10 @@ def _steady():
 
 
 def _fault_wave(rf=0.01):
-    fault = FaultSpec(fault_type=FaultType.WA_G, unit=Unit.PT,
-                      resistance_ohm=rf, pct_winding=80.0)
-    return simulate_internal_fault(UNIT_PRESETS[Unit.PT], fault, SPEC,
-                                   duration_cycles=8, inception_index=2 * SPC)
+    fault = {"fault_type": FaultType.WA_G, "unit": Unit.PT,
+             "resistance_ohm": rf, "pct_winding": 80.0}
+    return simulate_internal_fault(fault, SPEC, duration_cycles=8,
+                                   inception_index=2 * SPC)
 
 
 def test_no_event_short_circuits_every_classifier():
