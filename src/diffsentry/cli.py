@@ -59,6 +59,12 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _write_json(path, obj) -> None:
+    with open(path, "w", newline="\n") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_run_stamp(out_dir: str, seed: int, config: dict) -> None:
     stamp = {
         "tool_version": __version__,
@@ -66,9 +72,7 @@ def _write_run_stamp(out_dir: str, seed: int, config: dict) -> None:
         "config": config,
         "config_hash": _config_hash(config),
     }
-    with open(os.path.join(out_dir, "run.json"), "w", newline="\n") as fh:
-        json.dump(stamp, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "run.json"), stamp)
 
 
 def _load_json_config(path):
@@ -110,54 +114,40 @@ def _parse_snr_list(text: str) -> list:
     return out
 
 
-class _Cleanup:
-    """Remove the output directories this command created if it fails
-    partway."""
-
-    def __init__(self):
-        self.paths = []
-
-    def track_dir(self, path) -> None:
-        if not os.path.exists(path):
-            self.paths.append(path)
-            os.makedirs(path)
-
-    def discard(self) -> None:
-        for p in reversed(self.paths):
-            shutil.rmtree(p, ignore_errors=True)
-
-
 @contextlib.contextmanager
 def _replacing(path):
-    """Yield a temporary name beside ``path`` to write the output to. It
-    replaces ``path`` when the block succeeds and is removed when it fails,
-    so a failed command leaves an existing ``path`` as it was."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+    """Yield a temporary name beside ``path`` to write the output to, a file
+    or a directory. It replaces ``path`` when the block succeeds and is
+    removed when it fails, so a failed command leaves an existing ``path``
+    as it was. A ``path`` that is a directory and not empty is refused
+    before the block runs."""
+    if os.path.isdir(path) and os.listdir(path):
+        raise IoFailure(f"--out {path} is a directory that is not empty")
+    target = os.path.normpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
         yield tmp
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+        if os.path.isdir(tmp):
+            shutil.rmtree(tmp, ignore_errors=True)
+        else:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
         raise
 
 
 def cmd_generate(args) -> int:
-    cleanup = _Cleanup()
     config = {
         "cases_per_class": args.cases_per_class,
         "fault_cases": args.fault_cases,
     }
-    try:
-        cleanup.track_dir(args.out)
+    with _replacing(args.out) as tmp:
         plan = reference_plan(
             cases_per_class=args.cases_per_class, fault_cases=args.fault_cases
         )
-        manifest = generate_corpus(plan, args.seed, args.out)
-        _write_run_stamp(args.out, args.seed, config)
-    except Exception:
-        cleanup.discard()
-        raise
+        manifest = generate_corpus(plan, args.seed, tmp)
+        _write_run_stamp(tmp, args.seed, config)
     counts = collections.Counter(row["disturbance_type"] or row["kind"]
                                  for row in manifest)
     print(f"corpus written to {args.out} ({len(manifest)} waveforms)")
@@ -209,6 +199,28 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    with _replacing(args.out) as tmp:
+        report = _evaluate(args, tmp)
+    print(f"evaluation report written to {args.out}")
+    for task_name, metrics in report["holdout_metrics"].items():
+        ba = metrics.get("balanced_accuracy")
+        ba_s = f"{ba:.4f}" if ba is not None else "n/a"
+        print(f"  {task_name:<22} bal_acc={ba_s} acc={metrics['accuracy']:.4f}")
+    for rowns in report["noise_sweep"]:
+        print(
+            f"  snr={rowns['snr_db']!s:<6} detect_acc={rowns['accuracy']:.4f} "
+            f"fault_recall={rowns['fault_recall']:.4f}"
+        )
+    if report["failures"]:
+        print("FAILED: " + "; ".join(report["failures"]))
+        return 1
+    print("all thresholds met")
+    return 0
+
+
+def _evaluate(args, out_dir) -> dict:
+    """Write the report of ``cmd_evaluate`` and its files to the new
+    directory ``out_dir``; return the report."""
     manifest = load_manifest(args.corpus)
     model = load_pipeline(args.model)
     snr_list = _parse_snr_list(args.snr)
@@ -272,47 +284,23 @@ def cmd_evaluate(args) -> int:
     report["passed"] = not failures
     report["failures"] = failures
 
-    cleanup = _Cleanup()
-    try:
-        cleanup.track_dir(args.out)
-        with open(os.path.join(args.out, "report.json"), "w", newline="\n") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_predictions_csv(
-            os.path.join(args.out, "predictions.csv"), records, decisions
-        )
-        _write_run_stamp(
-            args.out, args.seed,
-            {"model": os.path.basename(args.model), "snr": args.snr,
-             "thresholds": thresholds},
-        )
-        if args.timing:
-            timing = _measure_timing(records, model)
-            with open(os.path.join(args.out, "timing.json"), "w", newline="\n") as fh:
-                json.dump(timing, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print("timing (median seconds per stage):")
-            for stage, t in timing.items():
-                print(f"  {stage:<24} {t['median_s']:.6f}")
-    except Exception:
-        cleanup.discard()
-        raise
-
-    print(f"evaluation report written to {args.out}")
-    for task_name, metrics in report["holdout_metrics"].items():
-        ba = metrics.get("balanced_accuracy")
-        ba_s = f"{ba:.4f}" if ba is not None else "n/a"
-        print(f"  {task_name:<22} bal_acc={ba_s} acc={metrics['accuracy']:.4f}")
-    for rowns in noise_rows:
-        print(
-            f"  snr={rowns['snr_db']!s:<6} detect_acc={rowns['accuracy']:.4f} "
-            f"fault_recall={rowns['fault_recall']:.4f}"
-        )
-    if failures:
-        print("FAILED: " + "; ".join(failures))
-        return 1
-    print("all thresholds met")
-    return 0
+    os.mkdir(out_dir)
+    _write_json(os.path.join(out_dir, "report.json"), report)
+    _write_predictions_csv(
+        os.path.join(out_dir, "predictions.csv"), records, decisions
+    )
+    _write_run_stamp(
+        out_dir, args.seed,
+        {"model": os.path.basename(args.model), "snr": args.snr,
+         "thresholds": thresholds},
+    )
+    if args.timing:
+        timing = _measure_timing(records, model)
+        _write_json(os.path.join(out_dir, "timing.json"), timing)
+        print("timing (median seconds per stage):")
+        for stage, t in timing.items():
+            print(f"  {stage:<24} {t['median_s']:.6f}")
+    return report
 
 
 def _write_predictions_csv(path, records, decisions) -> None:

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import enum
 import io
+import numbers
 import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import IoFailure
+from .errors import IoFailure, ParameterOutOfRange
 
 PHASES = ("a", "b", "c")
 
@@ -136,12 +137,23 @@ class Waveform:
         spc = self.spec.samples_per_cycle
         if self.samples.shape[0] < 5 * spc:
             raise ValueError("waveform must span at least 5 cycles")
-        if not 0 <= self.inception_index <= self.samples.shape[0] - 3 * spc:
-            raise ValueError("inception must leave 3 post-event cycles")
+        check_inception(self.inception_index, self.samples.shape[0], self.spec)
 
     @property
     def n_samples(self) -> int:
         return self.samples.shape[0]
+
+
+def check_inception(inception_index, n_samples: int, spec: SamplingSpec) -> None:
+    """Raise ParameterOutOfRange unless ``inception_index`` is an integer
+    (not a bool) sample of an ``n_samples`` record with at least 3 cycles
+    after it."""
+    if (not isinstance(inception_index, numbers.Integral)
+            or isinstance(inception_index, bool)
+            or not 0 <= inception_index <= n_samples - 3 * spec.samples_per_cycle):
+        raise ParameterOutOfRange(
+            f"inception_index must be an integer sample that leaves 3 post-event "
+            f"cycles of a {n_samples}-sample record, not {inception_index!r}")
 
 
 _ROW = "%.10g,%.10g,%.10g,%.10g\n"

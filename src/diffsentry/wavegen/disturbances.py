@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import UnknownDisturbance
 from ..sampling import (PHASES, DisturbanceType, EventKind, EventLabel,
-                        SamplingSpec, Waveform)
+                        SamplingSpec, Waveform, check_inception)
 from .faults import SHIFTS, _phase_offsets, _tap_drive
 from .parameters import check_parameters
 
@@ -115,8 +115,7 @@ def generate_disturbance(
     spc = spec.samples_per_cycle
     n = duration_cycles * spc
     k0 = 2 * spc if inception_index is None else inception_index
-    if not 0 <= k0 <= n - 3 * spc:
-        raise ValueError("inception must leave at least 3 post-event cycles")
+    check_inception(k0, n, spec)
 
     prov = check_parameters(kind.value, PARAMETERS[kind], params)
     samples = _BUILDERS[kind](prov, spec, n, k0)

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import FaultFractionOutOfRange, SingularMatrix
 from ..sampling import (PHASES, EventKind, EventLabel, FaultType, SamplingSpec,
-                        Unit, Waveform)
+                        Unit, Waveform, check_inception)
 from .circuit import reduce_meshes, run_piecewise
 from .parameters import Interval, check_parameters
 from .transformer import TwoWindingParams, build_two_winding_L
@@ -159,8 +159,7 @@ def simulate_internal_fault(
     n = duration_cycles * spc
     if inception_index is None:
         inception_index = 2 * spc
-    if not 0 <= inception_index <= n - 3 * spc:
-        raise ValueError("inception must leave at least 3 post-fault cycles")
+    check_inception(inception_index, n, spec)
 
     fault = check_parameters(EventKind.INTERNAL_FAULT.value, PARAMETERS, params)
     unit, fault_type = fault["unit"], fault["fault_type"]

@@ -244,6 +244,94 @@ def test_failed_out_leaves_an_existing_file_unchanged(tmp_path, saved_model,
     assert sorted(os.listdir(tmp_path)) == before   # no temporary file left
 
 
+_SMALL_GENERATE = ["generate", "--seed", "1", "--cases-per-class", "1",
+                   "--fault-cases", "2"]
+
+
+def _out_argv(command, reference_corpus, saved_model, out):
+    if command == "generate":
+        return _SMALL_GENERATE + ["--out", out]
+    return ["evaluate", "--corpus", str(reference_corpus[0]), "--model",
+            str(saved_model), "--out", out]
+
+
+@pytest.mark.parametrize("failure", [
+    OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), KeyboardInterrupt(),
+], ids=["disk_full", "interrupted"])
+@pytest.mark.parametrize("existing", [False, True], ids=["missing", "empty"])
+def test_failed_generate_leaves_the_out_directory_as_it_was(tmp_path, monkeypatch,
+                                                            capsys, existing,
+                                                            failure):
+    from diffsentry.wavegen import corpus
+
+    write, calls = corpus.write_waveform_csv, []
+
+    def third_write_fails(wave, path):
+        calls.append(path)
+        if len(calls) == 3:
+            raise failure
+        write(wave, path)
+
+    monkeypatch.setattr(corpus, "write_waveform_csv", third_write_fails)
+    out = tmp_path / "corpus"
+    if existing:
+        out.mkdir()
+    argv = _SMALL_GENERATE + ["--out", str(out)]
+    if isinstance(failure, OSError):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error [generate]: ")
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    assert len(calls) == 3
+    assert sorted(os.listdir(tmp_path)) == (["corpus"] if existing else [])
+    assert not existing or not os.listdir(out)
+
+
+def test_failed_evaluate_leaves_no_out(tmp_path, saved_model, reference_corpus,
+                                       monkeypatch, capsys):
+    def full_disk(path, records, decisions):
+        with open(path, "w") as fh:
+            fh.write("file,")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.setattr("diffsentry.cli._write_predictions_csv", full_disk)
+    out = tmp_path / "report"
+    code = main(_out_argv("evaluate", reference_corpus, saved_model, str(out)))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error [evaluate]: ")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_non_empty_out_directory_is_refused(tmp_path, saved_model,
+                                            reference_corpus, capsys, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_bytes(b"[]\n")
+    (out / "timing.json").write_bytes(b"{}\n")
+    code = main(_out_argv(command, reference_corpus, saved_model, str(out)))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error [{command}]: ")
+    assert str(out) in err
+    assert _tree_bytes(out) == {"manifest.json": b"[]\n", "timing.json": b"{}\n"}
+    assert os.listdir(tmp_path) == ["out"]
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_out_directory_with_a_trailing_slash(tmp_path, saved_model,
+                                             reference_corpus, capsys, command):
+    out = tmp_path / "out"
+    code = main(_out_argv(command, reference_corpus, saved_model, f"{out}/"))
+    assert code == 0
+    assert os.listdir(tmp_path) == ["out"]
+    written = _tree_bytes(out)
+    assert "run.json" in written
+    assert ("manifest.json" if command == "generate" else "report.json") in written
+    assert not [f for f in written if f.endswith(".tmp")]
+
+
 @pytest.mark.parametrize("sources", [["--stdin", "w.csv"], []],
                          ids=["stdin_and_files", "neither"])
 def test_classify_takes_files_or_stdin(saved_model, monkeypatch, capsys,

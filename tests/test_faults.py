@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from diffsentry.errors import ParameterOutOfRange
-from diffsentry.sampling import FaultType, SamplingSpec, Unit
+from diffsentry.sampling import DisturbanceType, FaultType, SamplingSpec, Unit
+from diffsentry.wavegen.disturbances import generate_disturbance
 from diffsentry.wavegen.faults import simulate_internal_fault
 
 SPEC = SamplingSpec()
@@ -99,6 +100,24 @@ def test_inception_bounds_validated():
     with pytest.raises(ValueError):
         simulate_internal_fault(fault, SPEC, duration_cycles=8,
                                 inception_index=8 * SPC)
+
+
+_GENERATORS = {
+    "fault": lambda k: simulate_internal_fault(
+        {"fault_type": FaultType.WA_G, "unit": Unit.PT}, SPEC, 8, k),
+    "disturbance": lambda k: generate_disturbance(
+        DisturbanceType.MAGNETIZING_INRUSH, {}, SPEC, k, 8),
+}
+
+
+@pytest.mark.parametrize("inception", [334.5, True, 5000, "x"],
+                         ids=["float", "bool", "too_late", "string"])
+@pytest.mark.parametrize("generator", sorted(_GENERATORS))
+def test_bad_inception_index_is_a_typed_error(generator, inception):
+    with pytest.raises(ParameterOutOfRange) as err:
+        _GENERATORS[generator](inception)
+    assert "inception_index" in str(err.value)
+    assert repr(inception) in str(err.value)
 
 
 @pytest.mark.parametrize("rf", [-1.0, math.nan], ids=["negative", "nan"])
