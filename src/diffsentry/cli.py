@@ -115,14 +115,15 @@ def _parse_snr_list(text: str) -> list:
 
 
 @contextlib.contextmanager
-def _replacing(path):
-    """Yield a temporary name beside ``path`` to write the output to, a file
-    or a directory. It replaces ``path`` when the block succeeds and is
-    removed when it fails, so a failed command leaves an existing ``path``
-    as it was. A ``path`` that is a directory and not empty is refused
-    before the block runs."""
-    if os.path.isdir(path) and os.listdir(path):
-        raise IoFailure(f"--out {path} is a directory that is not empty")
+def _replacing(path, directory: bool):
+    """Yield a temporary name beside ``path`` for the output (a directory if
+    ``directory``), which replaces ``path`` if the block succeeds and is
+    removed if it fails. A ``path`` of the other kind, a directory that is
+    not empty or the working directory is refused before the block."""
+    if os.path.lexists(path) and os.path.isdir(path) != directory:
+        raise IoFailure(f"--out {path} is {'not ' if directory else ''}a directory")
+    if os.path.isdir(path) and (os.listdir(path) or os.path.samefile(path, ".")):
+        raise IoFailure(f"--out {path} is not empty or is the working directory")
     target = os.path.normpath(path)
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
@@ -142,7 +143,7 @@ def cmd_generate(args) -> int:
         "cases_per_class": args.cases_per_class,
         "fault_cases": args.fault_cases,
     }
-    with _replacing(args.out) as tmp:
+    with _replacing(args.out, True) as tmp:
         plan = reference_plan(
             cases_per_class=args.cases_per_class, fault_cases=args.fault_cases
         )
@@ -171,12 +172,12 @@ def cmd_train(args) -> int:
     except InvalidGrid as exc:
         raise IoFailure(f"config file {args.config}: 'grid': {exc}") from exc
     manifest = load_manifest(args.corpus)
-    model = train_pipeline(args.corpus, manifest, config)
-    model.metadata["tool_version"] = __version__
-    model.metadata["config_hash"] = _config_hash(
-        {"grid": grid, "cv": args.cv, "resample": args.resample}
-    )
-    with _replacing(args.out) as tmp:
+    with _replacing(args.out, False) as tmp:
+        model = train_pipeline(args.corpus, manifest, config)
+        model.metadata["tool_version"] = __version__
+        model.metadata["config_hash"] = _config_hash(
+            {"grid": grid, "cv": args.cv, "resample": args.resample}
+        )
         save_pipeline(model, tmp)
     print(f"pipeline model written to {args.out}")
     for task_name, table in model.metadata["cv_tables"].items():
@@ -199,7 +200,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    with _replacing(args.out) as tmp:
+    with _replacing(args.out, True) as tmp:
         report = _evaluate(args, tmp)
     print(f"evaluation report written to {args.out}")
     for task_name, metrics in report["holdout_metrics"].items():
@@ -343,7 +344,7 @@ def cmd_classify(args) -> int:
     if not args.out:
         _classify(args, model, sys.stdout)
         return 0
-    with _replacing(args.out) as tmp, open(tmp, "w", newline="\n") as sink:
+    with _replacing(args.out, False) as tmp, open(tmp, "w", newline="\n") as sink:
         _classify(args, model, sink)
     return 0
 

@@ -10,10 +10,8 @@ periodic with the cycle length scores identically zero. An event is
 registered at the first sample whose arrival pushes any phase's index above
 the fixed pickup ``THRESHOLD``.
 
-Batch and stream share one arithmetic: running sums of per-sample
-differences over a zero-started history, in sample order, so they agree bit
-for bit. Both cut windows with ``event_windows``: ``detect``'s are views of
-its input, the stream's are copies.
+Batch detection (``detect``) is a fresh ``StreamingDetector`` fed one block,
+which adds the per-sample differences in sample order, as ``push`` does.
 """
 
 from __future__ import annotations
@@ -35,8 +33,7 @@ DETECT_LEN = round(1.5 * CYCLE)
 PRE = DETECT_LEN - CYCLE
 #: The 3-cycle drill-down window, from the trigger.
 CLASSIFY_LEN = 3 * CYCLE
-# the earliest trigger, sample 2 * CYCLE - 1, has PRE samples before it, so
-# the registered window never waits for its pre-window
+_EARLIEST = 2 * CYCLE - 1   # the earliest trigger: PRE samples already precede it
 
 #: The relay pickup: an event is registered when any phase's change index
 #: exceeds it. Every trained slot learned the windows this pickup cut.
@@ -52,80 +49,68 @@ class DetectionEvent:
     classify_window: Optional[np.ndarray] = None   # (CLASSIFY_LEN, 3)
 
 
+def _running_sums(a, sum_cur, sum_prev, n_c: int):
+    """The running sums after each new row of ``a`` (the |x| of 2 ``n_c``
+    samples, then of the new ones) from the sums given, in sample order."""
+    leaving = a[n_c:-n_c]
+    cur, prev = a[2 * n_c:] - leaving, leaving - a[:-2 * n_c]
+    cur[0] += sum_cur   # addition commutes, so this is push's first sum
+    prev[0] += sum_prev
+    return np.cumsum(cur, axis=0, out=cur), np.cumsum(prev, axis=0, out=prev)
+
+
 def cdf_series(values, n_c: int) -> np.ndarray:
-    """Change index of ``values`` (n,) or (n, 3) along axis 0, the stream's
-    running sums over the record; output length is n - 2 n_c + 1."""
+    """Change index of ``values`` (n,) or (n, 3) along axis 0, the running
+    sums of a fresh stream over the record; output length is n - 2 n_c + 1."""
     x = np.abs(np.asarray(values, dtype=np.float64))
     n = x.shape[0]
     if n < 2 * n_c + 1:
         raise TooShort(f"need at least {2 * n_c + 1} samples, got {n}")
-    a = np.concatenate((np.zeros((2 * n_c, *x.shape[1:])), x))
-    cur = np.cumsum(a[2 * n_c:] - a[n_c:-n_c], axis=0)
-    prev = np.cumsum(a[n_c:-n_c] - a[:-2 * n_c], axis=0)
+    cur, prev = _running_sums(np.concatenate((np.zeros_like(x[:2 * n_c]), x)),
+                              0.0, 0.0, n_c)
     return (cur - prev)[2 * n_c - 1:]
 
 
-def refuse_non_finite(samples: np.ndarray) -> None:
+def refuse_non_finite(samples: np.ndarray, first: int) -> None:
     """Raise ``NonFiniteSample`` naming the first NaN or infinite sample of
-    samples (N, 3) or (m, N, 3) by window (in a stack), index and phase."""
+    samples (N, 3) or (m, N, 3): window (in a stack), index from ``first``, phase."""
     bad = ~np.isfinite(samples)
     if bad.any():
         *window, i, p = np.argwhere(bad)[0]
         where = f"window {window[0]} " if window else ""
-        raise NonFiniteSample(
-            f"{where}sample {i} phase {PHASES[p]} is {samples[(*window, i, p)]}")
+        raise NonFiniteSample(f"{where}sample {first + i} phase {PHASES[p]} "
+                              f"is {samples[(*window, i, p)]}")
 
 
 def detect(wave) -> DetectionEvent:
-    """Run the change filter over all phases and slice the event windows.
-
-    ``wave`` may be a Waveform or a bare (N, 3) sample array. Non-detection
-    is a value, not an error; an array of another shape raises
-    ``WrongShape`` and a NaN or infinite sample ``NonFiniteSample``, since
-    either would otherwise hide an event. The trigger index is the sample
-    whose arrival completed the first above-threshold window. The windows
-    are views of the samples.
-    """
-    samples = (wave.samples if isinstance(wave, Waveform)
-               else np.asarray(wave, dtype=np.float64))
-    if samples.ndim != 2 or samples.shape[1] != 3:
-        raise WrongShape(f"samples must have shape (N, 3), got {samples.shape}")
-    refuse_non_finite(samples)
-    n = samples.shape[0]
-    over = cdf_series(samples, CYCLE) > THRESHOLD
-    hits = np.nonzero(over.any(axis=1))[0]
-    if hits.size == 0:
-        return DetectionEvent(triggered=False)
-
-    j = int(hits[0])
-    phase_idx = int(np.argmax(over[j]))  # ties resolve a < b < c
-    trigger = 2 * CYCLE + j - 1
-    if trigger + CLASSIFY_LEN > n:
-        raise TooShort(
-            "waveform too short for the classification window after the trigger"
-        )
-    return DetectionEvent(True, trigger, PHASES[phase_idx],
-                          *event_windows(samples, trigger))
+    """The full event of a fresh ``StreamingDetector`` fed ``wave`` (a
+    Waveform or (N, 3) samples) as one block, or an untriggered event. Fewer
+    than 2 ``CYCLE`` + 1 samples, or an unclosed window, is a ``TooShort``."""
+    stream = StreamingDetector()
+    events = stream.push_block(wave.samples if isinstance(wave, Waveform) else wave)
+    if stream._due or stream.samples_seen < 2 * CYCLE + 1:
+        raise TooShort(f"too short for event windows: {stream.samples_seen} samples")
+    return events[-1][1] if events else DetectionEvent(triggered=False)
 
 
-def event_windows(samples: np.ndarray, trigger_index: int):
-    """(detect window, classify window) of the event registered at
-    ``trigger_index``, as views of the (N, 3) ``samples``."""
-    start = trigger_index - PRE
-    return (samples[start: start + DETECT_LEN],
-            samples[trigger_index: trigger_index + CLASSIFY_LEN])
+def _into_ring(ring: np.ndarray, rows: np.ndarray, end: int) -> None:
+    """Write ``rows``, the samples before ``end``, into ``ring`` at index % length."""
+    rows = rows[-len(ring):]
+    k = (end - len(rows)) % len(ring)
+    n = min(len(rows), len(ring) - k)
+    ring[k: k + n], ring[: len(rows) - n] = rows[:n], rows[n:]
 
 
 class StreamingDetector:
-    """Push-one-sample change detection with O(1) rolling-sum updates.
+    """Change detection over a stream, one sample or one block at a time.
 
-    Its ring starts as zeros, the history ``cdf_series`` pads with. ``push``
-    takes one (3,) sample and returns a DetectionEvent at two samples of a
-    stream and None at every other: at trigger + ``CYCLE`` - 1, when the
-    registered 1.5-cycle window closes (``classify_window`` is None), and
-    at trigger + ``CLASSIFY_LEN`` - 1 with both windows, copied from the
-    history. The trigger latches, so a stream gives one such pair. A single
-    writer owns a stream.
+    Its rings start as zeros, the history ``cdf_series`` pads with. ``push``
+    takes one (3,) sample (else ``WrongShape``) in O(1) and returns the event
+    closing at it or None. Events close at trigger + ``CYCLE`` - 1 with the
+    1.5-cycle window (``classify_window`` None) and at trigger +
+    ``CLASSIFY_LEN`` - 1 with both, copied from the history unless a block
+    holds them. The trigger latches, so a stream gives one such pair. A
+    single writer owns a stream.
     """
 
     def __init__(self):
@@ -136,6 +121,7 @@ class StreamingDetector:
         self._count = 0
         self._trigger: Optional[int] = None
         self._trigger_phase: Optional[str] = None
+        self._due = []   # (sample index, full) of each event still to emit
 
     @property
     def samples_seen(self) -> int:
@@ -157,27 +143,60 @@ class StreamingDetector:
         self._sum_cur += a - leaving_cur
         self._sum_prev += leaving_cur - leaving_prev
         self._abs[ring_pos] = a
-        self._history[idx % self._history.shape[0]] = s
         self._count += 1
 
-        if self._trigger is None:
-            if idx >= 2 * n_c - 1:
-                cdf = self._sum_cur - self._sum_prev
-                over = cdf > THRESHOLD
-                if over.any():
-                    self._trigger = idx
-                    self._trigger_phase = PHASES[int(np.argmax(over))]
-            return None
-        since = idx - self._trigger
-        if since == CYCLE - 1:
-            return self._make_event(full=False)
-        if since == CLASSIFY_LEN - 1:
-            return self._make_event(full=True)
-        return None
+        event = None
+        if self._trigger is None and idx >= _EARLIEST:   # spares most samples the latch
+            cdf = self._sum_cur - self._sum_prev
+            if (cdf > THRESHOLD).any():
+                self._latch(cdf[None], idx)
+        elif self._due and self._due[0][0] == idx:
+            [(_, event)] = self._emit(s[None], idx)
+        self._history[idx % len(self._history)] = s
+        return event
 
-    def _make_event(self, full: bool) -> DetectionEvent:
-        history = np.roll(self._history, -self._count, axis=0)  # oldest first
-        detect_window, classify_window = event_windows(
-            history, len(history) - (self._count - self._trigger))
-        return DetectionEvent(True, self._trigger, self._trigger_phase,
-                              detect_window, classify_window if full else None)
+    def push_block(self, samples) -> list:
+        """Push a block (b, 3), b >= 1, as b pushes would; return (sample index,
+        event) of each event closing in it. Another shape is a ``WrongShape``,
+        a NaN or inf a ``NonFiniteSample`` by stream index, before any change."""
+        block = np.asarray(samples, dtype=np.float64)
+        if block.ndim != 2 or block.shape[1] != 3 or not len(block):
+            raise WrongShape(f"a block must be (N, 3), N >= 1, got {block.shape}")
+        start, end = self._count, self._count + len(block)
+        refuse_non_finite(block, start)
+        k = start % len(self._abs)   # the oldest |sample| of the ring
+        a = np.concatenate((self._abs[k:], self._abs[:k], np.abs(block)))
+        cur, prev = _running_sums(a, self._sum_cur, self._sum_prev, CYCLE)
+        if self._trigger is None:
+            self._latch(cur - prev, start)
+        events = self._emit(block, start)
+        self._sum_cur, self._sum_prev = cur[-1].copy(), prev[-1].copy()
+        _into_ring(self._abs, a, end)
+        _into_ring(self._history, block, end)   # after the cut, which reads it
+        self._count = end
+        return events
+
+    def _latch(self, cdf, first: int) -> None:
+        """Latch the first sample from ``_EARLIEST`` on whose change index in
+        ``cdf`` (k, 3, from sample ``first`` on) exceeds ``THRESHOLD``."""
+        skip = max(_EARLIEST - first, 0)
+        hits = np.flatnonzero(cdf[skip:] > THRESHOLD)   # ties resolve a < b < c
+        if hits.size:
+            t = self._trigger = first + skip + int(hits[0]) // 3
+            self._trigger_phase = PHASES[int(hits[0]) % 3]
+            self._due = [(t + CYCLE - 1, False), (t + CLASSIFY_LEN - 1, True)]
+
+    def _emit(self, block: np.ndarray, start: int) -> list:
+        """(sample index, event) of each due event closing in ``block``, the
+        samples from ``start`` on, cut from it or, before it, the history."""
+        out = []
+        while self._due and self._due[0][0] < start + len(block):
+            at, full = self._due.pop(0)
+            lo, span = self._trigger - PRE - start, block
+            if lo < 0:   # the history before the block, oldest first, then it
+                lo += len(self._history)
+                span = np.concatenate((np.roll(self._history, -start, axis=0), block))
+            out.append((at, DetectionEvent(
+                True, self._trigger, self._trigger_phase, span[lo: lo + DETECT_LEN],
+                span[lo + PRE: lo + PRE + CLASSIFY_LEN] if full else None)))
+        return out

@@ -363,7 +363,7 @@ def _tasks_values(windows: np.ndarray, tasks: tuple, ndim: int) -> dict:
             f"{tasks[0].value} needs a {expected}-sample window, "
             f"got {windows.shape[-2]}"
         )
-    refuse_non_finite(windows)
+    refuse_non_finite(windows, 0)
     lead = windows.shape[:-2]
     values = np.empty(lead + (len(PHASES), len(union)))
     flags = [False] * len(union)   # per spec: False, or its AR flags (...)

@@ -319,6 +319,43 @@ def test_non_empty_out_directory_is_refused(tmp_path, saved_model,
     assert os.listdir(tmp_path) == ["out"]
 
 
+@pytest.mark.parametrize("command, existing", [
+    ("generate", "file"), ("evaluate", "file"), ("train", "empty_directory"),
+    ("classify", "empty_directory"), ("generate", "working_directory"),
+])
+def test_out_the_output_cannot_replace_is_refused(tmp_path, saved_model,
+                                                  reference_corpus, capsys,
+                                                  monkeypatch, command, existing):
+    # the final rename would fail only after the work: onto a file with
+    # ENOTDIR, onto a directory with EISDIR, onto the working directory with
+    # EBUSY
+    corpus_dir, manifest, _ = reference_corpus
+    out = tmp_path / "out"
+    if existing == "file":
+        out.write_bytes(b"earlier\n")
+    else:
+        out.mkdir()
+    arg = str(out)
+    if existing == "working_directory":
+        monkeypatch.chdir(out)
+        arg = "."
+    argv = {
+        "generate": _SMALL_GENERATE,
+        "evaluate": ["evaluate", "--corpus", str(corpus_dir), "--model",
+                     str(saved_model)],
+        "train": ["train", "--corpus", str(corpus_dir)],
+        "classify": ["classify", "--model", str(saved_model),
+                     str(corpus_dir / manifest[0]["file"])],
+    }[command]
+    code = main(argv + ["--out", arg])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error [{command}]: --out {arg} ")
+    assert os.listdir(tmp_path) == ["out"]   # no temporary file beside it
+    assert _tree_bytes(tmp_path) == (
+        {"out": b"earlier\n"} if existing == "file" else {})
+
+
 @pytest.mark.parametrize("command", ["generate", "evaluate"])
 def test_out_directory_with_a_trailing_slash(tmp_path, saved_model,
                                              reference_corpus, capsys, command):

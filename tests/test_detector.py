@@ -1,5 +1,6 @@
 """Change-detection filter: hand cases, invariance, windows, streaming."""
 
+import itertools
 import os
 
 import numpy as np
@@ -184,13 +185,27 @@ def test_weak_turn_to_turn_corner_is_recorded_not_fatal():
         assert event.trigger_index >= w.inception_index - 1
 
 
-def _assert_stream_matches_batch(samples):
+def _stream_events(samples, chunks):
+    """(sample index, event) of each event of a fresh stream fed ``samples``
+    in ``chunks``, cycled: 0 is one ``push``, k a ``push_block`` of k."""
+    stream, events, i = StreamingDetector(), [], 0
+    for k in itertools.cycle(chunks):
+        if i == len(samples):
+            return events
+        if k == 0:
+            if (e := stream.push(samples[i])) is not None:
+                events.append((i, e))
+            k = 1
+        else:
+            events += stream.push_block(samples[i: i + k])
+        i = min(i + k, len(samples))
+
+
+def _assert_stream_matches_batch(samples, chunks=(0,)):
     """Both stream events carry batch detect's trigger, phase and window
     bytes, at the samples where the 1.5- and 3-cycle windows close."""
     batch = detect(samples)
-    stream = StreamingDetector()
-    events = [(i, e) for i, s in enumerate(samples)
-              if (e := stream.push(s)) is not None]
+    events = _stream_events(samples, chunks)
     t = batch.trigger_index
     assert [i for i, _ in events] == [t + CYCLE - 1, t + CLASSIFY_LEN - 1]
     (_, verdict), (_, full) = events
@@ -237,12 +252,14 @@ _draws = dict(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3),
 
 
 @settings(max_examples=60, deadline=None)
-@given(**_draws, drawn=st.integers(0, PICKUP_SPAN - 1))
+@given(**_draws, drawn=st.integers(0, PICKUP_SPAN - 1),
+       chunks=st.lists(st.integers(0, 399), min_size=1, max_size=8))
 def test_stream_and_batch_trigger_alike_at_the_pickup(seed, scale, noise,
-                                                      drawn):
+                                                      drawn, chunks):
     # the pickup is one ulp below the largest index value up to the drawn
     # sample, so the trigger lands on the first sample reaching it and a
-    # one-ulp difference between batch and stream moves it
+    # one-ulp difference between batch and stream moves it; the stream is
+    # fed per sample and in the drawn mix of blocks and single pushes
     samples = _drawn_samples(seed, scale, noise)
     series = np.stack([cdf_series(samples[:, p], CYCLE) for p in range(3)],
                       axis=1)
@@ -252,12 +269,10 @@ def test_stream_and_batch_trigger_alike_at_the_pickup(seed, scale, noise,
         mp.setattr(detector, "THRESHOLD",
                    np.nextafter(series[j, phase], -np.inf))
         batch = detect(samples)
-        stream = StreamingDetector()
-        first = next(e for s in samples if (e := stream.push(s)) is not None)
+        _assert_stream_matches_batch(samples)
+        _assert_stream_matches_batch(samples, chunks)
     assert batch.trigger_index == 2 * CYCLE - 1 + j
     assert batch.trigger_phase == PHASES[phase]
-    assert (first.trigger_index, first.trigger_phase) == (
-        batch.trigger_index, batch.trigger_phase)
 
 
 @settings(max_examples=30, deadline=None)
@@ -289,6 +304,35 @@ def test_non_numeric_sample_is_a_wrong_shape(sample):
     with pytest.raises(WrongShape, match="3 numbers"):
         stream.push(sample)
     assert stream.samples_seen == 1
+
+
+def _state(stream):
+    return (stream.samples_seen, stream._sum_cur.tobytes(),
+            stream._sum_prev.tobytes(), stream._abs.tobytes(),
+            stream._history.tobytes())
+
+
+def _nan_at_37(block):
+    block = block.copy()
+    block[37, 1] = np.nan
+    return block
+
+
+@pytest.mark.parametrize("bad, error, match", [
+    (lambda b: b[:, :2], WrongShape, r"\(N, 3\), N >= 1, got \(200, 2\)"),
+    (lambda b: b[:, 0], WrongShape, r"\(N, 3\), N >= 1, got \(200,\)"),
+    (lambda b: b[:0], WrongShape, r"\(N, 3\), N >= 1, got \(0, 3\)"),
+    (_nan_at_37, NonFiniteSample, "sample 137 phase b is nan"),
+], ids=["two_phases", "one_dimension", "empty", "nan"])
+def test_bad_block_is_refused_before_any_change(bad, error, match):
+    # the NaN is named by its index in the stream, after an earlier block
+    x = _step_waveform()
+    stream = StreamingDetector()
+    stream.push_block(x[:100])
+    before = _state(stream)
+    with pytest.raises(error, match=match):
+        stream.push_block(bad(x[100:300]))
+    assert _state(stream) == before
 
 
 def test_streaming_no_event_on_steady_stream():
