@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .detector import CYCLE, detect
 from .errors import DiffsentryError, InvalidGrid, IoFailure
 from .evaluation import time_report
 from .features import Task, extract
@@ -36,7 +37,7 @@ from .pipeline import (
     train_pipeline,
 )
 from .resampling import Strategy
-from .sampling import read_waveform_csv
+from .sampling import iter_waveform_csv, read_waveform_csv
 from .wavegen.corpus import generate_corpus, load_manifest, reference_plan
 from .ensembles import GBC_GRID_FULL, GBC_GRID_SMALL
 
@@ -320,9 +321,7 @@ def _write_predictions_csv(path, records, decisions) -> None:
 
 def _measure_timing(records, model) -> dict:
     samples = records[0][1].samples
-    from .detector import detect as _detect
-
-    event = _detect(samples)
+    event = detect(samples)
     stages = {"decide_one": lambda: decide(samples, model)}
     if event.triggered:
         vec = extract(event.detect_window, Task.DETECT_FAULT)
@@ -353,26 +352,8 @@ def _classify(args, model, sink) -> None:
     """Write one JSON record per decision of ``cmd_classify`` to ``sink``."""
     if args.stdin:
         classifier = StreamingClassifier(model)
-        rows = 0
-        for line_no, line in enumerate(sys.stdin, 1):
-            line = line.strip()
-            if not line:
-                continue
-            rows += 1
-            if rows == 1 and line.startswith("t"):
-                continue  # the header, if the stream has one
-            try:
-                parts = line.split(",")
-                # the time column is checked but not used
-                sample = [float(parts[i]) for i in range(4)][1:]
-            except (IndexError, ValueError) as exc:
-                raise IoFailure(
-                    f"malformed stream row at line {line_no}: {exc}"
-                ) from exc
-            if not all(map(math.isfinite, sample)):
-                raise IoFailure(
-                    f"non-finite sample in stream row at line {line_no}: {line}")
-            for rec in classifier.push(sample):
+        for block in iter_waveform_csv(sys.stdin, CYCLE):
+            for rec in classifier.push_block(block):
                 sink.write(json.dumps(rec, sort_keys=True) + "\n")
     else:
         for path in args.inputs:

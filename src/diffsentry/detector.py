@@ -159,7 +159,10 @@ class StreamingDetector:
         """Push a block (b, 3), b >= 1, as b pushes would; return (sample index,
         event) of each event closing in it. Another shape is a ``WrongShape``,
         a NaN or inf a ``NonFiniteSample`` by stream index, before any change."""
-        block = np.asarray(samples, dtype=np.float64)
+        try:
+            block = np.asarray(samples, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise WrongShape(f"a block must be (N, 3) numbers: {exc}") from exc
         if block.ndim != 2 or block.shape[1] != 3 or not len(block):
             raise WrongShape(f"a block must be (N, 3), N >= 1, got {block.shape}")
         start, end = self._count, self._count + len(block)

@@ -216,7 +216,7 @@ def _decide_events(events: list, model: PipelineModel,
 
 
 class StreamingClassifier:
-    """Sample-at-a-time decisions over a stream of (ia, ib, ic) rows.
+    """Decisions over a stream of (ia, ib, ic) rows, a sample or a block at a time.
 
     Emits a verdict record when the detector's 1.5-cycle window closes and
     the full drill-down decision when its 3-cycle window closes. Memory use
@@ -230,23 +230,26 @@ class StreamingClassifier:
 
     def push(self, sample) -> list[dict]:
         event = self.detector.push(sample)
-        if event is None:
-            return []
-        emitted_at = self.detector.samples_seen - 1
+        return [] if event is None else [
+            self._record(self.detector.samples_seen - 1, event)]
+
+    def push_block(self, samples) -> list[dict]:
+        """``push`` over each row of ``samples`` (b, 3), as one detector block."""
+        return [self._record(at, event)
+                for at, event in self.detector.push_block(samples)]
+
+    def _record(self, emitted_at: int, event: DetectionEvent) -> dict:
+        """The record of ``event``: its verdict, or its full decision at 3 cycles."""
         if event.classify_window is None:
             [(label, probs)] = _ask(self.model, Task.DETECT_FAULT,
                                     [event.detect_window])
-            return [{
-                "stage": "verdict",
-                "verdict": _verdict(label),
-                "trigger_index": event.trigger_index,
-                "emitted_at_sample": emitted_at,
-                "probabilities": probs,
-            }]
+            return {"stage": "verdict", "verdict": _verdict(label),
+                    "trigger_index": event.trigger_index,
+                    "emitted_at_sample": emitted_at, "probabilities": probs}
         rec = _decide_events([event], self.model, [None])[0].to_dict()
         rec["stage"] = "full"
         rec["emitted_at_sample"] = emitted_at
-        return [rec]
+        return rec
 
 
 # -- training -------------------------------------------------------------------

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import enum
 import io
+import itertools
 import numbers
 import re
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -160,6 +162,11 @@ _ROW = "%.10g,%.10g,%.10g,%.10g\n"
 # numpy's loadtxt counts data rows from 0 in a conversion error and from 1
 # in a short-row error; blank lines are not counted
 _ROW_IN_ERROR = re.compile(r"^(could not convert|invalid column index).* at row (\d+)")
+_DT = SamplingSpec().dt
+# A time step may miss dt by 1% of dt: a 60 Hz cycle of 167 +- 2 samples.
+# The writer's %.10g keeps 4 decimals below 1e6 s (11.6 days of samples), so
+# its steps miss dt there by float rounding alone: under 1e-9 s, not 1e-6 s.
+_STEP_TOL = 0.01 * _DT
 
 
 def write_waveform_csv(wave: Waveform, path) -> None:
@@ -179,46 +186,75 @@ def write_waveform_csv(wave: Waveform, path) -> None:
 
 
 def read_waveform_csv(path) -> np.ndarray:
-    """Read a waveform CSV back as an (N, 3) per-unit sample array."""
+    """The (N, 3) per-unit samples of a waveform CSV: the one block of
+    ``iter_waveform_csv``."""
     try:
         with open(path, "r", newline="") as fh:
-            return _parse_waveform_rows(fh)
+            for samples in iter_waveform_csv(fh):
+                return samples
     except OSError as exc:
         raise IoFailure(f"cannot read waveform from {path}: {exc}") from exc
+    raise IoFailure(f"waveform CSV {path} has no sample rows")
 
 
-def _parse_waveform_rows(fh) -> np.ndarray:
-    """Skip the header line, then parse columns 1..3 of every non-blank row.
+def iter_waveform_csv(fh, block_lines=None):
+    """Yield the samples of the waveform CSV text ``fh`` as C-contiguous
+    (n, 3) float64 blocks, one per ``block_lines`` lines read (lines without
+    a sample row yield none), or one for the whole text if None.
 
-    Extra columns are ignored. A file without a header or without sample
-    rows, a short row or a non-numeric value raises ``IoFailure``; a bad
-    row is named by its 1-based line in the file.
-    """
+    The one row rule: blank lines are skipped, and the first other line is a
+    header exactly when its first field is not a number. Every other line is
+    ``t,ia,ib,ic`` (extra columns ignored) whose t steps by dt from the row
+    before, within ``_STEP_TOL``. The first short row, non-numeric value or
+    wrong step raises ``IoFailure`` naming its 1-based line."""
+    first_line, t, header_seen = 1, np.empty(0), False
+    while True:
+        try:
+            text = (fh.read() if block_lines is None
+                    else "".join(itertools.islice(fh, block_lines)))
+        except UnicodeDecodeError as exc:
+            raise IoFailure(f"waveform CSV is not text: {exc}") from exc
+        if not header_seen and (line := re.search(r"[^\r\n]+", text)):
+            header_seen = True
+            try:
+                float(line.group().split(",", 1)[0])
+            except ValueError:   # a header: empty it, keeping its line end
+                text = text[:line.start()] + text[line.end():]
+        if text.strip("\r\n"):
+            table = _parse_rows(text, first_line, t[-1:])
+            t = table[:, 0]
+            yield np.ascontiguousarray(table[:, 1:])
+        if not text or block_lines is None:
+            return
+        first_line += block_lines
+
+
+def _parse_rows(text: str, first_line: int, t0: np.ndarray) -> np.ndarray:
+    """The (n, 4) rows of ``text``, whose first line is line ``first_line``
+    of the CSV; ``t0`` holds the time of the row before them, if any."""
+    def load(max_rows=None):
+        return np.loadtxt(io.StringIO(text, newline=""), delimiter=",", ndmin=2,
+                          usecols=(0, 1, 2, 3), max_rows=max_rows, comments=None)
+
+    def at_line(row):   # ' at line L' for data row ``row`` (from 0), if it is one
+        data = [i for i, line in enumerate(io.StringIO(text, newline=""))
+                if line.strip("\r\n")]
+        return (f" at line {first_line + data[row]}"
+                if row is not None and 0 <= row < len(data) else "")
     try:
-        header = fh.readline()
-        body = fh.read()
-    except UnicodeDecodeError as exc:
-        raise IoFailure(f"waveform CSV is not text: {exc}") from exc
-    if not header:
-        raise IoFailure("empty waveform CSV")
-    if not body.strip("\r\n"):
-        raise IoFailure("waveform CSV has a header but no sample rows")
-    try:
-        return np.loadtxt(io.StringIO(body, newline=""), delimiter=",",
-                          usecols=(1, 2, 3), ndmin=2, comments=None)
+        table, error = load(), None
     except ValueError as exc:
-        raise IoFailure(
-            f"malformed waveform row{_error_line(body, exc)}: {exc}"
-        ) from exc
-
-
-def _error_line(body: str, exc: ValueError) -> str:
-    """' at line L' for the data row a loadtxt error names (the header is
-    line 1), or '' when the error names no row."""
-    m = _ROW_IN_ERROR.match(str(exc))
-    if m is None:
-        return ""
-    row = int(m.group(2)) - (m.group(1) == "invalid column index")
-    lines = io.StringIO(body, newline="")
-    data = [i for i, line in enumerate(lines) if line.strip("\r\n")]
-    return f" at line {data[row] + 2}" if 0 <= row < len(data) else ""
+        error, m = exc, _ROW_IN_ERROR.match(str(exc))
+        row = m and int(m.group(2)) - (m.group(1) == "invalid column index")
+        with warnings.catch_warnings():   # of the blank lines max_rows skips
+            warnings.simplefilter("ignore", UserWarning)
+            table = load(row or 0)   # the rows before it, whose steps come first
+    step = np.diff(np.concatenate((t0, table[:, 0])))
+    off = np.flatnonzero(~(np.abs(step - _DT) <= _STEP_TOL))
+    if off.size:
+        k = int(off[0])
+        raise IoFailure(f"waveform time{at_line(k + 1 - len(t0))} steps "
+                        f"{step[k]:.6g} s, not dt = {_DT:g} s")
+    if error is not None:
+        raise IoFailure(f"malformed waveform row{at_line(row)}: {error}") from error
+    return table

@@ -123,6 +123,55 @@ def test_classify_stdin_stream(tmp_path, saved_model, reference_corpus,
     assert lines[0]["verdict"] == "Trip"
 
 
+def _classify_records(argv, capsys, stdin=None, monkeypatch=None):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert main(["classify"] + argv) == 0
+    return [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+
+
+def test_headerless_file_and_stream_trigger_at_one_sample(tmp_path, saved_model,
+                                                          reference_corpus,
+                                                          monkeypatch, capsys):
+    corpus_dir, manifest, _ = reference_corpus
+    row = next(r for r in manifest if r["kind"] == "InternalFault")
+    text = open(os.path.join(corpus_dir, row["file"])).read()
+    bare = tmp_path / "bare.csv"
+    bare.write_text(text.split("\n", 1)[1])
+    model = ["--model", str(saved_model)]
+    want = _classify_records(model + [os.path.join(corpus_dir, row["file"])], capsys)
+    assert _classify_records(model + [str(bare)], capsys) == [
+        {**want[0], "file": "bare.csv"}]
+    for stdin in (text, bare.read_text()):
+        records = _classify_records(model + ["--stdin"], capsys, stdin, monkeypatch)
+        assert [r["trigger_index"] for r in records] == [want[0]["trigger_index"]] * 2
+
+
+@pytest.mark.parametrize("time, match", [
+    (lambda i: f"{i * 5e-5:.10g}", "waveform time at line 3 steps 5e-05 s"),
+    (lambda i: "x", "malformed waveform row at line 2:"),
+], ids=["20kHz", "x"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_classify_refuses_a_wrong_time_column(tmp_path, saved_model, monkeypatch,
+                                              capsys, time, match, source):
+    path = tmp_path / "w.csv"
+    _steady_csv(path)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + [f"{time(i)},{r.split(',', 1)[1]}"
+                                          for i, r in enumerate(rows)]) + "\n")
+    argv = ["classify", "--model", str(saved_model)]
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text()))
+        argv.append("--stdin")
+    else:
+        argv.append(str(path))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error [classify]: ")
+    assert match in err
+
+
 def test_evaluate_passes_default_thresholds(tmp_path, saved_model,
                                             reference_corpus, capsys):
     corpus_dir, _, _ = reference_corpus
@@ -197,7 +246,7 @@ def test_classify_stream_header_is_only_the_first_line(saved_model, monkeypatch,
     code = main(["classify", "--model", str(saved_model), "--stdin"])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error [classify]: malformed stream row at line 4")
+    assert err.startswith("error [classify]: malformed waveform row at line 4")
 
 
 def test_classify_failure_removes_the_out_file(tmp_path, saved_model, capsys):
@@ -409,8 +458,7 @@ def test_classify_non_finite_stream_sample_is_a_data_error(saved_model, monkeypa
     code = main(["classify", "--model", str(saved_model), "--stdin"])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error [classify]: ")
-    assert "line 3" in err
+    assert err.startswith(f"error [classify]: sample 1 phase b is {float(value)}")
 
 
 @pytest.mark.parametrize("where", ["pipeline", "slot"])

@@ -101,6 +101,11 @@ def test_samples_not_n_by_3_are_an_error(shape):
         detect(np.zeros(shape))
 
 
+def test_non_numeric_samples_are_a_wrong_shape():
+    with pytest.raises(WrongShape, match=r"\(N, 3\) numbers"):
+        detect("abc")
+
+
 def _fault_wave(rf=0.01, pct=80.0, inception=2 * SPC, ft=FaultType.WA_G):
     fault = {"fault_type": ft, "unit": Unit.PT, "resistance_ohm": rf,
              "pct_winding": pct}
@@ -323,7 +328,8 @@ def _nan_at_37(block):
     (lambda b: b[:, 0], WrongShape, r"\(N, 3\), N >= 1, got \(200,\)"),
     (lambda b: b[:0], WrongShape, r"\(N, 3\), N >= 1, got \(0, 3\)"),
     (_nan_at_37, NonFiniteSample, "sample 137 phase b is nan"),
-], ids=["two_phases", "one_dimension", "empty", "nan"])
+    (lambda b: [["a", "b", "c"]], WrongShape, r"\(N, 3\) numbers"),
+], ids=["two_phases", "one_dimension", "empty", "nan", "strings"])
 def test_bad_block_is_refused_before_any_change(bad, error, match):
     # the NaN is named by its index in the stream, after an earlier block
     x = _step_waveform()

@@ -1,9 +1,12 @@
 """Hierarchical decision scheme: routing, gating, training, persistence."""
 
+import itertools
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffsentry.detector import CLASSIFY_LEN, CYCLE, StreamingDetector, detect
 from diffsentry.ensembles import GBC_GRID_SMALL
@@ -29,6 +32,7 @@ from diffsentry.sampling import (
     FaultType,
     SamplingSpec,
     Unit,
+    read_waveform_csv,
 )
 from diffsentry.wavegen.disturbances import generate_disturbance
 from diffsentry.wavegen.faults import simulate_internal_fault
@@ -332,6 +336,27 @@ def test_streaming_matches_batch(trained_pipeline):
     assert full["verdict"] == batch.verdict
     assert full["fault_unit"] == batch.fault_unit
     assert full["fault_type"] == batch.fault_type
+
+
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_stream_records_equal_under_push_and_push_block(trained_pipeline,
+                                                       reference_corpus, data):
+    model, _ = trained_pipeline
+    corpus_dir, manifest, _ = reference_corpus
+    row = data.draw(st.sampled_from(manifest))
+    samples = read_waveform_csv(os.path.join(corpus_dir, row["file"]))
+    stream = StreamingClassifier(model)
+    want = [rec for s in samples for rec in stream.push(s)]
+    chunks = data.draw(st.lists(st.integers(1, len(samples)), min_size=1, max_size=6))
+    stream, got, i = StreamingClassifier(model), [], 0
+    for k in itertools.cycle(chunks):
+        if i >= len(samples):
+            break
+        got += stream.push_block(samples[i: i + k])
+        i += k
+    assert [r["stage"] for r in want] in ([], ["verdict", "full"])
+    assert got == want
 
 
 def _decision_json(decision) -> str:

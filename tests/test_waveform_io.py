@@ -9,6 +9,7 @@ bytes and the same arrays bit for bit.
 """
 
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from diffsentry.sampling import (
     EventLabel,
     SamplingSpec,
     Waveform,
+    iter_waveform_csv,
     read_waveform_csv,
     write_waveform_csv,
 )
@@ -99,19 +101,25 @@ _FORMATS = [repr, "{:.10g}".format, "{:.17e}".format, "{:.3f}".format,
             "{:E}".format, lambda v: f" {v!r} "]
 
 
+def _time(i):
+    """The writer's time field of sample ``i``."""
+    return f"{i * SamplingSpec().dt:.10g}"
+
+
 @st.composite
 def _csv_texts(draw):
-    """A header and 1..25 rows of 4..6 numeric fields, each written in one
-    of several float formats, with optional blank lines and CRLF endings."""
+    """A header and 1..25 rows of the writer's time and 3..5 numeric fields,
+    each written in one of several float formats, with optional blank lines
+    and CRLF endings."""
     n = draw(st.integers(1, 25))
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     lines = ["t_s,ia_pu,ib_pu,ic_pu"]
-    for _ in range(n):
-        width = draw(st.integers(4, 6))
+    for i in range(n):
+        width = draw(st.integers(3, 5))
         cells = [draw(st.sampled_from(_FORMATS))(draw(_values)) for _ in range(width)]
         if draw(st.booleans()):
             lines.append("")
-        lines.append(",".join(cells))
+        lines.append(",".join([_time(i)] + cells))
     return eol.join(lines) + draw(st.sampled_from(["", eol]))
 
 
@@ -128,9 +136,9 @@ def test_parsed_arrays_equal_the_per_row_parser(tmp_path_factory, text):
 
 
 @pytest.mark.parametrize("text", [
-    _HEADER + "0,1,2,3\n\n0.1,4,5,6\n\n\n0.2,-7,8.5,nan\n",
-    "t_s,ia_pu,ib_pu,ic_pu\r\n0,1,2,3\r\n\r\n0.1,4,5,6\r\n",
-    _HEADER + "0,1,2,3,99\n0.1,4,5,6,x,y\n0.2,7,8,9\n",
+    _HEADER + "0,1,2,3\n\n0.0001,4,5,6\n\n\n0.0002,-7,8.5,nan\n",
+    "t_s,ia_pu,ib_pu,ic_pu\r\n0,1,2,3\r\n\r\n0.0001,4,5,6\r\n",
+    _HEADER + "0,1,2,3,99\n0.0001,4,5,6,x,y\n0.0002,7,8,9\n",
     _HEADER + "0,1,2,3",
 ], ids=["blank_lines", "crlf", "extra_columns", "no_final_newline"])
 def test_fixed_files_parse_as_before(tmp_path, text):
@@ -152,6 +160,85 @@ def test_malformed_row_names_its_line(tmp_path, text):
     path.write_bytes(text.encode())
     with pytest.raises(IoFailure, match=r"malformed waveform row at line 3\b"):
         read_waveform_csv(path)
+
+
+# -- one row rule for the whole file and for blocks of lines -------------------
+
+_ROWS = ["ok"] * 6 + ["blank", "extra", "step", "x_time", "short", "junk"]
+
+
+@st.composite
+def _ragged_texts(draw):
+    """1..30 lines under an optional header, each a row of the writer's
+    time or one of: a blank line, extra columns, a 20 kHz step, an ``x``
+    time, a short row, a non-numeric sample; LF or CRLF endings."""
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = ["t_s,ia_pu,ib_pu,ic_pu"] if draw(st.booleans()) else []
+    i = 0
+    for kind in draw(st.lists(st.sampled_from(_ROWS), min_size=1, max_size=30)):
+        cells = [draw(st.sampled_from(_FORMATS))(draw(_values)) for _ in range(3)]
+        time = {"step": f"{(i - 0.5) * SamplingSpec().dt:.10g}",
+                "x_time": "x"}.get(kind, _time(i))
+        cells = {"extra": cells + ["99", "y"], "short": cells[:2],
+                 "junk": cells[:2] + ["z"]}.get(kind, cells)
+        lines.append("" if kind == "blank" else ",".join([time] + cells))
+        i += kind != "blank"
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+def _blocks(text, block_lines):
+    """(the sample bytes, None) of ``iter_waveform_csv`` over ``text``, or
+    (None, its IoFailure up to the parser's own words)."""
+    blocks = []
+    try:
+        for block in iter_waveform_csv(io.StringIO(text, newline=""), block_lines):
+            assert block.dtype == np.float64 and block.flags.c_contiguous
+            assert block.ndim == 2 and block.shape[1] == 3 and len(block)
+            blocks.append(block)
+    except IoFailure as exc:
+        return None, str(exc).split(": ")[0]
+    return np.concatenate(blocks).tobytes() if blocks else b"", None
+
+
+@settings(deadline=None, max_examples=300)
+@given(text=_ragged_texts(), data=st.data())
+def test_blocks_of_any_size_read_as_the_whole_text(text, data):
+    whole = _blocks(text, None)
+    n_lines = len(io.StringIO(text, newline="").readlines())
+    block_lines = data.draw(st.integers(1, max(n_lines, 1)))
+    assert _blocks(text, block_lines) == whole
+
+
+def test_headerless_file_keeps_its_first_sample(tmp_path):
+    spec = SamplingSpec()
+    samples = np.random.default_rng(3).normal(size=(5 * spec.samples_per_cycle, 3))
+    write_waveform_csv(Waveform(spec=spec, samples=samples, label=_LABEL,
+                                inception_index=0), tmp_path / "w.csv")
+    text = (tmp_path / "w.csv").read_text()
+    (tmp_path / "bare.csv").write_text(text[len(_HEADER):])
+    full = read_waveform_csv(tmp_path / "w.csv")
+    assert full.shape == samples.shape
+    assert read_waveform_csv(tmp_path / "bare.csv").tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("time, match", [
+    (lambda i: f"{i * 5e-5:.10g}", r"waveform time at line 3 steps 5e-05 s"),
+    (lambda i: "x", r"malformed waveform row at line 2\b"),
+    (lambda i: f"{i * 1e-4:.10g}" if i != 200 else "nan",
+     r"waveform time at line 202 steps nan s"),
+], ids=["20kHz", "x", "nan"])
+@pytest.mark.parametrize("block_lines", [None, 167])
+def test_wrong_time_column_names_its_line(time, match, block_lines):
+    text = _HEADER + "".join(f"{time(i)},0.5,-0.25,-0.25\n" for i in range(400))
+    with pytest.raises(IoFailure, match=match):
+        list(iter_waveform_csv(io.StringIO(text), block_lines))
+
+
+def test_writer_times_pass_up_to_a_million_seconds():
+    # %.10g writes every time on the 1e-4 s grid below 1e6 s exactly
+    text = "".join(f"{i * 1e-4:.10g},0,0,0\n" for i in range(10**10 - 5, 10**10))
+    [block] = iter_waveform_csv(io.StringIO(text))
+    assert block.shape == (5, 3)
 
 
 @pytest.mark.parametrize("text", ["", _HEADER, _HEADER + "\n\r\n"],
